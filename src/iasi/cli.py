@@ -25,7 +25,7 @@ from . import construct as constructmod
 from . import graph as graphmod
 from . import labeling as labelingmod
 from . import oracle as oraclemod
-from .errors import InternalCheckError, ParseError
+from .errors import InternalCheckError, ParseError, parse_natural
 from .graph import Graph, clique_number, max_clique, read_graph, write_graph
 from .labeling import read_labeling, write_labeling
 
@@ -118,10 +118,11 @@ def _read_cards_file(path: str) -> dict[str, int]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        name, sep, rest = line.partition(":")
-        if not sep or not rest.strip().isdigit():
+        name, sep, rest = line.rpartition(":")
+        card = parse_natural(rest.strip())
+        if not sep or card is None:
             raise ParseError("expected 'name: <cardinality>'", line=lineno)
-        cards[name.strip()] = int(rest.strip())
+        cards[name.strip()] = card
     return cards
 
 

@@ -11,10 +11,11 @@ The existence of strong labelings becomes an explicit recipe:
    is contained in {d_j, 2d_j, ...} with multipliers below every stride,
    so difference sets of distinct classes are disjoint by unique
    factorization and every (necessarily cross-class) edge is strong.
-3. Draw the base offsets b from a greedily built Sidon set, scaled past
-   the largest possible in-label spread: pairwise-distinct base sums make
-   the edge-sumset minima pairwise distinct, which forces the edge map to
-   be injective, and distinct bases make the vertex map injective.
+3. Draw the base offsets b from the Erdős–Turán Sidon set
+   a_k = 2pk + (k^2 mod p), p the least prime >= the vertex count, scaled
+   past the largest possible in-label spread: pairwise-distinct base sums
+   make the edge-sumset minima pairwise distinct, which forces the edge map
+   to be injective, and distinct bases make the vertex map injective.
 
 Scaled copies do the same job for products and coronas: multiplying a
 strong labeling by r keeps it strong, and multiplying different copies by
@@ -38,7 +39,7 @@ __all__ = [
     "construct_strong_traced",
     "construct_for_product",
     "construct_for_corona",
-    "sidon_sequence",
+    "sidon_bases",
     "primes_above",
 ]
 
@@ -107,19 +108,19 @@ def primes_above(floor: int, count: int) -> list[int]:
     return out
 
 
-def sidon_sequence(count: int) -> list[int]:
-    """Greedy Sidon set starting at 0: each new term is the least value
-    keeping all pairwise sums (repeats allowed) distinct."""
-    terms: list[int] = []
-    sums: set[int] = set()
-    candidate = 0
-    while len(terms) < count:
-        new_sums = {candidate + t for t in terms} | {2 * candidate}
-        if not (new_sums & sums):
-            terms.append(candidate)
-            sums |= new_sums
-        candidate += 1
-    return terms
+def sidon_bases(count: int) -> list[int]:
+    """The Erdős–Turán Sidon set a_k = 2pk + (k^2 mod p), k < count, with p
+    the least prime >= count (Erdős & Turán, J. London Math. Soc. 1941).
+
+    All pairwise sums a_i + a_j (i <= j) are distinct: the quotient by 2p
+    fixes i + j, the remainder fixes i^2 + j^2 mod p, and over the field
+    Z/p those two determine {i, j}.  Terms start at 0, strictly increase
+    and stay below 2p^2.
+    """
+    p = max(count, 2)
+    while not _is_prime(p):
+        p += 1
+    return [2 * p * k + (k * k) % p for k in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ def construct_strong_traced(g: Graph, spec: ConstructionSpec) -> tuple[Labeling,
     # whole arithmetic progression fits strictly between consecutive bases.
     verts = g.sorted_vertices()
     separation = strides[-1] * max_card
-    sidon = sidon_sequence(len(verts))
+    sidon = sidon_bases(len(verts))
     base = {v: sidon[i] * separation for i, v in enumerate(verts)}
 
     stride_of: dict[str, int] = {}
@@ -267,8 +268,9 @@ def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
     plus a per-copy offset: r_0 = 1 and the rest are primes exceeding every
     label element, so difference sets of distinct copies are disjoint and
     the product edges between corresponding vertices are strong.  Offsets
-    are Sidon multiples of a block size no sumset can straddle, which keeps
-    both vertex and edge maps injective across copies.
+    are Erdős–Turán Sidon bases (`sidon_bases`) times a block size no
+    sumset can straddle, which keeps both vertex and edge maps injective
+    across copies.
     """
     if not g1.vertices or not g2.vertices:
         raise ValueError("product factors must both be nonempty")
@@ -279,7 +281,7 @@ def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
     m = max(f1[v].max for v in g1.vertices)
     multipliers = [1] + primes_above(max(m, 1), len(copies) - 1)
     block = 2 * multipliers[-1] * max(m, 1) + 1
-    offsets = [s * block for s in sidon_sequence(len(copies))]
+    offsets = [s * block for s in sidon_bases(len(copies))]
 
     assignment: dict[str, IntSet] = {}
     for i, c in enumerate(copies):

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the number-token check every parser uses."""
 
 
 class ParseError(ValueError):
@@ -13,3 +13,18 @@ class ParseError(ValueError):
 
 class InternalCheckError(RuntimeError):
     """A self-verification that can never legitimately fail did fail."""
+
+
+def parse_natural(token: str) -> int | None:
+    """The value of a token of ASCII decimal digits, else None.
+
+    `str.isdigit` alone is not enough: `int` silently reads other scripts'
+    digits ('٣' as 3) and raises a bare ValueError on superscripts ('²') and
+    on tokens longer than the interpreter's integer-string limit.
+    """
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:
+            return None
+    return None

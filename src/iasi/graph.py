@@ -14,7 +14,7 @@ import functools
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
-from .errors import ParseError
+from .errors import ParseError, parse_natural
 
 __all__ = [
     "Graph",
@@ -49,6 +49,10 @@ def _check_name(name: str) -> str:
         raise ValueError(f"vertex name must be a non-empty string, got {name!r}")
     if any(c.isspace() for c in name):
         raise ValueError(f"vertex name {name!r} contains whitespace")
+    # The text format would read these back as a header, a vertex line or a
+    # comment, so such a graph could not round-trip through its file.
+    if name in ("p", "v") or name.startswith("#"):
+        raise ValueError(f"vertex name {name!r} is reserved by the graph file format")
     return name
 
 
@@ -309,9 +313,10 @@ def read_graph(text: str) -> Graph:
         if tokens[0] == "p":
             if header is not None:
                 raise ParseError("duplicate p header", line=lineno)
-            if len(tokens) != 3 or not tokens[1].isdigit() or not tokens[2].isdigit():
+            counts = tuple(parse_natural(t) for t in tokens[1:])
+            if len(counts) != 2 or None in counts:
                 raise ParseError("malformed header, expected 'p <n> <m>'", line=lineno)
-            header = (int(tokens[1]), int(tokens[2]))
+            header = counts
         elif tokens[0] == "v":
             if len(tokens) != 2:
                 raise ParseError("malformed vertex line, expected 'v <name>'", line=lineno)

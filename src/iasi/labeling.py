@@ -316,7 +316,9 @@ def read_labeling(text: str) -> Labeling:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        name, sep, rest = raw.partition(":")
+        # Set text holds no ':', so the last one ends the name (corona vertex
+        # names contain ':').
+        name, sep, rest = raw.rpartition(":")
         if not sep:
             raise ParseError("expected 'name: {elements}'", line=lineno)
         name = name.strip()

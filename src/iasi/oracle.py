@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 CHECKPOINT_ENV = "IASI_ORACLE_CHECKPOINT_DIR"
+CHECKPOINT_VERSION = 1
 LEMMA_UNIVERSE_LIMIT = 10
 
 
@@ -216,8 +217,60 @@ def _checkpoint_path(checkpoint_dir: str | None, key: str) -> Path | None:
     if not directory:
         return None
     path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot use oracle checkpoint directory {path}: {exc}") from exc
     return path / f"minchain-{key}.json"
+
+
+def _read_checkpoint(path: Path, key: str, total: int, n: int) -> dict:
+    """Load a minchain checkpoint, refusing (ValueError naming the file) one
+    that is unreadable, of another schema version, written for another
+    graph or configuration, or holding out-of-range fields."""
+
+    def bad(why: str) -> ValueError:
+        return ValueError(f"oracle checkpoint {path} is unusable ({why}); delete it to start over")
+
+    try:
+        state = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise bad(f"unreadable: {exc}") from exc
+    if not isinstance(state, dict) or state.get("version") != CHECKPOINT_VERSION:
+        raise bad(f"not a version {CHECKPOINT_VERSION} checkpoint")
+    if state.get("key") != key:
+        raise bad("written for another graph or configuration")
+
+    def indices(x) -> bool:
+        return isinstance(x, list) and all(type(i) is int and 0 <= i < total for i in x)
+
+    best, witness, count = state.get("best"), state.get("witness"), state.get("strong_count")
+    if not (
+        indices(state.get("done"))
+        and type(count) is int
+        and count >= 0
+        and (
+            (best is None and witness is None)
+            or (type(best) is int and indices(witness) and len(witness) == n)
+        )
+    ):
+        raise bad("malformed fields")
+    return state
+
+
+def _write_checkpoint(path: Path, state: dict) -> None:
+    """Write through a per-process temp file and an atomic rename, so a crash
+    (or a concurrent sweep) never leaves a half-written checkpoint behind."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(state))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def min_max_chain(
@@ -259,7 +312,7 @@ def min_max_chain(
     best_assign: tuple[int, ...] | None = None
     strong_count = 0
     if ckpt is not None and ckpt.exists():
-        state = json.loads(ckpt.read_text())
+        state = _read_checkpoint(ckpt, ckpt_key, total, n)
         done = set(state["done"])
         best = state["best"]
         best_assign = tuple(state["witness"]) if state["witness"] is not None else None
@@ -300,15 +353,16 @@ def min_max_chain(
         search(1)
         done.add(first)
         if ckpt is not None:
-            ckpt.write_text(
-                json.dumps(
-                    {
-                        "done": sorted(done),
-                        "best": best,
-                        "witness": list(best_assign) if best_assign is not None else None,
-                        "strong_count": strong_count,
-                    }
-                )
+            _write_checkpoint(
+                ckpt,
+                {
+                    "version": CHECKPOINT_VERSION,
+                    "key": ckpt_key,
+                    "done": sorted(done),
+                    "best": best,
+                    "witness": list(best_assign) if best_assign is not None else None,
+                    "strong_count": strong_count,
+                },
             )
 
     if best_assign is None:

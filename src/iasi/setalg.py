@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import ParseError
+from .errors import ParseError, parse_natural
 
 __all__ = [
     "IntSet",
@@ -220,9 +220,10 @@ def parse_int_set(text: str, line: int = 1, col_offset: int = 0) -> IntSet:
         token = chunk.strip()
         if not token:
             raise err("empty element in set", pos)
-        if not token.isdigit():
+        x = parse_natural(token)
+        if x is None:
             raise err(f"invalid set element {token!r}", pos)
-        elements.append(int(token))
+        elements.append(x)
         pos += len(chunk) + 1
     if any(x <= y for x, y in zip(elements[1:], elements)):
         raise err("set elements must be strictly increasing", 1)

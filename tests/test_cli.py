@@ -4,11 +4,13 @@ import pytest
 
 from iasi import (
     ConstructionSpec,
+    Graph,
     complete_graph,
     construct_strong,
     cycle_graph,
     path_graph,
     petersen_graph,
+    read_labeling,
     star_graph,
     write_graph,
     write_labeling,
@@ -142,6 +144,24 @@ def test_construct_cards_file(files, capsys):
     assert main(["construct", gp, "--cards", cards, "--output", str(out)]) == 0
     text = out.read_text()
     assert "v2: {" in text
+
+
+def test_construct_cards_file_with_colon_names(files, capsys):
+    graph_file, _, raw, tmp = files
+    gp = graph_file("k2.g", Graph(["a⊙0:b", "c"], [("a⊙0:b", "c")]))
+    cards = raw("cards.txt", "a⊙0:b: 3\nc: 1\n")
+    out = tmp / "k2.l"
+    assert main(["construct", gp, "--cards", cards, "--output", str(out)]) == 0
+    assert len(read_labeling(out.read_text())["a⊙0:b"]) == 3
+
+
+@pytest.mark.parametrize("card", ["٣", "²"])
+def test_construct_cards_file_rejects_non_ascii_digits(files, capsys, card):
+    graph_file, _, raw, _ = files
+    gp = graph_file("p3.g", path_graph(3))
+    cards = raw("cards.txt", f"v0: 1\nv1: {card}\nv2: 3\n")
+    assert main(["construct", gp, "--cards", cards]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

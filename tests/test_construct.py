@@ -24,7 +24,7 @@ from iasi import (
     star_graph,
     verify,
 )
-from iasi.construct import primes_above, sidon_sequence
+from iasi.construct import primes_above, sidon_bases
 
 
 # ---------------------------------------------------------------------------
@@ -36,11 +36,52 @@ def test_primes_above():
     assert primes_above(1, 3) == [2, 3, 5]
 
 
-def test_sidon_sequence_property():
-    terms = sidon_sequence(12)
-    assert terms[:6] == [0, 1, 3, 7, 12, 20]
-    sums = [terms[i] + terms[j] for i in range(12) for j in range(i, 12)]
-    assert len(sums) == len(set(sums))
+def _least_prime_at_least(n):
+    p = max(n, 2)
+    while any(p % d == 0 for d in range(2, p)):
+        p += 1
+    return p
+
+
+def _is_sidon(terms):
+    """Brute-force reference: every sum a_i + a_j with i <= j is distinct."""
+    sums = [terms[i] + terms[j] for i in range(len(terms)) for j in range(i, len(terms))]
+    return len(sums) == len(set(sums))
+
+
+def test_sidon_bases_property():
+    assert sidon_bases(0) == []
+    assert sidon_bases(1) == [0]
+    assert sidon_bases(2) == [0, 5]  # p = 2
+    assert sidon_bases(12)[-1] == 290  # p = 13: 2*13*11 + 121 % 13
+    for count in range(1, 301):
+        terms = sidon_bases(count)
+        p = _least_prime_at_least(count)
+        assert len(terms) == count and terms[0] == 0
+        assert all(a < b for a, b in zip(terms, terms[1:]))
+        assert terms[-1] < 2 * p * p
+        assert _is_sidon(terms), count
+
+
+def test_offsets_are_scaled_sidon_bases():
+    g = petersen_graph()
+    cards = {v: 1 + i % 3 for i, v in enumerate(g.sorted_vertices())}
+    f, trace = construct_strong_traced(g, ConstructionSpec(cardinalities=cards))
+    separation = trace["strides"][-1] * max(cards.values())
+    bases = sidon_bases(len(g.vertices))
+    assert trace["offsets"] == {v: bases[i] * separation for i, v in enumerate(g.sorted_vertices())}
+    assert all(f[v].min == trace["offsets"][v] for v in g.vertices)
+
+
+@pytest.mark.parametrize("mode", ["coloring", "clique-cover"])
+def test_large_sparse_graph_stays_below_erdos_turan_bound(mode):
+    g = random_graph(random.Random(400), 400, 0.05)
+    f, trace = construct_strong_traced(g, ConstructionSpec(cardinalities=3, seed=1, mode=mode))
+    assert verify(g, f).is_strong
+    # Largest base < 2p^2 and each label spans less than one separation.
+    separation = trace["strides"][-1] * 3
+    p = _least_prime_at_least(400)
+    assert trace["max_label_element"] < 2 * p * p * separation
 
 
 # ---------------------------------------------------------------------------

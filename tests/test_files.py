@@ -2,6 +2,8 @@ import random
 
 import pytest
 from helpers import random_graph
+from hypothesis import given
+from hypothesis import strategies as st
 
 from iasi import (
     Graph,
@@ -53,6 +55,9 @@ def test_graph_parser_header_optional():
         ("a b c\n", "unrecognized"),
         ("v\n", "vertex line"),
         ("p 1 0\np 1 0\n", "duplicate"),
+        ("p ² 1\na b\n", "header"),
+        ("p ٢ 1\na b\n", "header"),
+        ("v p\n", "reserved"),
     ],
 )
 def test_graph_parser_rejects(text, fragment):
@@ -88,14 +93,80 @@ def test_labeling_parser_tolerates_whitespace():
 
 @pytest.mark.parametrize(
     "text",
-    ["a {1,2}\n", "a: {1,2\n", "a: {}\n", "a: {2,1}\n", "a: {1,2}\na: {3}\n", ": {1}\n"],
+    [
+        "a {1,2}\n", "a: {1,2\n", "a: {}\n", "a: {2,1}\n", "a: {1,2}\na: {3}\n", ": {1}\n",
+        "a: {1,٣}\n", "a: {1,²}\n",
+    ],
 )
 def test_labeling_parser_rejects(text):
     with pytest.raises(ParseError):
         read_labeling(text)
 
 
+def test_labeling_round_trips_names_containing_colons():
+    f = Labeling({"a⊙0:b": IntSet([1, 4]), "c": IntSet([2])})
+    assert read_labeling(write_labeling(f)) == f
+
+
 def test_labeling_parse_error_position():
     with pytest.raises(ParseError) as exc:
         read_labeling("a: {1,2}\nb: {4,3}\n")
     assert exc.value.line == 2
+
+
+# ---------------------------------------------------------------------------
+# properties: every text parses or fails with ParseError; write -> read = id
+# ---------------------------------------------------------------------------
+
+# Keywords, format characters, ASCII and non-ASCII digits, and any other text.
+format_text = st.lists(
+    st.sampled_from(["p ", "v ", "#", ":", "{", "}", ",", " ", "\n", "a", "1", "٣", "²"])
+    | st.text(max_size=3),
+    max_size=20,
+).map("".join)
+
+
+@given(format_text)
+def test_parsers_give_a_value_or_parse_error(text):
+    for parse in (read_graph, read_labeling):
+        try:
+            parse(text)
+        except ParseError:
+            pass
+
+
+def _is_vertex_name(name):
+    try:
+        Graph([name])
+    except ValueError:
+        return False
+    return True
+
+
+vertex_names = st.text(min_size=1, max_size=6).filter(_is_vertex_name)
+
+
+@st.composite
+def graphs(draw):
+    names = draw(st.lists(vertex_names, min_size=1, max_size=8, unique=True))
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    return Graph(names, edges)
+
+
+@given(graphs())
+def test_graph_write_then_read_is_identity(g):
+    assert read_graph(write_graph(g)) == g
+
+
+@given(
+    st.dictionaries(
+        vertex_names,
+        st.frozensets(st.integers(min_value=0), min_size=1, max_size=5).map(IntSet),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_labeling_write_then_read_is_identity(assignment):
+    f = Labeling(assignment)
+    assert read_labeling(write_labeling(f)) == f

@@ -16,7 +16,9 @@ from iasi import (
     read_labeling,
     verify,
     write_bundle,
+    write_graph,
 )
+from iasi.cli import main
 
 
 K2 = Graph(["a", "b"], [("a", "b")])
@@ -136,6 +138,46 @@ def test_minchain_checkpoint_resume(tmp_path):
     again = min_max_chain(g, cfg, checkpoint_dir=str(tmp_path))
     assert again.value == first.value
     assert again.strong_count == first.strong_count
+
+
+def _corrupt_truncated(path, other):
+    path.write_text(path.read_text()[:-5])
+
+
+def _corrupt_empty_object(path, other):
+    path.write_text("{}")
+
+
+def _corrupt_wrong_key(path, other):
+    path.write_text(other.read_text())
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_corrupt_truncated, _corrupt_empty_object, _corrupt_wrong_key]
+)
+def test_minchain_bad_checkpoint_exits_two_naming_the_file(tmp_path, monkeypatch, capsys, corrupt):
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+    for name, g in (("p3.g", path_graph(3)), ("k2.g", K2)):
+        (tmp_path / name).write_text(write_graph(g))
+    argv = ["oracle", "minchain", "--max", "4"]
+    assert main(argv + [str(tmp_path / "k2.g")]) == 0
+    other = next((tmp_path / "ckpt").iterdir())
+    assert main(argv + [str(tmp_path / "p3.g")]) == 0
+    (path,) = set((tmp_path / "ckpt").iterdir()) - {other}  # no temp file left behind
+    assert json.loads(path.read_text())["version"] == 1
+    capsys.readouterr()
+
+    corrupt(path, other)
+    assert main(argv + [str(tmp_path / "p3.g")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_minchain_checkpoint_dir_that_is_a_file_exits_two(tmp_path, monkeypatch, capsys):
+    (tmp_path / "k2.g").write_text(write_graph(K2))
+    (tmp_path / "ckpt").write_text("")
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+    assert main(["oracle", "minchain", "--max", "4", str(tmp_path / "k2.g")]) == 2
+    assert str(tmp_path / "ckpt") in capsys.readouterr().err
 
 
 def test_minchain_checkpoint_env(tmp_path, monkeypatch):

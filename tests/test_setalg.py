@@ -178,7 +178,11 @@ def test_parse_tolerates_whitespace():
 
 
 @pytest.mark.parametrize(
-    "bad", ["{1,2", "1,2}", "{1,,2}", "{a}", "{2,1}", "{1 2}", ""]
+    "bad",
+    [
+        "{1,2", "1,2}", "{1,,2}", "{a}", "{2,1}", "{1 2}", "", "{1,٣}", "{1,²}",
+        pytest.param("{" + "1" * 5000 + "}", id="5000-digit element"),
+    ],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
