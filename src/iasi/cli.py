@@ -8,7 +8,8 @@ golden-file comparisons stay byte-exact.
 Exit codes are a contract:
   0  success / requested property holds
   1  property fails (or an oracle sweep found a falsifying instance)
-  2  input error: unparseable file, bad arity, name collision, oracle limit
+  2  input error: unreadable or unparseable file, failed write, bad arity,
+     name collision, oracle limit
   3  internal invariant breach (self-verification failed; never expected)
 """
 
@@ -34,32 +35,23 @@ EXIT_PROPERTY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL = 3
 
-OPS_ARITY = {
-    "union": 2,
-    "join": 2,
-    "complement": 1,
-    "product": 2,
-    "corona": 2,
-    "intersection": 2,
+# op -> (arity, function of iasi.graph); the function is looked up by name at
+# call time, so a wrapper installed on the module (a profiler's) sees the call.
+OPS = {
+    "union": (2, "union"),
+    "join": (2, "join"),
+    "complement": (1, "complement"),
+    "product": (2, "cartesian_product"),
+    "corona": (2, "corona"),
+    "intersection": (2, "intersection"),
 }
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _load_graph(path: str) -> tuple[Graph, dict]:
+def _load(path: str, reader) -> tuple:
+    """The parsed file and its input record (path and SHA-256)."""
     p = Path(path)
-    if not p.exists():
-        raise ParseError(f"no such file: {path}")
-    return read_graph(p.read_text(encoding="utf-8")), {"path": path, "sha256": _digest(p)}
-
-
-def _load_labeling(path: str) -> tuple[labelingmod.Labeling, dict]:
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"no such file: {path}")
-    return read_labeling(p.read_text(encoding="utf-8")), {"path": path, "sha256": _digest(p)}
+    parsed = reader(p.read_text(encoding="utf-8"))
+    return parsed, {"path": path, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
 
 
 def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: float) -> None:
@@ -83,17 +75,16 @@ def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: fl
 
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
-    g, gin = _load_graph(args.graph)
-    f, fin = _load_labeling(args.labeling)
+    g, gin = _load(args.graph, read_graph)
+    f, fin = _load(args.labeling, read_labeling)
 
     if args.concurrent:
-        prop = "concurrent-strong"
-        holds = labelingmod.verify_concurrent_strong(g, f)
+        holds, report, complement_report = labelingmod._verify_concurrent(g, f)
         outcome = {
-            "property": prop,
+            "property": "concurrent-strong",
             "holds": holds,
-            "report": labelingmod.verify(g, f).to_dict(),
-            "complement_report": labelingmod.verify(graphmod.complement(g), f).to_dict(),
+            "report": report.to_dict(),
+            "complement_report": complement_report.to_dict(),
         }
     else:
         report = labelingmod.verify(g, f)
@@ -110,11 +101,8 @@ def _cmd_verify(args) -> int:
 
 
 def _read_cards_file(path: str) -> dict[str, int]:
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"no such file: {path}")
     cards: dict[str, int] = {}
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -122,18 +110,17 @@ def _read_cards_file(path: str) -> dict[str, int]:
         card = parse_natural(rest.strip())
         if not sep or card is None:
             raise ParseError("expected 'name: <cardinality>'", line=lineno)
-        cards[name.strip()] = card
+        name = name.strip()
+        if name in cards:
+            raise ParseError(f"duplicate cardinality for vertex {name!r}", line=lineno)
+        cards[name] = card
     return cards
 
 
 def _cmd_construct(args) -> int:
     started = time.perf_counter()
-    g, gin = _load_graph(args.graph)
-    cards: int | dict[str, int]
-    if args.cards:
-        cards = _read_cards_file(args.cards)
-    else:
-        cards = args.cardinality
+    g, gin = _load(args.graph, read_graph)
+    cards = _read_cards_file(args.cards) if args.cards else args.cardinality
     spec = constructmod.ConstructionSpec(cardinalities=cards, seed=args.seed, mode=args.mode)
     labeling, trace = constructmod.construct_strong_traced(g, spec)
 
@@ -164,7 +151,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_nourish(args) -> int:
     started = time.perf_counter()
-    g, gin = _load_graph(args.graph)
+    g, gin = _load(args.graph, read_graph)
     if not g.vertices:
         raise ParseError("graph is empty; nourishing number undefined")
     kappa = labelingmod.nourishing_number(g)
@@ -200,24 +187,14 @@ def _predict_kappa(op: str, graphs: list[Graph], kappas: list[int | None]) -> tu
 def _cmd_ops(args) -> int:
     started = time.perf_counter()
     op = args.op
-    if len(args.graphs) != OPS_ARITY[op]:
-        raise ParseError(f"{op} takes {OPS_ARITY[op]} graph file(s), got {len(args.graphs)}")
-    loaded = [_load_graph(p) for p in args.graphs]
+    arity, operation = OPS[op]
+    if len(args.graphs) != arity:
+        raise ParseError(f"{op} takes {arity} graph file(s), got {len(args.graphs)}")
+    loaded = [_load(p, read_graph) for p in args.graphs]
     graphs = [g for g, _ in loaded]
     inputs = [meta for _, meta in loaded]
 
-    if op == "union":
-        result = graphmod.union(*graphs)
-    elif op == "join":
-        result = graphmod.join(*graphs)
-    elif op == "complement":
-        result = graphmod.complement(graphs[0])
-    elif op == "product":
-        result = graphmod.cartesian_product(*graphs)
-    elif op == "corona":
-        result = graphmod.corona(*graphs)
-    else:
-        result = graphmod.intersection(*graphs)
+    result = getattr(graphmod, operation)(*graphs)
 
     kappas = [clique_number(g) if g.vertices else None for g in graphs]
     kappa_result = clique_number(result) if result.vertices else None
@@ -269,7 +246,7 @@ def _cmd_oracle(args) -> int:
         _emit("oracle", [], outcome, args.format, started)
         return EXIT_OK if check.ok else EXIT_PROPERTY_FAILED
 
-    g, gin = _load_graph(args.graph)
+    g, gin = _load(args.graph, read_graph)
     cfg = oraclemod.OracleConfig(
         universe_max=args.max,
         min_card=args.cards,
@@ -339,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nourish)
 
     p = sub.add_parser("ops", help="apply a graph operation and report invariants")
-    p.add_argument("op", choices=sorted(OPS_ARITY))
+    p.add_argument("op", choices=sorted(OPS))
     p.add_argument("graphs", nargs="+")
     common(p)
     p.set_defaults(func=_cmd_ops)
@@ -377,14 +354,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as exc:
+        reason = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else exc
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -30,8 +30,8 @@ from typing import Mapping
 
 from .errors import InternalCheckError
 from .graph import CORONA_SEP, PRODUCT_SEP, Graph, cartesian_product, corona, max_clique
-from .labeling import Labeling, verify
-from .setalg import IntSet, diff_set, disjoint, scale, sumset
+from .labeling import Labeling, _check_no_isolated, _verify, verify
+from .setalg import IntSet, scale
 
 __all__ = [
     "ConstructionSpec",
@@ -77,6 +77,9 @@ class ConstructionSpec:
         missing = g.vertices - self.cardinalities.keys()
         if missing:
             raise ValueError(f"no cardinality given for {sorted(missing)}")
+        extra = self.cardinalities.keys() - g.vertices
+        if extra:
+            raise ValueError(f"cardinalities given for non-vertices {sorted(extra)}")
         return {v: self.cardinalities[v] for v in g.vertices}
 
 
@@ -190,9 +193,7 @@ def construct_strong_traced(g: Graph, spec: ConstructionSpec) -> tuple[Labeling,
     """
     if not g.vertices:
         raise ValueError("cannot label the empty graph")
-    isolated = g.isolated_vertices()
-    if isolated:
-        raise ValueError(f"graph has isolated vertices: {isolated}")
+    _check_no_isolated(g)
 
     cards = spec.resolve(g)
     classes = _color_classes(g, spec)
@@ -242,25 +243,6 @@ def construct_strong(g: Graph, spec: ConstructionSpec | None = None) -> Labeling
 # scaled copies for products and coronas
 # ---------------------------------------------------------------------------
 
-def _is_strong_lenient(g: Graph, f: Labeling) -> bool:
-    """Strongness check that tolerates edgeless graphs (a bare vertex has no
-    isolated-vertex story to enforce when it is only an operand)."""
-    if not g.vertices <= set(f.vertices()):
-        return False
-    labels = [f[v] for v in g.sorted_vertices()]
-    if len(set(labels)) != len(labels):
-        return False
-    sums = [sumset(f[u], f[v]) for u, v in g.sorted_edges()]
-    if len(set(sums)) != len(sums):
-        return False
-    return all(disjoint(diff_set(f[u]), diff_set(f[v])) for u, v in g.edges)
-
-
-def _verify_output(g: Graph, f: Labeling, what: str) -> None:
-    if not _is_strong_lenient(g, f):
-        raise InternalCheckError(f"{what} labeling failed self-verification")
-
-
 def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
     """Strong labeling of the Cartesian product from a strong labeling of g1.
 
@@ -274,7 +256,7 @@ def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
     """
     if not g1.vertices or not g2.vertices:
         raise ValueError("product factors must both be nonempty")
-    if not _is_strong_lenient(g1, f1):
+    if not _verify(g1, f1, isolated_ok=True).is_strong:
         raise ValueError("f1 is not a strong labeling of g1")
 
     copies = g2.sorted_vertices()
@@ -289,7 +271,8 @@ def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
             assignment[f"{v}{PRODUCT_SEP}{c}"] = scale(multipliers[i], f1[v]).translated(offsets[i])
     out = Labeling(assignment)
 
-    _verify_output(cartesian_product(g1, g2), out, "product")
+    if not _verify(cartesian_product(g1, g2), out, isolated_ok=True).is_strong:
+        raise InternalCheckError("product labeling failed self-verification")
     return out
 
 
@@ -305,9 +288,9 @@ def construct_for_corona(g1: Graph, f1: Labeling, g2: Graph, f2: Labeling) -> La
     """
     if not g1.vertices or not g2.vertices:
         raise ValueError("corona factors must both be nonempty")
-    if not _is_strong_lenient(g1, f1):
+    if not _verify(g1, f1, isolated_ok=True).is_strong:
         raise ValueError("f1 is not a strong labeling of g1")
-    if not _is_strong_lenient(g2, f2):
+    if not _verify(g2, f2, isolated_ok=True).is_strong:
         raise ValueError("f2 is not a strong labeling of g2")
 
     roots = g1.sorted_vertices()
@@ -322,5 +305,6 @@ def construct_for_corona(g1: Graph, f1: Labeling, g2: Graph, f2: Labeling) -> La
             assignment[f"{u}{CORONA_SEP}{i}:{w}"] = scale(multipliers[i], f2[w]).translated(offset)
     out = Labeling(assignment)
 
-    _verify_output(corona(g1, g2), out, "corona")
+    if not _verify(corona(g1, g2), out, isolated_ok=True).is_strong:
+        raise InternalCheckError("corona labeling failed self-verification")
     return out

@@ -18,12 +18,13 @@ lengths would stop measuring anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from . import graph as graphmod
 from .errors import InternalCheckError, ParseError
 from .graph import Graph, clique_number, complement
-from .setalg import IntSet, diff_set, disjoint, is_strong_pair, parse_int_set, scale, sumset
+from .setalg import DiffSet, IntSet, diff_set, disjoint, parse_int_set, scale, sumset
 
 __all__ = [
     "Labeling",
@@ -170,10 +171,18 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
 
     Checks that f is injective as a set-valued map, that edge sumsets are
     pairwise distinct as sets, and that every edge is a strong pair.  All
-    violations are collected, not just the first.
+    violations are collected, not just the first.  Graphs with isolated
+    vertices are refused.
     """
+    return _verify(g, f)
+
+
+def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> VerificationReport:
+    """`verify`, optionally accepting isolated vertices (an edgeless operand
+    of a product or corona is still a valid input there)."""
     _check_total(g, f)
-    _check_no_isolated(g)
+    if not isolated_ok:
+        _check_no_isolated(g)
 
     witnesses: list[str] = []
     verts = g.sorted_vertices()
@@ -199,18 +208,21 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
             names = ", ".join(f"({u},{v})" for u, v in es)
             witnesses.append(f"edges {names} share the sumset {s}")
 
-    diffs = {v: diff_set(f[v]) for v in verts}
+    # Strength reads the sumsets already built; difference sets are only
+    # needed to name the shared differences of a weak edge.
+    diffs: dict[str, DiffSet] = {}
     strong_edges: list[tuple[Edge, bool]] = []
-    all_strong = True
     for u, v in edges:
-        ok = is_strong_pair(f[u], f[v])
-        strong_edges.append(((u, v), ok))
-        if not ok:
-            all_strong = False
+        size, full = len(edge_sums[(u, v)]), len(f[u]) * len(f[v])
+        strong_edges.append(((u, v), size == full))
+        if size != full:
+            for w in (u, v):
+                if w not in diffs:
+                    diffs[w] = diff_set(f[w])
             shared = diffs[u].intersection(diffs[v])
             witnesses.append(
-                f"edge ({u},{v}) is not strong: |{f[u]}+{f[v]}| = {len(edge_sums[(u, v)])} "
-                f"< {len(f[u]) * len(f[v])}; shared differences {{{','.join(map(str, shared))}}}"
+                f"edge ({u},{v}) is not strong: |{f[u]}+{f[v]}| = {size} "
+                f"< {full}; shared differences {{{','.join(map(str, shared))}}}"
             )
 
     is_iasi = vertex_injective and edge_injective
@@ -219,7 +231,7 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
         edge_injective=edge_injective,
         strong_edges=strong_edges,
         is_iasi=is_iasi,
-        is_strong=is_iasi and all_strong,
+        is_strong=is_iasi and all(ok for _, ok in strong_edges),
         witnesses=witnesses,
     )
 
@@ -249,7 +261,7 @@ def chain_report(g: Graph, f: Labeling) -> ChainReport:
     diffs = {v: diff_set(f[v]) for v in g.vertices}
 
     carriers = sorted(v for v in g.vertices if len(diffs[v]) > 0)
-    aux_edges = [(u, v) for u, v in _pairs(carriers) if disjoint(diffs[u], diffs[v])]
+    aux_edges = [(u, v) for u, v in combinations(carriers, 2) if disjoint(diffs[u], diffs[v])]
     if carriers:
         aux = Graph(carriers, aux_edges)
         chain = list(graphmod.max_clique(aux))
@@ -258,12 +270,6 @@ def chain_report(g: Graph, f: Labeling) -> ChainReport:
 
     relation = [((u, v), disjoint(diffs[u], diffs[v])) for u, v in g.sorted_edges()]
     return ChainReport(max_chain=chain, max_chain_length=len(chain), per_edge_relation=relation)
-
-
-def _pairs(items: list[str]):
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            yield a, b
 
 
 def nourishing_number(g: Graph) -> int:
@@ -282,27 +288,29 @@ def verify_concurrent_strong(g: Graph, f: Labeling) -> bool:
     equivalent direct criterion: f injective, all difference sets pairwise
     disjoint, and both induced edge maps injective.
     """
-    gbar = complement(g)
-    _check_total(g, f)
-    _check_no_isolated(g, "graph")
-    _check_no_isolated(gbar, "complement")
+    return _verify_concurrent(g, f)[0]
 
+
+def _verify_concurrent(
+    g: Graph, f: Labeling
+) -> tuple[bool, VerificationReport, VerificationReport]:
+    """`verify_concurrent_strong` with the reports of g and its complement."""
     rep_g = verify(g, f)
+    gbar = complement(g)
+    _check_no_isolated(gbar, "complement")
     rep_gbar = verify(gbar, f)
     primary = rep_g.is_strong and rep_gbar.is_strong
 
-    diffs = [diff_set(f[v]) for v in g.sorted_vertices()]
-    all_disjoint = all(
-        disjoint(diffs[i], diffs[j]) for i in range(len(diffs)) for j in range(i + 1, len(diffs))
-    )
     labels = [f[v] for v in g.sorted_vertices()]
+    diffs = [diff_set(s) for s in labels]
+    all_disjoint = all(disjoint(d1, d2) for d1, d2 in combinations(diffs, 2))
     injective = len(set(labels)) == len(labels)
     direct = injective and all_disjoint and rep_g.edge_injective and rep_gbar.edge_injective
     if primary != direct:
         raise InternalCheckError(
             "concurrent-strong criteria disagree; this falsifies the pairwise-disjointness restatement"
         )
-    return primary
+    return primary, rep_g, rep_gbar
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,13 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Callable
 
 from .errors import InternalCheckError
 from .graph import Graph, complement, write_graph
 from .labeling import (
     Labeling,
+    _check_no_isolated,
     chain_report,
     verify,
     verify_concurrent_strong,
@@ -133,7 +135,7 @@ class _Space:
     `strong[i]` is a bitmask of the j with |L_i + L_j| == |L_i| * |L_j|
     (computed through the sumset, the cardinality route); `ddisjoint[i]`
     marks the j whose difference sets avoid L_i's (the difference route).
-    The enumerators prune with the former and audit with the latter, so a
+    The searches prune with the former and audit with the latter, so a
     failure of the equivalence would surface as a disagreement instead of
     being assumed away.
     """
@@ -153,20 +155,73 @@ class _Space:
                 if disjoint(self.diffs[i], self.diffs[j]):
                     self.ddisjoint[i] |= 1 << j
                     self.ddisjoint[j] |= 1 << i
-        self._sums: dict[tuple[int, int], frozenset[int]] = {}
+        self._sums: dict[tuple[int, int], int] = {}
+        self._sum_ids: dict[IntSet, int] = {}
 
-    def sum_key(self, i: int, j: int) -> frozenset[int]:
+    def sum_key(self, i: int, j: int) -> int:
+        """A small integer naming the sumset L_i + L_j: equal iff the sumsets are."""
         key = (i, j) if i <= j else (j, i)
         cached = self._sums.get(key)
         if cached is None:
-            cached = frozenset(sumset(self.labels[key[0]], self.labels[key[1]]).elements)
-            self._sums[key] = cached
+            s = sumset(self.labels[key[0]], self.labels[key[1]])
+            cached = self._sums[key] = self._sum_ids.setdefault(s, len(self._sum_ids))
         return cached
 
 
 def _edge_indices(g: Graph, verts: list[str]) -> list[tuple[int, int]]:
     pos = {v: k for k, v in enumerate(verts)}
     return sorted((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.edges)
+
+
+def _search_vertices(g: Graph, cfg: OracleConfig) -> list[str]:
+    """The sorted vertices of a graph the oracle agrees to search."""
+    verts = sorted(g.vertices)
+    if len(verts) > cfg.vertex_limit:
+        raise ValueError(
+            f"graph has {len(verts)} vertices, above the oracle vertex limit {cfg.vertex_limit}"
+        )
+    if not verts:
+        raise ValueError("cannot search labelings of the empty graph")
+    _check_no_isolated(g)
+    return verts
+
+
+def _enumerate(
+    space: _Space,
+    n: int,
+    edge_groups: list[list[tuple[int, int]]],
+    first: int,
+    hit: Callable[[list[int]], None],
+) -> None:
+    """Call `hit(assign)` for every injective assignment of label indices to
+    vertices 0..n-1 with assign[0] = first, every edge of every group a
+    strong pair, and the edge sumsets distinct within each group.  Leaves
+    come in lexicographic order; `assign` is reused, so copy it to keep it."""
+    prev_nbrs: list[list[int]] = [[] for _ in range(n)]
+    for edges in edge_groups:
+        for a, b in edges:
+            prev_nbrs[b].append(a)
+    strong, sum_key = space.strong, space.sum_key
+    full_mask = (1 << len(space.labels)) - 1
+    assign = [first] * n
+
+    def search(k: int, used: int) -> None:
+        if k == n:
+            for edges in edge_groups:
+                if len({sum_key(assign[a], assign[b]) for a, b in edges}) != len(edges):
+                    return
+            hit(assign)
+            return
+        allowed = full_mask & ~used
+        for p in prev_nbrs[k]:
+            allowed &= strong[assign[p]]
+        while allowed:
+            bit = allowed & -allowed
+            assign[k] = bit.bit_length() - 1
+            search(k + 1, used | bit)
+            allowed ^= bit
+
+    search(1, 1 << first)
 
 
 def _max_chain_of(space: _Space, chosen: tuple[int, ...], cache: dict) -> int:
@@ -283,24 +338,11 @@ def min_max_chain(
     directory (argument or the IASI_ORACLE_CHECKPOINT_DIR variable) finished
     partitions are recorded and skipped on re-runs.
     """
-    verts = sorted(g.vertices)
-    if len(verts) > cfg.vertex_limit:
-        raise ValueError(
-            f"graph has {len(verts)} vertices, above the oracle vertex limit {cfg.vertex_limit}"
-        )
-    if not verts:
-        raise ValueError("cannot search labelings of the empty graph")
-    if g.isolated_vertices():
-        raise ValueError(f"graph has isolated vertices: {g.isolated_vertices()}")
-
+    verts = _search_vertices(g, cfg)
     space = _Space(cfg)
     labels = space.labels
     total = len(labels)
-    full_mask = (1 << total) - 1
     n = len(verts)
-    prev_nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b in _edge_indices(g, verts):
-        prev_nbrs[b].append(a)
     edges = _edge_indices(g, verts)
 
     ckpt_key = hashlib.sha256(
@@ -319,38 +361,19 @@ def min_max_chain(
         strong_count = state["strong_count"]
 
     chain_cache: dict[frozenset[int], int] = {}
-    assign = [0] * n
 
-    def search(k: int) -> None:
+    def hit(assign: list[int]) -> None:
         nonlocal best, best_assign, strong_count
-        if k == n:
-            keys = [space.sum_key(assign[a], assign[b]) for a, b in edges]
-            if len(set(keys)) != len(keys):
-                return
-            strong_count += 1
-            chain = _max_chain_of(space, tuple(assign), chain_cache)
-            if best is None or chain < best:
-                best = chain
-                best_assign = tuple(assign)
-            return
-        used = 0
-        for p in range(k):
-            used |= 1 << assign[p]
-        allowed = full_mask & ~used
-        for p in prev_nbrs[k]:
-            allowed &= space.strong[assign[p]]
-        while allowed:
-            bit = allowed & -allowed
-            i = bit.bit_length() - 1
-            assign[k] = i
-            search(k + 1)
-            allowed ^= bit
+        strong_count += 1
+        chain = _max_chain_of(space, tuple(assign), chain_cache)
+        if best is None or chain < best:
+            best = chain
+            best_assign = tuple(assign)
 
     for first in range(total):
         if first in done:
             continue
-        assign[0] = first
-        search(1)
+        _enumerate(space, n, [edges], first, hit)
         done.add(first)
         if ckpt is not None:
             _write_checkpoint(
@@ -412,63 +435,20 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
     routes stay independent.  A sample of witnesses is re-checked with
     verify_concurrent_strong.
     """
-    verts = sorted(g.vertices)
-    if len(verts) > cfg.vertex_limit:
-        raise ValueError(
-            f"graph has {len(verts)} vertices, above the oracle vertex limit {cfg.vertex_limit}"
-        )
-    if not verts:
-        raise ValueError("cannot search labelings of the empty graph")
+    verts = _search_vertices(g, cfg)
     gbar = complement(g)
-    if g.isolated_vertices():
-        raise ValueError(f"graph has isolated vertices: {g.isolated_vertices()}")
-    if gbar.isolated_vertices():
-        raise ValueError(f"complement has isolated vertices: {gbar.isolated_vertices()}")
+    _check_no_isolated(gbar, "complement")
 
     space = _Space(cfg)
-    total = len(space.labels)
-    full_mask = (1 << total) - 1
-    n = len(verts)
-    edges_g = _edge_indices(g, verts)
-    edges_gbar = _edge_indices(gbar, verts)
-    prev_nbrs: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges_g + edges_gbar:
-        prev_nbrs[b].append(a)
-
+    groups = [_edge_indices(g, verts), _edge_indices(gbar, verts)]
     found: list[tuple[int, ...]] = []
-    assign = [0] * n
+    for first in range(len(space.labels)):
+        _enumerate(space, len(verts), groups, first, lambda assign: found.append(tuple(assign)))
 
-    def search(k: int) -> None:
-        if k == n:
-            keys_g = [space.sum_key(assign[a], assign[b]) for a, b in edges_g]
-            if len(set(keys_g)) != len(keys_g):
-                return
-            keys_gbar = [space.sum_key(assign[a], assign[b]) for a, b in edges_gbar]
-            if len(set(keys_gbar)) != len(keys_gbar):
-                return
-            found.append(tuple(assign))
-            return
-        used = 0
-        for p in range(k):
-            used |= 1 << assign[p]
-        allowed = full_mask & ~used
-        for p in prev_nbrs[k]:
-            allowed &= space.strong[assign[p]]
-        while allowed:
-            bit = allowed & -allowed
-            assign[k] = bit.bit_length() - 1
-            search(k + 1)
-            allowed ^= bit
-
-    search(0)
-
-    all_disjoint = True
-    bad: tuple[int, ...] | None = None
-    for w in found:
-        if not all(space.ddisjoint[a] >> b & 1 for a, b in combinations(w, 2)):
-            all_disjoint = False
-            bad = w
-            break
+    bad = next(
+        (w for w in found if not all(space.ddisjoint[a] >> b & 1 for a, b in combinations(w, 2))),
+        None,
+    )
 
     def to_labeling(w: tuple[int, ...]) -> Labeling:
         return Labeling({v: space.labels[w[k]] for k, v in enumerate(verts)})
@@ -482,7 +462,7 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
         exists=bool(found),
         witness=to_labeling(found[0]) if found else None,
         witnesses_found=len(found),
-        all_witnesses_pairwise_disjoint=all_disjoint,
+        all_witnesses_pairwise_disjoint=bad is None,
         disjointness_counterexample=to_labeling(bad) if bad is not None else None,
     )
 

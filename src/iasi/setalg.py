@@ -29,26 +29,33 @@ __all__ = [
 ]
 
 
-class IntSet:
-    """Immutable finite set of non-negative integers, kept sorted.
-
-    Canonical text form is ``{a1,a2,...,ak}`` with strictly increasing
-    elements and no spaces.
-    """
+class _SortedSet:
+    """Immutable finite set of integers at or above `_floor`, kept as a
+    strictly increasing tuple.  Sets of different subclasses never compare
+    equal, even with the same elements."""
 
     __slots__ = ("elements",)
+    _floor = 0
+    _noun, _below = "set element", "negative"
 
     def __init__(self, elements: Iterable[int]):
         seen = sorted(set(elements))
         for x in seen:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"set element {x!r} is not an integer")
-            if x < 0:
-                raise ValueError(f"set element {x} is negative")
+                raise ValueError(f"{self._noun} {x!r} is not an integer")
+            if x < self._floor:
+                raise ValueError(f"{self._noun} {x} is {self._below}")
         object.__setattr__(self, "elements", tuple(seen))
 
+    @classmethod
+    def _trusted(cls, elements: tuple[int, ...]):
+        """Wrap a tuple already known to be sorted, duplicate-free and in range."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "elements", elements)
+        return s
+
     def __setattr__(self, name, value):
-        raise AttributeError("IntSet is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -60,22 +67,32 @@ class IntSet:
         return x in self.elements
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntSet) and self.elements == other.elements
+        return type(other) is type(self) and self.elements == other.elements
 
     def __hash__(self) -> int:
-        return hash(("IntSet", self.elements))
+        return hash((type(self).__name__, self.elements))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self.elements)})"
+
+    def __str__(self) -> str:
+        return "{" + ",".join(str(x) for x in self.elements) + "}"
+
+
+class IntSet(_SortedSet):
+    """Immutable finite set of non-negative integers, kept sorted.
+
+    Canonical text form is ``{a1,a2,...,ak}`` with strictly increasing
+    elements and no spaces.
+    """
+
+    __slots__ = ()
 
     def __lt__(self, other: "IntSet") -> bool:
         return self.elements < other.elements
 
     def __add__(self, other: "IntSet") -> "IntSet":
         return sumset(self, other)
-
-    def __repr__(self) -> str:
-        return f"IntSet({list(self.elements)})"
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(x) for x in self.elements) + "}"
 
     @property
     def min(self) -> int:
@@ -91,47 +108,20 @@ class IntSet:
 
     def translated(self, offset: int) -> "IntSet":
         """The set {x + offset}; offset may be negative if no element drops below 0."""
-        return IntSet(x + offset for x in self.elements)
+        if not isinstance(offset, int):
+            raise ValueError(f"offset {offset!r} is not an integer")
+        if self.elements and self.elements[0] + offset < 0:
+            raise ValueError(f"set element {self.elements[0] + offset} is negative")
+        return IntSet._trusted(tuple(x + offset for x in self.elements))
 
 
-class DiffSet:
+class DiffSet(_SortedSet):
     """Immutable set of positive integers: the pairwise absolute differences
     of some IntSet.  Empty exactly when the source set was a singleton."""
 
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: Iterable[int]):
-        seen = sorted(set(elements))
-        for x in seen:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"difference {x!r} is not an integer")
-            if x <= 0:
-                raise ValueError(f"difference {x} is not positive")
-        object.__setattr__(self, "elements", tuple(seen))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DiffSet is immutable")
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.elements
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DiffSet) and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(("DiffSet", self.elements))
-
-    def __repr__(self) -> str:
-        return f"DiffSet({list(self.elements)})"
-
-    def __str__(self) -> str:
-        return "{" + ",".join(str(x) for x in self.elements) + "}"
+    __slots__ = ()
+    _floor = 1
+    _noun, _below = "difference", "not positive"
 
     def intersection(self, other: "DiffSet") -> tuple[int, ...]:
         mine = set(self.elements)
@@ -147,21 +137,21 @@ def sumset(a: IntSet, b: IntSet) -> IntSet:
     """{x + y : x in a, y in b}.  Both operands must be nonempty."""
     _require_nonempty(a, "sumset")
     _require_nonempty(b, "sumset")
-    return IntSet({x + y for x in a.elements for y in b.elements})
+    return IntSet._trusted(tuple(sorted({x + y for x in a.elements for y in b.elements})))
 
 
 def scale(n: int, a: IntSet) -> IntSet:
     """Elementwise product n.A = {n*x : x in A}; {0} when n == 0."""
-    if n < 0:
-        raise ValueError("scale factor must be non-negative")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"scale factor {n!r} is not a non-negative integer")
     _require_nonempty(a, "scale")
-    return IntSet({n * x for x in a.elements})
+    return IntSet._trusted(tuple(sorted({n * x for x in a.elements})))
 
 
 def diff_set(a: IntSet) -> DiffSet:
     """All absolute differences |x - y| over distinct x, y in a; empty for singletons."""
     _require_nonempty(a, "diff_set")
-    return DiffSet({y - x for x, y in combinations(a.elements, 2)})
+    return DiffSet._trusted(tuple(sorted({y - x for x, y in combinations(a.elements, 2)})))
 
 
 def disjoint(d1: DiffSet, d2: DiffSet) -> bool:

@@ -308,3 +308,94 @@ def test_json_format_keeps_timing_outside_outcome(files, capsys):
     doc = json.loads("\n".join(lines[:-1]))
     assert "timing_ms" not in doc["outcome"]
     assert json.loads(lines[-1])["timing_ms"] >= 0
+
+
+# ---------------------------------------------------------------------------
+# unreadable inputs and failed writes exit 2 naming the path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["construct", "verify", "ops"])
+def test_output_into_missing_directory_exits_two(files, capsys, command):
+    graph_file, labeling_file, _, tmp = files
+    g = complete_graph(2, "a")
+    gp = graph_file("k2.g", g)
+    argv = {
+        "construct": ["construct", gp],
+        "verify": ["verify", gp, labeling_file("k2.l", construct_strong(g))],
+        "ops": ["ops", "complement", gp],
+    }[command]
+    target = tmp / "missing" / "out.txt"
+    assert main([*argv, "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: ") and "Traceback" not in err
+
+
+def test_directory_as_input_exits_two(files, capsys):
+    _, _, _, tmp = files
+    assert main(["nourish", str(tmp)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp}: ")
+
+
+def test_missing_input_names_the_path(files, capsys):
+    graph_file, _, _, tmp = files
+    gp = graph_file("c4.g", cycle_graph(4))
+    assert main(["verify", gp, str(tmp / "none.l")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp / 'none.l'}: ")
+
+
+def test_failed_checkpoint_write_exits_two(files, capsys, monkeypatch):
+    graph_file, _, _, tmp = files
+    gp = graph_file("k2.g", complete_graph(2))
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp / "ckpt"))
+
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device", str(dst))
+
+    monkeypatch.setattr("os.replace", full_disk)
+    assert main(["oracle", "minchain", gp, "--max", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp / 'ckpt'}") and "No space left on device" in err
+    assert not any((tmp / "ckpt").iterdir())
+
+
+# ---------------------------------------------------------------------------
+# cards files
+# ---------------------------------------------------------------------------
+
+def test_cards_file_duplicate_name_exits_two(files, capsys):
+    graph_file, _, raw, _ = files
+    gp = graph_file("k2.g", complete_graph(2, "a"))
+    cards = raw("cards.txt", "a0: 2\na1: 2\na0: 3\n")
+    assert main(["construct", gp, "--cards", cards]) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "duplicate" in err
+
+
+def test_cards_file_unknown_name_exits_two(files, capsys):
+    graph_file, _, raw, _ = files
+    gp = graph_file("k2.g", complete_graph(2, "a"))
+    cards = raw("cards.txt", "a0: 2\na1: 2\nzz: 5\n")
+    assert main(["construct", gp, "--cards", cards]) == 2
+    assert "zz" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# work done per request
+# ---------------------------------------------------------------------------
+
+def test_verify_concurrent_verifies_each_graph_once(files, capsys, monkeypatch):
+    import iasi.labeling as labelingmod
+
+    graph_file, labeling_file, _, _ = files
+    gp = graph_file("p4.g", path_graph(4))
+    fp = labeling_file("conc.l", construct_strong(complete_graph(4)))
+    calls = []
+    real = labelingmod.verify
+
+    def counting(g, f):
+        calls.append(len(g.edges))
+        return real(g, f)
+
+    monkeypatch.setattr(labelingmod, "verify", counting)
+    assert main(["verify", gp, fp, "--concurrent"]) == 0
+    assert calls == [3, 3]

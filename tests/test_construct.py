@@ -252,3 +252,10 @@ def test_corona_kappa_matches_formula():
     assert clique_number(corona(g1, g2)) == 3
     c4 = cycle_graph(4, "a")
     assert clique_number(corona(c4, Graph(["w"]))) == 2
+
+
+def test_spec_rejects_cardinalities_for_non_vertices():
+    g = path_graph(2)
+    with pytest.raises(ValueError, match=r"non-vertices \['zz'\]"):
+        ConstructionSpec(cardinalities={"v0": 2, "v1": 2, "zz": 5}).resolve(g)
+    assert ConstructionSpec(cardinalities={"v0": 2, "v1": 3}).resolve(g) == {"v0": 2, "v1": 3}

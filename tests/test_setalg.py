@@ -194,3 +194,53 @@ def test_parse_error_carries_position():
         parse_int_set("{1,2", line=7)
     assert exc.value.line == 7
     assert exc.value.column is not None
+
+
+# ---------------------------------------------------------------------------
+# closed operations build their results without re-validation
+# ---------------------------------------------------------------------------
+
+def _canonical(s) -> bool:
+    return all(x < y for x, y in zip(s.elements, s.elements[1:]))
+
+
+@given(int_sets, int_sets, st.integers(0, 9), st.integers(-5, 40))
+def test_closed_operations_match_validating_constructors(a, b, n, offset):
+    s = sumset(a, b)
+    assert s == IntSet({x + y for x in a for y in b}) and _canonical(s)
+    t = scale(n, a)
+    assert t == IntSet({n * x for x in a}) and _canonical(t)
+    d = diff_set(a)
+    assert d == DiffSet({abs(x - y) for x in a for y in a if x != y}) and _canonical(d)
+    if a.min + offset >= 0:
+        u = a.translated(offset)
+        assert u == IntSet(x + offset for x in a) and _canonical(u)
+    else:
+        with pytest.raises(ValueError):
+            a.translated(offset)
+
+
+def test_translated_below_zero_raises():
+    assert IntSet([3, 5]).translated(-3) == IntSet([0, 2])
+    with pytest.raises(ValueError):
+        IntSet([3, 5]).translated(-4)
+    with pytest.raises(ValueError):
+        IntSet([3, 5]).translated(0.5)
+
+
+def test_set_types_never_compare_equal():
+    assert IntSet([1]) != DiffSet([1])
+    assert DiffSet([1]) != IntSet([1])
+    assert len({IntSet([1]), DiffSet([1])}) == 2
+    assert repr(DiffSet([2, 1])) == "DiffSet([1, 2])" and str(DiffSet([2, 1])) == "{1,2}"
+    with pytest.raises(ValueError):
+        DiffSet([0])
+    with pytest.raises(AttributeError):
+        DiffSet([1]).elements = (2,)
+
+
+def test_scale_rejects_non_integer_factor():
+    with pytest.raises(ValueError):
+        scale(1.5, IntSet([1, 2]))
+    with pytest.raises(ValueError):
+        scale(-1, IntSet([1, 2]))
