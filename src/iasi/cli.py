@@ -49,9 +49,9 @@ OPS = {
 
 def _load(path: str, reader) -> tuple:
     """The parsed file and its input record (path and SHA-256)."""
-    p = Path(path)
-    parsed = reader(p.read_text(encoding="utf-8"))
-    return parsed, {"path": path, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()}
+    data = Path(path).read_bytes()
+    parsed = reader(data.decode("utf-8"))
+    return parsed, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: float) -> None:
@@ -154,11 +154,12 @@ def _cmd_nourish(args) -> int:
     g, gin = _load(args.graph, read_graph)
     if not g.vertices:
         raise ParseError("graph is empty; nourishing number undefined")
-    kappa = labelingmod.nourishing_number(g)
+    # κ is ω (labeling.nourishing_number), so one search gives both and a witness.
+    clique = max_clique(g)
     outcome = {
-        "nourishing_number": kappa,
-        "clique_number": kappa,
-        "max_clique": list(max_clique(g)),
+        "nourishing_number": len(clique),
+        "clique_number": len(clique),
+        "max_clique": list(clique),
     }
     _emit("nourish", [gin], outcome, args.format, started)
     return EXIT_OK

@@ -10,9 +10,8 @@ exponential clique search is accepted; the intended inputs are desk scale.
 
 from __future__ import annotations
 
-import functools
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ParseError, parse_natural
 
@@ -85,12 +84,6 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple[str, str]], isolated: Iterable[str] = ()) -> "Graph":
-        edges = list(edges)
-        vs = {x for e in edges for x in e} | set(isolated)
-        return cls(vs, edges)
 
     def __eq__(self, other) -> bool:
         return (
@@ -242,49 +235,46 @@ def _degeneracy_order(g: Graph) -> list[str]:
     return order
 
 
-def maximal_cliques(g: Graph) -> list[tuple[str, ...]]:
-    """All maximal cliques via pivoted Bron-Kerbosch over a degeneracy
-    ordering.  Deterministic: each clique sorted, cliques listed sorted."""
+def _maximal_cliques(g: Graph) -> Iterator[tuple[str, ...]]:
+    """Each maximal clique, sorted, via pivoted Bron-Kerbosch over a
+    degeneracy ordering."""
     adj = g._adj
-    found: list[tuple[str, ...]] = []
 
-    def expand(r: set[str], p: set[str], x: set[str]) -> None:
+    def expand(r: set[str], p: set[str], x: set[str]) -> Iterator[tuple[str, ...]]:
         if not p and not x:
-            found.append(tuple(sorted(r)))
+            yield tuple(sorted(r))
             return
         pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
         for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+            yield from expand(r | {v}, p & adj[v], x & adj[v])
             p.remove(v)
             x.add(v)
     order = _degeneracy_order(g)
     later = {v: set(order[i + 1:]) for i, v in enumerate(order)}
     earlier: set[str] = set()
     for v in order:
-        expand({v}, set(adj[v] & later[v]), set(adj[v] & earlier))
+        yield from expand({v}, set(adj[v] & later[v]), set(adj[v] & earlier))
         earlier.add(v)
-    return sorted(found)
 
 
-@functools.lru_cache(maxsize=8192)
-def _clique_number_cached(g: Graph) -> int:
-    return max(len(c) for c in maximal_cliques(g))
+def maximal_cliques(g: Graph) -> list[tuple[str, ...]]:
+    """All maximal cliques via pivoted Bron-Kerbosch over a degeneracy
+    ordering.  Deterministic: each clique sorted, cliques listed sorted."""
+    return sorted(_maximal_cliques(g))
 
 
 def clique_number(g: Graph) -> int:
-    """Order of a largest clique.  Memoized; graphs are immutable."""
+    """Order of a largest clique."""
     if not g.vertices:
         raise ValueError("clique number of the empty graph is undefined")
-    return _clique_number_cached(g)
+    return len(max_clique(g))
 
 
 def max_clique(g: Graph) -> tuple[str, ...]:
     """One largest clique, the lexicographically least among them."""
     if not g.vertices:
         raise ValueError("empty graph has no clique")
-    cliques = maximal_cliques(g)
-    best = max(len(c) for c in cliques)
-    return min(c for c in cliques if len(c) == best)
+    return min(_maximal_cliques(g), key=lambda c: (-len(c), c))
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -174,12 +174,13 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
     violations are collected, not just the first.  Graphs with isolated
     vertices are refused.
     """
-    return _verify(g, f)
+    return _verify(g, f)[0]
 
 
-def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> VerificationReport:
-    """`verify`, optionally accepting isolated vertices (an edgeless operand
-    of a product or corona is still a valid input there)."""
+def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[VerificationReport, dict]:
+    """`verify` plus the edge sumsets it built, optionally accepting isolated
+    vertices (an edgeless operand of a product or corona is still a valid
+    input there)."""
     _check_total(g, f)
     if not isolated_ok:
         _check_no_isolated(g)
@@ -233,17 +234,17 @@ def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> VerificationRep
         is_iasi=is_iasi,
         is_strong=is_iasi and all(ok for _, ok in strong_edges),
         witnesses=witnesses,
-    )
+    ), edge_sums
 
 
 def verify_uniform(g: Graph, f: Labeling) -> tuple[int | None, int | None]:
     """(k, l) uniformity of a valid IASI: k is the common edge-sumset
     cardinality if the edges agree on one, l the common vertex cardinality;
     None where they disagree."""
-    report = verify(g, f)
+    report, edge_sums = _verify(g, f)
     if not report.is_iasi:
         raise ValueError("labeling is not an IASI: " + "; ".join(report.witnesses))
-    edge_cards = {len(sumset(f[u], f[v])) for u, v in g.edges}
+    edge_cards = {len(s) for s in edge_sums.values()}
     vertex_cards = {len(f[v]) for v in g.vertices}
     k = edge_cards.pop() if len(edge_cards) == 1 else None
     l = vertex_cards.pop() if len(vertex_cards) == 1 else None

@@ -47,14 +47,20 @@ __all__ = [
 
 CHECKPOINT_ENV = "IASI_ORACLE_CHECKPOINT_DIR"
 CHECKPOINT_VERSION = 1
-LEMMA_UNIVERSE_LIMIT = 10
+UNIVERSE_LIMIT = 10
+
+
+def _check_universe(universe_max: int) -> None:
+    """Every oracle refuses a universe it could not finish enumerating."""
+    if universe_max > UNIVERSE_LIMIT:
+        raise ValueError(f"universe_max {universe_max} exceeds the exhaustive limit {UNIVERSE_LIMIT}")
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Search-space bounds: labels are subsets of {0..universe_max} with
-    cardinality in [min_card, max_card]; graphs above vertex_limit are
-    refused outright."""
+    cardinality in [min_card, max_card]; universes above UNIVERSE_LIMIT and
+    graphs above vertex_limit are refused outright."""
 
     universe_max: int = 6
     min_card: int = 2
@@ -64,6 +70,7 @@ class OracleConfig:
     def __post_init__(self):
         if self.universe_max < 0:
             raise ValueError("universe_max must be non-negative")
+        _check_universe(self.universe_max)
         if not (1 <= self.min_card <= self.max_card <= self.universe_max + 1):
             raise ValueError(
                 "need 1 <= min_card <= max_card <= universe_max + 1, got "
@@ -105,10 +112,7 @@ class LemmaCheck:
 def lemma_oracle(universe_max: int) -> LemmaCheck:
     """Exhaustively compare |A+B| == |A|*|B| with D_A disjoint from D_B over
     every pair of nonempty subsets of {0..universe_max}."""
-    if universe_max > LEMMA_UNIVERSE_LIMIT:
-        raise ValueError(
-            f"universe_max {universe_max} exceeds the exhaustive limit {LEMMA_UNIVERSE_LIMIT}"
-        )
+    _check_universe(universe_max)
     universe = list(range(universe_max + 1))
     subsets = []
     for size in range(1, len(universe) + 1):

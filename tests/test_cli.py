@@ -291,6 +291,16 @@ def test_oracle_minchain_vertex_limit(files, capsys):
     assert "vertex limit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lemma", "minchain", "concurrent"])
+def test_oracle_universe_above_limit_exits_two(files, capsys, command):
+    graph_file, _, _, _ = files
+    argv = ["oracle", command, "--max", "40"]
+    if command != "lemma":
+        argv.append(graph_file("k2.g", complete_graph(2)))
+    assert main(argv) == 2
+    assert "exceeds the exhaustive limit 10" in capsys.readouterr().err
+
+
 def test_oracle_concurrent(files, capsys):
     graph_file, _, _, _ = files
     gp = graph_file("p4.g", path_graph(4))
@@ -334,6 +344,14 @@ def test_directory_as_input_exits_two(files, capsys):
     _, _, _, tmp = files
     assert main(["nourish", str(tmp)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {tmp}: ")
+
+
+def test_non_utf8_input_exits_two(files, capsys):
+    _, _, _, tmp = files
+    gp = tmp / "latin1.g"
+    gp.write_bytes(b"a b\n\xe9 c\n")
+    assert main(["nourish", str(gp)]) == 2
+    assert "can't decode byte 0xe9" in capsys.readouterr().err
 
 
 def test_missing_input_names_the_path(files, capsys):
@@ -399,3 +417,45 @@ def test_verify_concurrent_verifies_each_graph_once(files, capsys, monkeypatch):
     monkeypatch.setattr(labelingmod, "verify", counting)
     assert main(["verify", gp, fp, "--concurrent"]) == 0
     assert calls == [3, 3]
+
+
+def test_each_input_is_read_once(files, capsys, monkeypatch):
+    from pathlib import Path
+
+    graph_file, labeling_file, _, _ = files
+    gp = graph_file("c4.g", cycle_graph(4))
+    fp = labeling_file("c4.l", construct_strong(cycle_graph(4)))
+    reads = []
+    for method in ("read_bytes", "read_text"):
+        real = getattr(Path, method)
+
+        def counting(self, *args, _real=real, _method=method, **kwargs):
+            reads.append((_method, self.name))
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, counting)
+    assert main(["verify", gp, fp, "--strong"]) == 0
+    assert reads == [("read_bytes", "c4.g"), ("read_bytes", "c4.l")]
+
+
+def test_nourish_enumerates_maximal_cliques_once(files, capsys, monkeypatch):
+    import iasi.graph as graphmod
+
+    graph_file, _, _, _ = files
+    gp = graph_file("k5.g", complete_graph(5))
+    calls = []
+    real = graphmod._maximal_cliques
+
+    def counting(g):
+        calls.append(len(g.vertices))
+        return real(g)
+
+    def public(g):
+        raise AssertionError("the ω path went through the sorted reference")
+
+    monkeypatch.setattr(graphmod, "_maximal_cliques", counting)
+    monkeypatch.setattr(graphmod, "maximal_cliques", public)
+    assert main(["nourish", gp]) == 0
+    assert calls == [5]
+    doc = outcome_of(capsys)
+    assert doc["nourishing_number"] == doc["clique_number"] == len(doc["max_clique"]) == 5

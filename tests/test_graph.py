@@ -307,6 +307,21 @@ def test_max_clique_is_deterministic_witness():
     assert w == max_clique(g)
 
 
+def test_max_clique_is_least_maximum_clique_of_the_reference():
+    rng = random.Random(29)
+    corpus = list(connected_atlas(2, 7))
+    corpus += [random_graph(rng, rng.randint(8, 16), rng.choice([0.3, 0.5, 0.7])) for _ in range(60)]
+    ties = 0
+    for g in corpus:
+        cliques = maximal_cliques(g)
+        omega = max(len(c) for c in cliques)
+        largest = [c for c in cliques if len(c) == omega]
+        ties += len(largest) > 1
+        assert max_clique(g) == min(largest)
+        assert clique_number(g) == len(max_clique(g)) == omega
+    assert ties > 100
+
+
 def test_triangle_free_examples():
     assert is_triangle_free(cycle_graph(4))
     assert not is_triangle_free(complete_graph(3))

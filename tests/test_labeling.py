@@ -108,6 +108,23 @@ def test_uniform_mixed_cardinalities():
     assert k == 2
 
 
+def test_uniform_builds_each_edge_sumset_once(monkeypatch):
+    import iasi.labeling as labelingmod
+
+    g = petersen_graph()
+    f = construct_strong(g)
+    calls = []
+    real = labelingmod.sumset
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(labelingmod, "sumset", counting)
+    assert verify_uniform(g, f) == (4, 2)
+    assert len(calls) == 15
+
+
 def test_uniform_requires_iasi():
     g = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     with pytest.raises(ValueError):

@@ -51,6 +51,9 @@ def test_config_validation():
         OracleConfig(universe_max=2, max_card=5)
     with pytest.raises(ValueError):
         OracleConfig(min_card=0)
+    with pytest.raises(ValueError, match="exhaustive limit"):
+        OracleConfig(universe_max=11)
+    assert OracleConfig(universe_max=10).universe_max == 10
 
 
 def test_candidate_labels_order_and_count():
