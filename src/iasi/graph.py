@@ -3,15 +3,18 @@
 Vertices are opaque string names; a graph is an immutable (vertices, edges)
 pair.  Besides the five binary operations (union, intersection, join,
 Cartesian product, corona) and complement, the module houses the clique
-machinery: pivoted Bron-Kerbosch enumeration of maximal cliques over a
-degeneracy ordering, the clique number, and a triangle test.  Worst-case
-exponential clique search is accepted; the intended inputs are desk scale.
+machinery: `max_clique`, a colour-bounded branch-and-bound over int bitsets
+that returns the lexicographically least maximum clique (ties broken by
+vertex name order); the clique number as its length; pivoted Bron-Kerbosch
+enumeration of all maximal cliques, the slow reference it is tested
+against; and a triangle test.  Worst-case exponential clique search is
+accepted; the intended inputs are desk scale.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ParseError, parse_natural
 
@@ -220,47 +223,23 @@ def corona(g1: Graph, g2: Graph) -> Graph:
 # cliques
 # ---------------------------------------------------------------------------
 
-def _degeneracy_order(g: Graph) -> list[str]:
-    """Repeatedly peel a minimum-degree vertex (ties by name)."""
-    degs = {v: g.degree(v) for v in g.vertices}
-    live = dict(degs)
-    order = []
-    while live:
-        v = min(live, key=lambda x: (live[x], x))
-        order.append(v)
-        del live[v]
-        for w in g.neighbors(v):
-            if w in live:
-                live[w] -= 1
-    return order
-
-
-def _maximal_cliques(g: Graph) -> Iterator[tuple[str, ...]]:
-    """Each maximal clique, sorted, via pivoted Bron-Kerbosch over a
-    degeneracy ordering."""
+def maximal_cliques(g: Graph) -> list[tuple[str, ...]]:
+    """All maximal cliques via Bron-Kerbosch with Tomita's pivot: the slow
+    reference for `max_clique`.  Each clique sorted, cliques listed sorted."""
     adj = g._adj
+    out: list[tuple[str, ...]] = []
 
-    def expand(r: set[str], p: set[str], x: set[str]) -> Iterator[tuple[str, ...]]:
+    def expand(r: set[str], p: set[str], x: set[str]) -> None:
         if not p and not x:
-            yield tuple(sorted(r))
+            out.append(tuple(sorted(r)))
             return
         pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
         for v in sorted(p - adj[pivot]):
-            yield from expand(r | {v}, p & adj[v], x & adj[v])
+            expand(r | {v}, p & adj[v], x & adj[v])
             p.remove(v)
             x.add(v)
-    order = _degeneracy_order(g)
-    later = {v: set(order[i + 1:]) for i, v in enumerate(order)}
-    earlier: set[str] = set()
-    for v in order:
-        yield from expand({v}, set(adj[v] & later[v]), set(adj[v] & earlier))
-        earlier.add(v)
-
-
-def maximal_cliques(g: Graph) -> list[tuple[str, ...]]:
-    """All maximal cliques via pivoted Bron-Kerbosch over a degeneracy
-    ordering.  Deterministic: each clique sorted, cliques listed sorted."""
-    return sorted(_maximal_cliques(g))
+    expand(set(), set(g.vertices), set())
+    return sorted(out)
 
 
 def clique_number(g: Graph) -> int:
@@ -270,11 +249,55 @@ def clique_number(g: Graph) -> int:
     return len(max_clique(g))
 
 
+def _colours(cand: int, non_adj: list[int], cap: int) -> int:
+    """Classes of a greedy colouring of bitset `cand`, counted up to `cap`."""
+    k = 0
+    while cand and k < cap:
+        k += 1
+        free = cand
+        while free:
+            low = free & -free
+            cand ^= low
+            free &= non_adj[low.bit_length() - 1]
+    return k
+
+
 def max_clique(g: Graph) -> tuple[str, ...]:
-    """One largest clique, the lexicographically least among them."""
+    """One largest clique, the lexicographically least among them.
+
+    Colour-bounded branch-and-bound over int bitsets (Tomita & Seki's MCQ,
+    San Segundo et al.'s BBMC): bit i is the i-th vertex by name, and a
+    child's candidates are the later vertices adjacent to it.  Depth first
+    and lowest candidate first, the search meets cliques in lexicographic
+    order and keeps a new best only if it is strictly larger, so it returns
+    `min(maximal_cliques(g), key=lambda c: (-len(c), c))`.  The stack is
+    explicit, so clique size is not bound by the recursion limit.
+    """
     if not g.vertices:
         raise ValueError("empty graph has no clique")
-    return min(_maximal_cliques(g), key=lambda c: (-len(c), c))
+    names = g.sorted_vertices()
+    bit = {v: 1 << i for i, v in enumerate(names)}
+    full = (1 << len(names)) - 1
+    adj = [sum(bit[w] for w in g._adj[v]) for v in names]
+    non_adj = [full ^ a ^ bit[v] for v, a in zip(names, adj)]
+    best: tuple[int, ...] = ()
+    stack = [(best, full)]
+    while stack:
+        clique, cand = stack[-1]
+        if len(clique) + cand.bit_count() <= len(best):
+            stack.pop()
+            continue
+        low = cand & -cand
+        stack[-1] = (clique, cand ^ low)
+        v = low.bit_length() - 1
+        grown, sub = clique + (v,), cand & adj[v]
+        if len(grown) > len(best):
+            best = grown
+        # A child survives only if its candidates could still beat `best`.
+        room = len(best) - len(grown)
+        if sub.bit_count() > room and _colours(sub, non_adj, room + 1) > room:
+            stack.append((grown, sub))
+    return tuple(names[i] for i in best)
 
 
 def is_triangle_free(g: Graph) -> bool:

@@ -51,7 +51,9 @@ UNIVERSE_LIMIT = 10
 
 
 def _check_universe(universe_max: int) -> None:
-    """Every oracle refuses a universe it could not finish enumerating."""
+    """Every oracle refuses a negative universe or one it could not finish."""
+    if universe_max < 0:
+        raise ValueError("universe_max must be non-negative")
     if universe_max > UNIVERSE_LIMIT:
         raise ValueError(f"universe_max {universe_max} exceeds the exhaustive limit {UNIVERSE_LIMIT}")
 
@@ -68,8 +70,6 @@ class OracleConfig:
     vertex_limit: int = 5
 
     def __post_init__(self):
-        if self.universe_max < 0:
-            raise ValueError("universe_max must be non-negative")
         _check_universe(self.universe_max)
         if not (1 <= self.min_card <= self.max_card <= self.universe_max + 1):
             raise ValueError(

@@ -301,6 +301,16 @@ def test_oracle_universe_above_limit_exits_two(files, capsys, command):
     assert "exceeds the exhaustive limit 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["lemma", "minchain", "concurrent"])
+def test_oracle_negative_universe_exits_two(files, capsys, command):
+    graph_file, _, _, _ = files
+    argv = ["oracle", command, "--max", "-1"]
+    if command != "lemma":
+        argv.append(graph_file("k2.g", complete_graph(2)))
+    assert main(argv) == 2
+    assert "universe_max must be non-negative" in capsys.readouterr().err
+
+
 def test_oracle_concurrent(files, capsys):
     graph_file, _, _, _ = files
     gp = graph_file("p4.g", path_graph(4))
@@ -438,23 +448,24 @@ def test_each_input_is_read_once(files, capsys, monkeypatch):
     assert reads == [("read_bytes", "c4.g"), ("read_bytes", "c4.l")]
 
 
-def test_nourish_enumerates_maximal_cliques_once(files, capsys, monkeypatch):
+def test_nourish_searches_for_a_max_clique_once(files, capsys, monkeypatch):
+    import iasi.cli as climod
     import iasi.graph as graphmod
 
     graph_file, _, _, _ = files
     gp = graph_file("k5.g", complete_graph(5))
     calls = []
-    real = graphmod._maximal_cliques
+    real = climod.max_clique
 
     def counting(g):
         calls.append(len(g.vertices))
         return real(g)
 
-    def public(g):
+    def reference(g):
         raise AssertionError("the ω path went through the sorted reference")
 
-    monkeypatch.setattr(graphmod, "_maximal_cliques", counting)
-    monkeypatch.setattr(graphmod, "maximal_cliques", public)
+    monkeypatch.setattr(climod, "max_clique", counting)
+    monkeypatch.setattr(graphmod, "maximal_cliques", reference)
     assert main(["nourish", gp]) == 0
     assert calls == [5]
     doc = outcome_of(capsys)

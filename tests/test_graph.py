@@ -1,13 +1,17 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from helpers import (
     brute_maximal_cliques,
     connected_atlas,
+    from_networkx,
     is_isomorphic_brute,
     random_graph,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iasi import (
     Graph,
@@ -320,6 +324,84 @@ def test_max_clique_is_least_maximum_clique_of_the_reference():
         assert max_clique(g) == min(largest)
         assert clique_number(g) == len(max_clique(g)) == omega
     assert ties > 100
+
+
+def _least_maximum_clique(g):
+    cliques = maximal_cliques(g)
+    omega = max(len(c) for c in cliques)
+    return min(c for c in cliques if len(c) == omega)
+
+
+def _complete_multipartite(sizes):
+    parts = [[f"p{i}x{j}" for j in range(size)] for i, size in enumerate(sizes)]
+    vertices = [v for part in parts for v in part]
+    edges = [(u, v) for a, b in combinations(parts, 2) for u in a for v in b]
+    return Graph(vertices, edges)
+
+
+def _planted(rng, n, p, k):
+    g = random_graph(rng, n, p)
+    members = rng.sample(g.sorted_vertices(), k)
+    return Graph(g.vertices, set(g.edges) | {tuple(sorted(e)) for e in combinations(members, 2)})
+
+
+def test_max_clique_matches_reference_when_every_maximum_clique_ties():
+    rng = random.Random(31)
+    for parts in range(2, 5):
+        for _ in range(6):
+            sizes = [rng.randint(2, 4) for _ in range(parts)]
+            g = _complete_multipartite(sizes)
+            assert max_clique(g) == _least_maximum_clique(g) == tuple(f"p{i}x0" for i in range(parts))
+
+
+def test_max_clique_matches_reference_on_planted_and_dense_graphs():
+    rng = random.Random(37)
+    corpus = [_planted(rng, 30, 0.5, rng.randint(6, 9)) for _ in range(8)]
+    corpus += [random_graph(rng, 24, 0.9) for _ in range(4)]
+    for g in corpus:
+        assert max_clique(g) == _least_maximum_clique(g)
+
+
+def test_max_clique_of_edgeless_graph_is_least_vertex():
+    for names in (["b", "a", "c"], ["v2", "v10", "v3"], ["z"]):
+        g = Graph(names)
+        assert max_clique(g) == (min(names),) == _least_maximum_clique(g)
+
+
+def test_max_clique_breaks_ties_by_name_not_number():
+    # "v10" < "v2" as strings, so the triangle on v10 wins the tie.
+    g = Graph(
+        [f"v{i}" for i in range(12)],
+        [("v2", "v3"), ("v2", "v4"), ("v3", "v4"), ("v10", "v11"), ("v10", "v5"), ("v11", "v5")],
+    )
+    assert max_clique(g) == ("v10", "v11", "v5") == _least_maximum_clique(g)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 18))
+    names = [f"v{i}" for i in range(n)]
+    pairs = list(combinations(names, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(names, (e for e, k in zip(pairs, keep) if k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_max_clique_is_least_maximum_clique_property(g):
+    assert max_clique(g) == _least_maximum_clique(g)
+
+
+def test_clique_number_matches_networkx():
+    rng = random.Random(41)
+    for _ in range(12):
+        G = nx.gnp_random_graph(rng.randint(40, 60), 0.5, seed=rng.randrange(2**32))
+        omega = max(len(c) for c in nx.find_cliques(G))
+        assert clique_number(from_networkx(G)) == omega
+
+
+def test_max_clique_is_not_bounded_by_the_recursion_limit():
+    assert len(max_clique(complete_graph(1000))) == 1000
 
 
 def test_triangle_free_examples():
