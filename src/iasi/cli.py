@@ -100,9 +100,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if holds else EXIT_PROPERTY_FAILED
 
 
-def _read_cards_file(path: str) -> dict[str, int]:
+def _read_cards(text: str) -> dict[str, int]:
     cards: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -120,7 +120,10 @@ def _read_cards_file(path: str) -> dict[str, int]:
 def _cmd_construct(args) -> int:
     started = time.perf_counter()
     g, gin = _load(args.graph, read_graph)
-    cards = _read_cards_file(args.cards) if args.cards else args.cardinality
+    inputs, cards = [gin], args.cardinality
+    if args.cards:
+        cards, cin = _load(args.cards, _read_cards)
+        inputs.append(cin)
     spec = constructmod.ConstructionSpec(cardinalities=cards, seed=args.seed, mode=args.mode)
     labeling, trace = constructmod.construct_strong_traced(g, spec)
 
@@ -145,7 +148,7 @@ def _cmd_construct(args) -> int:
         Path(args.trace).write_text(
             json.dumps(trace, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-    _emit("construct", [gin], outcome, args.format, started)
+    _emit("construct", inputs, outcome, args.format, started)
     return EXIT_OK
 
 

@@ -228,17 +228,19 @@ def maximal_cliques(g: Graph) -> list[tuple[str, ...]]:
     reference for `max_clique`.  Each clique sorted, cliques listed sorted."""
     adj = g._adj
     out: list[tuple[str, ...]] = []
-
-    def expand(r: set[str], p: set[str], x: set[str]) -> None:
+    # An explicit stack of (r, p, x) calls, so clique size is not bounded by
+    # the recursion limit; a child's sets are copied before p and x move on.
+    stack = [(set(), set(g.vertices), set())]
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             out.append(tuple(sorted(r)))
-            return
+            continue
         pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
         for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
+            stack.append((r | {v}, p & adj[v], x & adj[v]))
             p.remove(v)
             x.add(v)
-    expand(set(), set(g.vertices), set())
     return sorted(out)
 
 

@@ -31,7 +31,7 @@ from .labeling import (
     verify_concurrent_strong,
     write_labeling,
 )
-from .setalg import IntSet, diff_set, disjoint, is_strong_pair, sumset
+from .setalg import IntSet, diff_set, disjoint, sumset
 
 __all__ = [
     "OracleConfig",
@@ -50,14 +50,6 @@ CHECKPOINT_VERSION = 1
 UNIVERSE_LIMIT = 10
 
 
-def _check_universe(universe_max: int) -> None:
-    """Every oracle refuses a negative universe or one it could not finish."""
-    if universe_max < 0:
-        raise ValueError("universe_max must be non-negative")
-    if universe_max > UNIVERSE_LIMIT:
-        raise ValueError(f"universe_max {universe_max} exceeds the exhaustive limit {UNIVERSE_LIMIT}")
-
-
 @dataclass(frozen=True)
 class OracleConfig:
     """Search-space bounds: labels are subsets of {0..universe_max} with
@@ -70,7 +62,13 @@ class OracleConfig:
     vertex_limit: int = 5
 
     def __post_init__(self):
-        _check_universe(self.universe_max)
+        # Every oracle refuses a negative universe or one it could not finish.
+        if self.universe_max < 0:
+            raise ValueError("universe_max must be non-negative")
+        if self.universe_max > UNIVERSE_LIMIT:
+            raise ValueError(
+                f"universe_max {self.universe_max} exceeds the exhaustive limit {UNIVERSE_LIMIT}"
+            )
         if not (1 <= self.min_card <= self.max_card <= self.universe_max + 1):
             raise ValueError(
                 "need 1 <= min_card <= max_card <= universe_max + 1, got "
@@ -100,33 +98,30 @@ class LemmaCheck:
     counterexample: tuple[IntSet, IntSet] | None = None
 
     def to_dict(self) -> dict:
+        pair = self.counterexample
         return {
             "ok": self.ok,
             "pairs_checked": self.pairs_checked,
-            "counterexample": None
-            if self.counterexample is None
-            else [str(self.counterexample[0]), str(self.counterexample[1])],
+            "counterexample": None if pair is None else [str(s) for s in pair],
         }
 
 
 def lemma_oracle(universe_max: int) -> LemmaCheck:
     """Exhaustively compare |A+B| == |A|*|B| with D_A disjoint from D_B over
-    every pair of nonempty subsets of {0..universe_max}."""
-    _check_universe(universe_max)
-    universe = list(range(universe_max + 1))
-    subsets = []
-    for size in range(1, len(universe) + 1):
-        subsets.extend(IntSet(c) for c in combinations(universe, size))
-    diffs = {s: diff_set(s) for s in subsets}
+    every ordered pair of nonempty subsets of {0..universe_max}.
 
-    checked = 0
-    for a in subsets:
-        da = diffs[a]
-        for b in subsets:
-            checked += 1
-            if is_strong_pair(a, b) != disjoint(da, diffs[b]):
-                return LemmaCheck(ok=False, pairs_checked=checked, counterexample=(a, b))
-    return LemmaCheck(ok=True, pairs_checked=checked)
+    Both relations are symmetric, so the pair table holds each unordered
+    pair once and ordered pairs are compared row by row; a counterexample
+    is the first disagreeing pair in subset-rank order."""
+    cfg = OracleConfig(universe_max=universe_max, min_card=1, max_card=universe_max + 1)
+    space = _Space(cfg, sum_ids=False)
+    n = len(space.labels)
+    for i, (strong, ddisjoint) in enumerate(zip(space.strong, space.ddisjoint)):
+        differ = strong ^ ddisjoint
+        if differ:
+            j = (differ & -differ).bit_length() - 1
+            return LemmaCheck(False, i * n + j + 1, (space.labels[i], space.labels[j]))
+    return LemmaCheck(ok=True, pairs_checked=n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -134,42 +129,37 @@ def lemma_oracle(universe_max: int) -> LemmaCheck:
 # ---------------------------------------------------------------------------
 
 class _Space:
-    """Precomputed pairwise data over the candidate labels.
+    """Pairwise facts about the candidate labels, one pass per unordered pair.
 
     `strong[i]` is a bitmask of the j with |L_i + L_j| == |L_i| * |L_j|
-    (computed through the sumset, the cardinality route); `ddisjoint[i]`
-    marks the j whose difference sets avoid L_i's (the difference route).
-    The searches prune with the former and audit with the latter, so a
-    failure of the equivalence would surface as a disagreement instead of
-    being assumed away.
+    (read from the sumset, the cardinality route); `ddisjoint[i]` marks the
+    j whose difference sets avoid L_i's (the difference route).  The
+    searches prune with the former and audit with the latter, so a failure
+    of the equivalence would surface as a disagreement instead of being
+    assumed away.  With `sum_ids`, `sum_id[i][j]` names the sumset of each
+    strong pair by a small integer, equal exactly when the sumsets are.
     """
 
-    def __init__(self, cfg: OracleConfig):
-        self.labels = cfg.candidate_labels()
-        n = len(self.labels)
-        self.diffs = [diff_set(s) for s in self.labels]
-        self.carrier = [len(d) > 0 for d in self.diffs]
+    def __init__(self, cfg: OracleConfig, sum_ids: bool = True):
+        self.labels = labels = cfg.candidate_labels()
+        n = len(labels)
+        diffs = [diff_set(s) for s in labels]
+        self.carrier = [len(d) > 0 for d in diffs]
         self.strong = [0] * n
         self.ddisjoint = [0] * n
+        self.sum_id: list[list[int | None]] = [[None] * n for _ in range(n)] if sum_ids else []
+        ids: dict[IntSet, int] = {}
         for i in range(n):
             for j in range(i, n):
-                if is_strong_pair(self.labels[i], self.labels[j]):
+                s = sumset(labels[i], labels[j])
+                if len(s) == len(labels[i]) * len(labels[j]):
                     self.strong[i] |= 1 << j
                     self.strong[j] |= 1 << i
-                if disjoint(self.diffs[i], self.diffs[j]):
+                    if sum_ids:
+                        self.sum_id[i][j] = self.sum_id[j][i] = ids.setdefault(s, len(ids))
+                if disjoint(diffs[i], diffs[j]):
                     self.ddisjoint[i] |= 1 << j
                     self.ddisjoint[j] |= 1 << i
-        self._sums: dict[tuple[int, int], int] = {}
-        self._sum_ids: dict[IntSet, int] = {}
-
-    def sum_key(self, i: int, j: int) -> int:
-        """A small integer naming the sumset L_i + L_j: equal iff the sumsets are."""
-        key = (i, j) if i <= j else (j, i)
-        cached = self._sums.get(key)
-        if cached is None:
-            s = sumset(self.labels[key[0]], self.labels[key[1]])
-            cached = self._sums[key] = self._sum_ids.setdefault(s, len(self._sum_ids))
-        return cached
 
 
 def _edge_indices(g: Graph, verts: list[str]) -> list[tuple[int, int]]:
@@ -205,14 +195,14 @@ def _enumerate(
     for edges in edge_groups:
         for a, b in edges:
             prev_nbrs[b].append(a)
-    strong, sum_key = space.strong, space.sum_key
+    strong, sum_id = space.strong, space.sum_id
     full_mask = (1 << len(space.labels)) - 1
     assign = [first] * n
 
     def search(k: int, used: int) -> None:
         if k == n:
             for edges in edge_groups:
-                if len({sum_key(assign[a], assign[b]) for a, b in edges}) != len(edges):
+                if len({sum_id[assign[a]][assign[b]] for a, b in edges}) != len(edges):
                     return
             hit(assign)
             return
@@ -232,9 +222,8 @@ def _max_chain_of(space: _Space, chosen: tuple[int, ...], cache: dict) -> int:
     """Longest pairwise difference-disjoint subfamily among the chosen labels
     (only labels with nonempty difference sets count)."""
     key = frozenset(chosen)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    if key in cache:
+        return cache[key]
     idx = [i for i in chosen if space.carrier[i]]
     n = len(idx)
     best = 0
@@ -243,9 +232,7 @@ def _max_chain_of(space: _Space, chosen: tuple[int, ...], cache: dict) -> int:
         if size <= best:
             continue
         members = [idx[p] for p in range(n) if mask >> p & 1]
-        if all(
-            space.ddisjoint[a] >> b & 1 for a, b in combinations(members, 2)
-        ):
+        if all(space.ddisjoint[a] >> b & 1 for a, b in combinations(members, 2)):
             best = size
     cache[key] = best
     return best
@@ -445,27 +432,34 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
 
     space = _Space(cfg)
     groups = [_edge_indices(g, verts), _edge_indices(gbar, verts)]
-    found: list[tuple[int, ...]] = []
-    for first in range(len(space.labels)):
-        _enumerate(space, len(verts), groups, first, lambda assign: found.append(tuple(assign)))
+    # Witnesses stream past: keep their count, the first non-disjoint one and
+    # an audit sample (witnesses 1-8, then each power-of-two-numbered one).
+    count = 0
+    bad: tuple[int, ...] | None = None
+    sample: list[tuple[int, ...]] = []
 
-    bad = next(
-        (w for w in found if not all(space.ddisjoint[a] >> b & 1 for a, b in combinations(w, 2))),
-        None,
-    )
+    def hit(assign: list[int]) -> None:
+        nonlocal count, bad
+        count += 1
+        if bad is None and not all(space.ddisjoint[a] >> b & 1 for a, b in combinations(assign, 2)):
+            bad = tuple(assign)
+        if count <= 8 or count & (count - 1) == 0:
+            sample.append(tuple(assign))
+
+    for label in range(len(space.labels)):
+        _enumerate(space, len(verts), groups, label, hit)
 
     def to_labeling(w: tuple[int, ...]) -> Labeling:
         return Labeling({v: space.labels[w[k]] for k, v in enumerate(verts)})
 
-    # Sample audit with the reference checker (every witness would be slow).
-    for w in found[:: max(1, len(found) // 7)][:8]:
+    for w in sample:  # the reference checker on every witness would be slow
         if not verify_concurrent_strong(g, to_labeling(w)):
             raise InternalCheckError("oracle witness rejected by verify_concurrent_strong")
 
     return ConcurrentSearch(
-        exists=bool(found),
-        witness=to_labeling(found[0]) if found else None,
-        witnesses_found=len(found),
+        exists=bool(sample),
+        witness=to_labeling(sample[0]) if sample else None,
+        witnesses_found=count,
         all_witnesses_pairwise_disjoint=bad is None,
         disjointness_counterexample=to_labeling(bad) if bad is not None else None,
     )

@@ -407,6 +407,30 @@ def test_cards_file_unknown_name_exits_two(files, capsys):
     assert "zz" in capsys.readouterr().err
 
 
+def test_cards_file_is_a_hashed_input_read_once(files, capsys, monkeypatch):
+    import hashlib
+    from pathlib import Path
+
+    graph_file, _, raw, _ = files
+    gp = graph_file("k2.g", complete_graph(2, "a"))
+    cards = raw("cards.txt", "a0: 2\na1: 3\n")
+    reads = []
+    real = Path.read_bytes
+
+    def counting(self):
+        reads.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    monkeypatch.setattr(Path, "read_text", lambda self, *a, **k: pytest.fail("read as text"))
+    assert main(["construct", gp, "--cards", cards, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out.split('\n{"timing_ms"', 1)[0])
+    assert reads == ["k2.g", "cards.txt"]
+    assert doc["inputs"] == [
+        {"path": p, "sha256": hashlib.sha256(real(Path(p))).hexdigest()} for p in (gp, cards)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # work done per request
 # ---------------------------------------------------------------------------

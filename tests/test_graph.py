@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -402,6 +404,30 @@ def test_clique_number_matches_networkx():
 
 def test_max_clique_is_not_bounded_by_the_recursion_limit():
     assert len(max_clique(complete_graph(1000))) == 1000
+
+
+def test_maximal_cliques_is_not_bounded_by_the_recursion_limit():
+    # K_n's single maximal clique is n branch levels deep; a search that
+    # recursed per level would need n frames beyond the lowered limit.
+    depth = len(inspect.stack(0))
+    n = depth + 150
+    g = complete_graph(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        cliques = maximal_cliques(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cliques == [tuple(sorted(g.vertices))]
+
+
+def test_maximal_cliques_match_networkx_sorted():
+    rng = random.Random(43)
+    for _ in range(6):
+        n, p = rng.randint(20, 40), rng.choice([0.3, 0.6])
+        G = nx.gnp_random_graph(n, p, seed=rng.randrange(2**32))
+        expected = sorted(tuple(sorted(f"v{u}" for u in c)) for c in nx.find_cliques(G))
+        assert maximal_cliques(from_networkx(G)) == expected
 
 
 def test_triangle_free_examples():

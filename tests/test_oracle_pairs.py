@@ -1,0 +1,126 @@
+"""The oracles' shared label-pair table, the lemma sweep's failure branch,
+and the audit sample of the concurrent search."""
+
+from itertools import combinations_with_replacement
+
+import pytest
+
+import iasi.oracle as oraclemod
+from iasi import (
+    IntSet,
+    OracleConfig,
+    cycle_graph,
+    diff_set,
+    disjoint,
+    exists_concurrent,
+    is_strong_pair,
+    lemma_oracle,
+    path_graph,
+    sumset,
+    write_graph,
+)
+from iasi.cli import main
+from iasi.errors import InternalCheckError
+
+TABLE_CONFIGS = [
+    OracleConfig(universe_max=u, min_card=c, max_card=c)
+    for u in (2, 4, 6)
+    for c in (1, 2, 3)
+    if c <= u + 1
+] + [OracleConfig(universe_max=4, min_card=1, max_card=5)]
+
+
+@pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=repr)
+def test_pair_table_matches_both_routes(cfg):
+    space = oraclemod._Space(cfg)
+    labels = space.labels
+    assert labels == cfg.candidate_labels()
+    id_of_sumset: dict[IntSet, int] = {}
+    sumset_of_id: dict[int, IntSet] = {}
+    for i, j in combinations_with_replacement(range(len(labels)), 2):
+        a, b = labels[i], labels[j]
+        strong = is_strong_pair(a, b)
+        assert (space.strong[i] >> j & 1, space.strong[j] >> i & 1) == (strong, strong)
+        apart = disjoint(diff_set(a), diff_set(b))
+        assert (space.ddisjoint[i] >> j & 1, space.ddisjoint[j] >> i & 1) == (apart, apart)
+        sid = space.sum_id[i][j]
+        assert sid == space.sum_id[j][i]
+        if not strong:
+            assert sid is None
+            continue
+        # ids equal exactly when the sumsets are: the map is a bijection
+        s = sumset(a, b)
+        assert id_of_sumset.setdefault(s, sid) == sid
+        assert sumset_of_id.setdefault(sid, s) == s
+
+
+def test_lemma_table_keeps_no_sumset_ids():
+    cfg = OracleConfig(universe_max=3, min_card=1, max_card=4)
+    lean = oraclemod._Space(cfg, sum_ids=False)
+    full = oraclemod._Space(cfg)
+    assert lean.sum_id == []
+    assert (lean.strong, lean.ddisjoint) == (full.strong, full.ddisjoint)
+
+
+def test_lemma_reports_the_first_disagreement_in_rank_order(monkeypatch):
+    # Over {0,1,2}, {0,2} is the only subset with difference set {2} and
+    # {0,1,2} the only one with {1,2}; they share 2, so the pair is weak.
+    # A lying `disjoint` calls it disjoint, and the sweep must name it.
+    a, b = IntSet([0, 2]), IntSet([0, 1, 2])
+    lie = {diff_set(a), diff_set(b)}
+    real = oraclemod.disjoint
+    monkeypatch.setattr(
+        oraclemod, "disjoint", lambda d1, d2: {d1, d2} == lie or real(d1, d2)
+    )
+    check = lemma_oracle(2)
+    labels = OracleConfig(universe_max=2, min_card=1, max_card=3).candidate_labels()
+    assert [diff_set(s) for s in labels].count(diff_set(a)) == 1
+    assert [diff_set(s) for s in labels].count(diff_set(b)) == 1
+    i, j = labels.index(a), labels.index(b)
+    assert i < j
+    assert not check.ok
+    assert check.counterexample == (a, b)
+    assert check.pairs_checked == i * len(labels) + j + 1 == 35
+    assert check.to_dict()["counterexample"] == ["{0,2}", "{0,1,2}"]
+
+
+def _audited(witnesses: int) -> int:
+    """Witnesses 1-8 and every power-of-two-numbered one after them."""
+    return sum(1 for k in range(1, witnesses + 1) if k <= 8 or k & (k - 1) == 0)
+
+
+@pytest.mark.parametrize(
+    "g, cfg",
+    [
+        (path_graph(4), OracleConfig(universe_max=3)),  # no witness
+        (path_graph(4), OracleConfig(universe_max=3, min_card=1, max_card=1)),  # 8
+        (path_graph(4), OracleConfig(universe_max=4, min_card=1, max_card=1)),  # 72
+        (cycle_graph(5), OracleConfig(universe_max=5)),  # 14,400
+    ],
+    ids=["p4-none", "p4-eight", "p4-singletons", "c5"],
+)
+def test_concurrent_audits_a_sample_spanning_the_sweep(monkeypatch, g, cfg):
+    calls = []
+    real = oraclemod.verify_concurrent_strong
+
+    def counting(graph, f):
+        calls.append(f)
+        return real(graph, f)
+
+    monkeypatch.setattr(oraclemod, "verify_concurrent_strong", counting)
+    result = exists_concurrent(g, cfg)
+    found = result.witnesses_found
+    assert len(calls) >= min(8, found)
+    assert len(calls) == _audited(found)
+    if found:
+        assert calls[0] == result.witness
+
+
+def test_rejected_witness_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(oraclemod, "verify_concurrent_strong", lambda g, f: False)
+    with pytest.raises(InternalCheckError):
+        exists_concurrent(path_graph(4), OracleConfig(universe_max=5))
+    gp = tmp_path / "p4.g"
+    gp.write_text(write_graph(path_graph(4)))
+    assert main(["oracle", "concurrent", str(gp), "--max", "5"]) == 3
+    assert "verify_concurrent_strong" in capsys.readouterr().err
