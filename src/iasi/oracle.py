@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
@@ -31,7 +30,7 @@ from .labeling import (
     verify_concurrent_strong,
     write_labeling,
 )
-from .setalg import IntSet, diff_set, disjoint, sumset
+from .setalg import IntSet, diff_set, disjoint
 
 __all__ = [
     "OracleConfig",
@@ -48,6 +47,8 @@ __all__ = [
 CHECKPOINT_ENV = "IASI_ORACLE_CHECKPOINT_DIR"
 CHECKPOINT_VERSION = 1
 UNIVERSE_LIMIT = 10
+# Partial labelings whose chain facts are kept before the cache starts over.
+CHAIN_CACHE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,30 +137,48 @@ class _Space:
     j whose difference sets avoid L_i's (the difference route).  The
     searches prune with the former and audit with the latter, so a failure
     of the equivalence would surface as a disagreement instead of being
-    assumed away.  With `sum_ids`, `sum_id[i][j]` names the sumset of each
-    strong pair by a small integer, equal exactly when the sumsets are.
+    assumed away.  Each sumset is built as a bitmask, OR(mask(L_j) << a for
+    a in L_i): its popcount is |L_i + L_j| and it is an exact key for the
+    sumset.  With `sum_ids`, `sum_id[i][j]` names the sumset of each strong
+    pair by a small integer, equal exactly when the sumsets are, and
+    `partners[i]` maps the id of each L_i + L_j to the bit of j.  That j is
+    unique: strong pairs repeat no sum, so L_i + X = L_i + Y makes the 0/1
+    polynomials satisfy L_i(t)X(t) = L_i(t)Y(t), hence X = Y.
+    `carriers` marks the labels with a nonempty difference set and
+    `mirror[i]` is the index of L_i reflected by x -> universe_max - x.
     """
 
     def __init__(self, cfg: OracleConfig, sum_ids: bool = True):
         self.labels = labels = cfg.candidate_labels()
         n = len(labels)
+        bits = [1 << i for i in range(n)]
+        masks = [sum(1 << x for x in s) for s in labels]
+        rank = {m: i for i, m in enumerate(masks)}
+        width = cfg.universe_max + 1
+        self.mirror = [rank[int(f"{m:0{width}b}"[::-1], 2)] for m in masks]
         diffs = [diff_set(s) for s in labels]
-        self.carrier = [len(d) > 0 for d in diffs]
+        self.carriers = sum(bit for bit, d in zip(bits, diffs) if len(d) > 0)
         self.strong = [0] * n
         self.ddisjoint = [0] * n
         self.sum_id: list[list[int | None]] = [[None] * n for _ in range(n)] if sum_ids else []
-        ids: dict[IntSet, int] = {}
+        self.partners: list[dict[int, int]] = [{} for _ in range(n)] if sum_ids else []
+        ids: dict[int, int] = {}
         for i in range(n):
+            elems, size = labels[i].elements, len(labels[i])
             for j in range(i, n):
-                s = sumset(labels[i], labels[j])
-                if len(s) == len(labels[i]) * len(labels[j]):
-                    self.strong[i] |= 1 << j
-                    self.strong[j] |= 1 << i
+                s = 0
+                for a in elems:
+                    s |= masks[j] << a
+                if s.bit_count() == size * len(labels[j]):
+                    self.strong[i] |= bits[j]
+                    self.strong[j] |= bits[i]
                     if sum_ids:
-                        self.sum_id[i][j] = self.sum_id[j][i] = ids.setdefault(s, len(ids))
+                        sid = self.sum_id[i][j] = self.sum_id[j][i] = ids.setdefault(s, len(ids))
+                        self.partners[i][sid] = bits[j]
+                        self.partners[j][sid] = bits[i]
                 if disjoint(diffs[i], diffs[j]):
-                    self.ddisjoint[i] |= 1 << j
-                    self.ddisjoint[j] |= 1 << i
+                    self.ddisjoint[i] |= bits[j]
+                    self.ddisjoint[j] |= bits[i]
 
 
 def _edge_indices(g: Graph, verts: list[str]) -> list[tuple[int, int]]:
@@ -180,62 +199,95 @@ def _search_vertices(g: Graph, cfg: OracleConfig) -> list[str]:
     return verts
 
 
-def _enumerate(
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _partials(
     space: _Space,
     n: int,
     edge_groups: list[list[tuple[int, int]]],
     first: int,
-    hit: Callable[[list[int]], None],
+    visit: Callable[[list[int], int, int], None],
 ) -> None:
-    """Call `hit(assign)` for every injective assignment of label indices to
-    vertices 0..n-1 with assign[0] = first, every edge of every group a
-    strong pair, and the edge sumsets distinct within each group.  Leaves
-    come in lexicographic order; `assign` is reused, so copy it to keep it."""
-    prev_nbrs: list[list[int]] = [[] for _ in range(n)]
-    for edges in edge_groups:
+    """Call `visit(assign, used, mask)` for every injective assignment of
+    label indices to vertices 0..n-2 (n >= 2) with assign[0] = first that
+    some label completes: `used` marks the assigned labels and `mask` the
+    labels vertex n-1 can take so that every edge of every group is a
+    strong pair and the edge sumsets are distinct within each group.
+
+    Both conditions hold level by level.  A vertex's candidates are the
+    unused labels strong with each earlier neighbour, minus the partners
+    whose sum with that neighbour's label is already taken in the group.
+    Two new edges at one vertex never share a sum, by the argument in
+    `_Space` with the roles of the two labels swapped.
+
+    Leaves (a partial, then each bit of its mask upward) come in
+    lexicographic order; `assign` is reused, so copy it to keep it."""
+    last = n - 1
+    # earlier[k]: (group, neighbour) for each edge from vertex k to a lower vertex
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for g, edges in enumerate(edge_groups):
         for a, b in edges:
-            prev_nbrs[b].append(a)
-    strong, sum_id = space.strong, space.sum_id
+            earlier[b].append((g, a))
+    strong, sum_id, partners = space.strong, space.sum_id, space.partners
     full_mask = (1 << len(space.labels)) - 1
+    sums: list[list[int]] = [[] for _ in edge_groups]  # edge sumset ids taken, per group
     assign = [first] * n
 
     def search(k: int, used: int) -> None:
-        if k == n:
-            for edges in edge_groups:
-                if len({sum_id[assign[a]][assign[b]] for a, b in edges}) != len(edges):
-                    return
-            hit(assign)
-            return
         allowed = full_mask & ~used
-        for p in prev_nbrs[k]:
+        for g, p in earlier[k]:
+            row = partners[assign[p]]
             allowed &= strong[assign[p]]
+            for s in sums[g]:
+                allowed &= ~row.get(s, 0)
+        if k == last:
+            if allowed:
+                visit(assign, used, allowed)
+            return
         while allowed:
             bit = allowed & -allowed
-            assign[k] = bit.bit_length() - 1
+            x = assign[k] = bit.bit_length() - 1
+            for g, p in earlier[k]:
+                sums[g].append(sum_id[assign[p]][x])
             search(k + 1, used | bit)
+            for g, _ in earlier[k]:
+                sums[g].pop()
             allowed ^= bit
 
     search(1, 1 << first)
 
 
-def _max_chain_of(space: _Space, chosen: tuple[int, ...], cache: dict) -> int:
-    """Longest pairwise difference-disjoint subfamily among the chosen labels
-    (only labels with nonempty difference sets count)."""
-    key = frozenset(chosen)
-    if key in cache:
-        return cache[key]
-    idx = [i for i in chosen if space.carrier[i]]
-    n = len(idx)
-    best = 0
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if size <= best:
+def _chain_extension(space: _Space, used: int) -> tuple[int, int]:
+    """For the labels in `used`: the length c of their longest pairwise
+    difference-disjoint subfamily (only labels with nonempty difference sets
+    count), and the mask of the other carriers that extend some such
+    subfamily of length c.  One more label x makes the longest chain c + 1
+    when x is in that mask, and leaves it c otherwise."""
+    members = []  # (bit, its disjointness row with its own bit set)
+    rest = used & space.carriers
+    while rest:
+        bit = rest & -rest
+        members.append((bit, space.ddisjoint[bit.bit_length() - 1] | bit))
+        rest ^= bit
+    outside = space.carriers & ~used
+    best, up = 0, outside  # every carrier extends the empty chain
+    for pick in range(1, 1 << len(members)):
+        size = pick.bit_count()
+        if size < best:
             continue
-        members = [idx[p] for p in range(n) if mask >> p & 1]
-        if all(space.ddisjoint[a] >> b & 1 for a, b in combinations(members, 2)):
-            best = size
-    cache[key] = best
-    return best
+        chosen, reach = 0, -1
+        for p, (bit, row) in enumerate(members):
+            if pick >> p & 1:
+                chosen |= bit
+                reach &= row
+        if chosen & ~reach:
+            continue  # some two picked labels share a difference
+        if size > best:
+            best, up = size, 0
+        up |= reach & outside
+    return best, up
 
 
 @dataclass
@@ -325,9 +377,15 @@ def min_max_chain(
     """Enumerate every labeling in the space, keep the strong ones, and take
     the minimum of their longest chains.
 
-    The sweep is partitioned by the first vertex's label; with a checkpoint
-    directory (argument or the IASI_ORACLE_CHECKPOINT_DIR variable) finished
-    partitions are recorded and skipped on re-runs.
+    The sweep is partitioned by the first vertex's label.  Reflecting every
+    label by x -> universe_max - x keeps strength, distinct edge sumsets and
+    difference sets, so partition `mirror[first]` has the same count and
+    chains as `first`: a pair is swept once from its lower member and
+    counted twice (a self-mirrored label once).  Its lower member's
+    labelings come first, so the lexicographically first minimiser is still
+    the one found.  With a checkpoint directory (argument or the
+    IASI_ORACLE_CHECKPOINT_DIR variable) the partitions counted so far, both
+    members of each swept pair, are recorded and skipped on re-runs.
     """
     verts = _search_vertices(g, cfg)
     space = _Space(cfg)
@@ -351,21 +409,33 @@ def min_max_chain(
         best_assign = tuple(state["witness"]) if state["witness"] is not None else None
         strong_count = state["strong_count"]
 
-    chain_cache: dict[frozenset[int], int] = {}
+    last = n - 1
+    # (longest chain, extending carriers) per partial labeling, keyed by its label mask
+    chains: dict[int, tuple[int, int]] = {}
 
-    def hit(assign: list[int]) -> None:
+    def visit(assign: list[int], used: int, mask: int) -> None:
         nonlocal best, best_assign, strong_count
-        strong_count += 1
-        chain = _max_chain_of(space, tuple(assign), chain_cache)
+        strong_count += weight * mask.bit_count()
+        known = chains.get(used)
+        if known is None:
+            if len(chains) >= CHAIN_CACHE_LIMIT:
+                chains.clear()
+            known = chains[used] = _chain_extension(space, used)
+        c, up = known
+        shorter = mask & ~up
+        chain = c if shorter else c + 1
         if best is None or chain < best:
             best = chain
-            best_assign = tuple(assign)
+            best_assign = (*assign[:last], _lowest(shorter or mask))
 
     for first in range(total):
         if first in done:
             continue
-        _enumerate(space, n, [edges], first, hit)
-        done.add(first)
+        mirror = space.mirror[first]
+        # A mirror already counted (a resumed checkpoint may list it alone) counts once.
+        weight = 1 if mirror in done or mirror == first else 2
+        _partials(space, n, [edges], first, visit)
+        done.update((first, mirror))
         if ckpt is not None:
             _write_checkpoint(
                 ckpt,
@@ -432,22 +502,33 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
 
     space = _Space(cfg)
     groups = [_edge_indices(g, verts), _edge_indices(gbar, verts)]
-    # Witnesses stream past: keep their count, the first non-disjoint one and
-    # an audit sample (witnesses 1-8, then each power-of-two-numbered one).
+    # Witnesses stream past, a partial labeling and its mask of last labels
+    # at a time: keep their count, the first non-disjoint one and an audit
+    # sample (witnesses 1-8, then each power-of-two-numbered one).
+    last = len(verts) - 1
     count = 0
     bad: tuple[int, ...] | None = None
     sample: list[tuple[int, ...]] = []
 
-    def hit(assign: list[int]) -> None:
+    def visit(assign: list[int], used: int, mask: int) -> None:
         nonlocal count, bad
-        count += 1
-        if bad is None and not all(space.ddisjoint[a] >> b & 1 for a, b in combinations(assign, 2)):
-            bad = tuple(assign)
-        if count <= 8 or count & (count - 1) == 0:
-            sample.append(tuple(assign))
+        if bad is None:
+            reach = -1  # labels difference-disjoint from every assigned one
+            for a in assign[:last]:
+                reach &= space.ddisjoint[a] | 1 << a
+            flawed = mask if used & ~reach else mask & ~reach
+            if flawed:
+                bad = (*assign[:last], _lowest(flawed))
+        found = mask.bit_count()
+        for number in _audit_numbers(count, count + found):
+            rest = mask
+            for _ in range(number - count - 1):
+                rest &= rest - 1
+            sample.append((*assign[:last], _lowest(rest)))
+        count += found
 
     for label in range(len(space.labels)):
-        _enumerate(space, len(verts), groups, label, hit)
+        _partials(space, len(verts), groups, label, visit)
 
     def to_labeling(w: tuple[int, ...]) -> Labeling:
         return Labeling({v: space.labels[w[k]] for k, v in enumerate(verts)})
@@ -463,6 +544,17 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
         all_witnesses_pairwise_disjoint=bad is None,
         disjointness_counterexample=to_labeling(bad) if bad is not None else None,
     )
+
+
+def _audit_numbers(lo: int, hi: int) -> list[int]:
+    """The witness numbers in lo+1..hi that the audit sample takes: 1-8 and
+    every power of two."""
+    numbers = list(range(lo + 1, min(hi, 8) + 1))
+    power = max(16, 1 << lo.bit_length())
+    while power <= hi:
+        numbers.append(power)
+        power <<= 1
+    return numbers
 
 
 def write_bundle(

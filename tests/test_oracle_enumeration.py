@@ -1,0 +1,177 @@
+"""The bitmask enumeration behind `min_max_chain` and `exists_concurrent`
+against naive permutation scans, and minchain checkpoints across the
+mirror pairing of partitions."""
+
+import json
+import random
+
+import pytest
+from helpers import (
+    connected_atlas,
+    naive_concurrent,
+    naive_min_max_chain,
+    random_graph,
+    strong_labelings,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import iasi.oracle as oraclemod
+from iasi import (
+    OracleConfig,
+    chain_report,
+    cycle_graph,
+    exists_concurrent,
+    min_max_chain,
+    path_graph,
+    write_graph,
+)
+from iasi.cli import main
+
+
+def _minchain(g, cfg, **kw):
+    result = min_max_chain(g, cfg, **kw)
+    return result.value, result.strong_count, result.witness
+
+
+@pytest.mark.parametrize("universe_max", [3, 4, 5])
+@pytest.mark.parametrize("cards", [1, 2, 3])
+def test_minchain_matches_the_naive_scan_on_the_atlas(universe_max, cards):
+    cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
+    for g in connected_atlas(2, 4):
+        assert _minchain(g, cfg) == naive_min_max_chain(g, cfg), write_graph(g)
+
+
+def test_minchain_chain_cache_that_starts_over_changes_nothing(monkeypatch):
+    cfg = OracleConfig(universe_max=5)
+    for g in connected_atlas(4, 4):
+        kept = _minchain(g, cfg)
+        monkeypatch.setattr(oraclemod, "CHAIN_CACHE_LIMIT", 1)
+        assert _minchain(g, cfg) == kept
+        monkeypatch.undo()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    p=st.sampled_from([0.3, 0.6, 0.9]),
+    universe_max=st.integers(2, 4),
+    cards=st.integers(1, 3),
+)
+def test_minchain_matches_the_naive_scan_on_random_graphs(seed, n, p, universe_max, cards):
+    g = random_graph(random.Random(seed), n, p)
+    cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
+    assert _minchain(g, cfg) == naive_min_max_chain(g, cfg)
+
+
+@pytest.mark.parametrize("g", [path_graph(4), cycle_graph(4)], ids=["p4", "c4"])
+@pytest.mark.parametrize("universe_max, cards", [(4, 1), (5, 2), (6, 2)])
+def test_concurrent_matches_the_naive_scan(g, universe_max, cards):
+    cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
+    result = exists_concurrent(g, cfg)
+    assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg)
+    assert result.exists == (result.witness is not None)
+
+
+def test_concurrent_names_the_first_non_disjoint_witness(monkeypatch):
+    # Make the disjointness rows say that the first witness's first two
+    # labels share a difference.  Both sit in the partial labeling, not in
+    # the last vertex's mask, and the first witness itself is reported.
+    g, cfg = path_graph(4), OracleConfig(universe_max=5)
+    labels = cfg.candidate_labels()
+    naive = list(strong_labelings(g, labels, (g, oraclemod.complement(g))))
+    pair = {naive[0]["v0"], naive[0]["v1"]}
+    i, j = (labels.index(s) for s in pair)
+    real = oraclemod._Space
+
+    def lying(*args, **kw):
+        space = real(*args, **kw)
+        space.ddisjoint[i] &= ~(1 << j)
+        space.ddisjoint[j] &= ~(1 << i)
+        return space
+
+    monkeypatch.setattr(oraclemod, "_Space", lying)
+    result = exists_concurrent(g, cfg)
+    assert not result.all_witnesses_pairwise_disjoint
+    assert result.disjointness_counterexample == naive[0]
+    assert result.witnesses_found == len(naive)
+
+
+def test_mirror_is_the_reflection_and_an_involution():
+    cfg = OracleConfig(universe_max=5, min_card=1, max_card=6)
+    space = oraclemod._Space(cfg)
+    for i, label in enumerate(space.labels):
+        j = space.mirror[i]
+        assert sorted(5 - x for x in label) == list(space.labels[j])
+        assert space.mirror[j] == i
+
+
+# ---------------------------------------------------------------------------
+# checkpoints across the pairing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("killed_after", [1, 3, 6])
+def test_minchain_killed_mid_sweep_resumes_to_the_same_result(tmp_path, monkeypatch, killed_after):
+    g, cfg = path_graph(4), OracleConfig(universe_max=5)
+    clean = _minchain(g, cfg)
+    real = oraclemod._write_checkpoint
+    written = []
+
+    def dying(path, state):
+        if len(written) == killed_after:
+            raise RuntimeError("killed")
+        written.append(state)
+        real(path, state)
+
+    monkeypatch.setattr(oraclemod, "_write_checkpoint", dying)
+    with pytest.raises(RuntimeError, match="killed"):
+        min_max_chain(g, cfg, checkpoint_dir=str(tmp_path))
+    monkeypatch.setattr(oraclemod, "_write_checkpoint", real)
+    (path,) = tmp_path.iterdir()
+    state = json.loads(path.read_text())
+    assert state == written[-1]
+    assert 0 < len(state["done"]) < len(cfg.candidate_labels())
+    assert _minchain(g, cfg, checkpoint_dir=str(tmp_path)) == clean
+
+
+def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path):
+    # A sweep that counts each partition on its own records the same facts
+    # (the partitions counted, their strong labelings, the best so far), so
+    # resuming from one, some of whose partitions' mirrors are not yet
+    # counted, gives the same answer.
+    g, cfg = path_graph(3), OracleConfig(universe_max=5)
+    clean = _minchain(g, cfg, checkpoint_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    labels = cfg.candidate_labels()
+    verts = g.sorted_vertices()
+    swept = 4
+    assert any(oraclemod._Space(cfg).mirror[i] >= swept for i in range(swept))
+    counted = [f for f in strong_labelings(g, labels, (g,)) if labels.index(f[verts[0]]) < swept]
+    chains = [chain_report(g, f).max_chain_length for f in counted]
+    best = min(chains)
+    witness = counted[chains.index(best)]
+    state = json.loads(path.read_text())
+    state.update(
+        done=list(range(swept)),
+        best=best,
+        witness=[labels.index(witness[v]) for v in verts],
+        strong_count=len(counted),
+    )
+    path.write_text(json.dumps(state))
+    assert _minchain(g, cfg, checkpoint_dir=str(tmp_path)) == clean
+
+
+def test_checkpoint_of_another_version_exits_two_naming_the_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+    gp = tmp_path / "p3.g"
+    gp.write_text(write_graph(path_graph(3)))
+    argv = ["oracle", "minchain", str(gp), "--max", "4"]
+    assert main(argv) == 0
+    (path,) = (tmp_path / "ckpt").iterdir()
+    state = json.loads(path.read_text())
+    state["version"] = oraclemod.CHECKPOINT_VERSION + 1
+    path.write_text(json.dumps(state))
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert str(path) in capsys.readouterr().err
