@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 from . import graph as graphmod
 from .errors import InternalCheckError, ParseError
 from .graph import Graph, clique_number, complement
-from .setalg import DiffSet, IntSet, diff_set, disjoint, parse_int_set, scale, sumset
+from .setalg import IntSet, diff_set, disjoint, parse_int_set, scale, sumset
 
 __all__ = [
     "Labeling",
@@ -177,10 +177,16 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
     return _verify(g, f)[0]
 
 
-def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[VerificationReport, dict]:
-    """`verify` plus the edge sumsets it built, optionally accepting isolated
-    vertices (an edgeless operand of a product or corona is still a valid
-    input there)."""
+def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[VerificationReport, list[int]]:
+    """`verify` plus the sumset cardinality of each edge in sorted order,
+    optionally accepting isolated vertices (an edgeless operand of a product
+    or corona is still a valid input there).
+
+    An edge is strong iff the difference sets of its ends are disjoint.
+    Edge injectivity groups the edges by the fingerprint (min, max, size,
+    sum) of their sumsets, which a strong edge's labels give without
+    building the set; sumsets are built only for weak edges and for edges
+    whose fingerprint is shared, and only equal sets are reported."""
     _check_total(g, f)
     if not isolated_ok:
         _check_no_isolated(g)
@@ -197,34 +203,65 @@ def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[Verificat
             vertex_injective = False
             witnesses.append(f"vertices {', '.join(vs)} share the label {label}")
 
-    edges = g.sorted_edges()
-    edge_sums = {e: sumset(f[e[0]], f[e[1]]) for e in edges}
-    by_sum: dict[IntSet, list[Edge]] = {}
-    for e in edges:
-        by_sum.setdefault(edge_sums[e], []).append(e)
-    edge_injective = True
-    for s, es in sorted(by_sum.items(), key=lambda kv: kv[1]):
-        if len(es) > 1:
-            edge_injective = False
-            names = ", ".join(f"({u},{v})" for u, v in es)
-            witnesses.append(f"edges {names} share the sumset {s}")
+    # Per vertex: min, max, size, sum and difference set of its label.
+    facts = {}
+    for v in verts:
+        label = f[v]
+        e = label.elements
+        facts[v] = (e[0], e[-1], len(e), sum(e), frozenset(diff_set(label).elements))
 
-    # Strength reads the sumsets already built; difference sets are only
-    # needed to name the shared differences of a weak edge.
-    diffs: dict[str, DiffSet] = {}
+    edges = g.sorted_edges()
+    cards: list[int] = []
     strong_edges: list[tuple[Edge, bool]] = []
-    for u, v in edges:
-        size, full = len(edge_sums[(u, v)]), len(f[u]) * len(f[v])
-        strong_edges.append(((u, v), size == full))
-        if size != full:
-            for w in (u, v):
-                if w not in diffs:
-                    diffs[w] = diff_set(f[w])
-            shared = diffs[u].intersection(diffs[v])
-            witnesses.append(
-                f"edge ({u},{v}) is not strong: |{f[u]}+{f[v]}| = {size} "
-                f"< {full}; shared differences {{{','.join(map(str, shared))}}}"
-            )
+    weak: list[tuple[Edge, int]] = []
+    sums: dict[Edge, IntSet] = {}
+    by_key: dict[tuple[int, int, int, int], list[Edge]] = {}
+    for e in edges:
+        lo_u, hi_u, n_u, s_u, d_u = facts[e[0]]
+        lo_v, hi_v, n_v, s_v, d_v = facts[e[1]]
+        strong = d_u.isdisjoint(d_v)
+        if strong:
+            # Every a + b is distinct, so the sumset's fingerprint is exact.
+            card = n_u * n_v
+            key = (lo_u + lo_v, hi_u + hi_v, card, n_v * s_u + n_u * s_v)
+        else:
+            s = sums[e] = sumset(f[e[0]], f[e[1]])
+            el = s.elements
+            card = len(el)
+            key = (el[0], el[-1], card, sum(el))
+            weak.append((e, card))
+        cards.append(card)
+        strong_edges.append((e, strong))
+        group = by_key.get(key)
+        if group is None:
+            by_key[key] = [e]
+        else:
+            group.append(e)
+
+    # Equal sumsets have equal fingerprints, so only a shared fingerprint
+    # can hide a shared sumset.
+    shared: list[tuple[list[Edge], IntSet]] = []
+    for group in by_key.values():
+        if len(group) > 1:
+            by_sum: dict[IntSet, list[Edge]] = {}
+            for e in group:
+                s = sums.get(e)
+                if s is None:
+                    s = sums[e] = sumset(f[e[0]], f[e[1]])
+                by_sum.setdefault(s, []).append(e)
+            shared.extend((es, s) for s, es in by_sum.items() if len(es) > 1)
+    edge_injective = not shared
+    for es, s in sorted(shared, key=lambda pair: pair[0]):
+        names = ", ".join(f"({u},{v})" for u, v in es)
+        witnesses.append(f"edges {names} share the sumset {s}")
+
+    for (u, v), card in weak:
+        shared_diffs = sorted(facts[u][4] & facts[v][4])
+        witnesses.append(
+            f"edge ({u},{v}) is not strong: |{f[u]}+{f[v]}| = {card} "
+            f"< {facts[u][2] * facts[v][2]}; shared differences "
+            f"{{{','.join(map(str, shared_diffs))}}}"
+        )
 
     is_iasi = vertex_injective and edge_injective
     return VerificationReport(
@@ -232,19 +269,19 @@ def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[Verificat
         edge_injective=edge_injective,
         strong_edges=strong_edges,
         is_iasi=is_iasi,
-        is_strong=is_iasi and all(ok for _, ok in strong_edges),
+        is_strong=is_iasi and not weak,
         witnesses=witnesses,
-    ), edge_sums
+    ), cards
 
 
 def verify_uniform(g: Graph, f: Labeling) -> tuple[int | None, int | None]:
     """(k, l) uniformity of a valid IASI: k is the common edge-sumset
     cardinality if the edges agree on one, l the common vertex cardinality;
     None where they disagree."""
-    report, edge_sums = _verify(g, f)
+    report, cards = _verify(g, f)
     if not report.is_iasi:
         raise ValueError("labeling is not an IASI: " + "; ".join(report.witnesses))
-    edge_cards = {len(s) for s in edge_sums.values()}
+    edge_cards = set(cards)
     vertex_cards = {len(f[v]) for v in g.vertices}
     k = edge_cards.pop() if len(edge_cards) == 1 else None
     l = vertex_cards.pop() if len(vertex_cards) == 1 else None

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -46,6 +47,10 @@ __all__ = [
 
 CHECKPOINT_ENV = "IASI_ORACLE_CHECKPOINT_DIR"
 CHECKPOINT_VERSION = 1
+# Least seconds between minchain checkpoint writes.  A write (temp file, fsync,
+# rename) can take tens of milliseconds, mostly the rename, while a partition
+# of a small sweep takes well under one.
+CHECKPOINT_INTERVAL_S = 1.0
 UNIVERSE_LIMIT = 10
 # Partial labelings whose chain facts are kept before the cache starts over.
 CHAIN_CACHE_LIMIT = 1 << 16
@@ -385,7 +390,9 @@ def min_max_chain(
     labelings come first, so the lexicographically first minimiser is still
     the one found.  With a checkpoint directory (argument or the
     IASI_ORACLE_CHECKPOINT_DIR variable) the partitions counted so far, both
-    members of each swept pair, are recorded and skipped on re-runs.
+    members of each swept pair, are recorded at most once per
+    CHECKPOINT_INTERVAL_S and after the last partition, and skipped on
+    re-runs.
     """
     verts = _search_vertices(g, cfg)
     space = _Space(cfg)
@@ -428,6 +435,21 @@ def min_max_chain(
             best = chain
             best_assign = (*assign[:last], _lowest(shorter or mask))
 
+    def save() -> None:
+        _write_checkpoint(
+            ckpt,
+            {
+                "version": CHECKPOINT_VERSION,
+                "key": ckpt_key,
+                "done": sorted(done),
+                "best": best,
+                "witness": list(best_assign) if best_assign is not None else None,
+                "strong_count": strong_count,
+            },
+        )
+
+    unsaved = False
+    saved_at = time.monotonic()
     for first in range(total):
         if first in done:
             continue
@@ -436,18 +458,12 @@ def min_max_chain(
         weight = 1 if mirror in done or mirror == first else 2
         _partials(space, n, [edges], first, visit)
         done.update((first, mirror))
-        if ckpt is not None:
-            _write_checkpoint(
-                ckpt,
-                {
-                    "version": CHECKPOINT_VERSION,
-                    "key": ckpt_key,
-                    "done": sorted(done),
-                    "best": best,
-                    "witness": list(best_assign) if best_assign is not None else None,
-                    "strong_count": strong_count,
-                },
-            )
+        unsaved = True
+        if ckpt is not None and time.monotonic() - saved_at >= CHECKPOINT_INTERVAL_S:
+            save()
+            unsaved, saved_at = False, time.monotonic()
+    if ckpt is not None and unsaved:
+        save()
 
     if best_assign is None:
         return MinChainResult(

@@ -123,10 +123,6 @@ class DiffSet(_SortedSet):
     _floor = 1
     _noun, _below = "difference", "not positive"
 
-    def intersection(self, other: "DiffSet") -> tuple[int, ...]:
-        mine = set(self.elements)
-        return tuple(x for x in other.elements if x in mine)
-
 
 def _require_nonempty(a: IntSet, what: str) -> None:
     if len(a) == 0:

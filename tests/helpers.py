@@ -13,7 +13,17 @@ from itertools import combinations, permutations
 
 import networkx as nx
 
-from iasi import Graph, Labeling, chain_report, complement, is_strong_pair, verify
+from iasi import (
+    Graph,
+    Labeling,
+    VerificationReport,
+    chain_report,
+    complement,
+    diff_set,
+    is_strong_pair,
+    sumset,
+    verify,
+)
 
 
 def from_networkx(G, prefix: str = "v") -> Graph:
@@ -154,3 +164,55 @@ def naive_concurrent(g: Graph, cfg) -> tuple[int, Labeling | None]:
         if first is None:
             first = f
     return count, first
+
+
+def reference_verify(g: Graph, f: Labeling) -> tuple[VerificationReport, dict]:
+    """`labeling.verify` by the definitions, with the edge sumsets it built:
+    every edge's sumset is computed, injectivity compares the sets
+    themselves and strength compares each size with |f(u)|·|f(v)|.
+    Difference sets only name the shared differences of a weak edge."""
+    witnesses: list[str] = []
+    verts = g.sorted_vertices()
+
+    by_label: dict = {}
+    for v in verts:
+        by_label.setdefault(f[v], []).append(v)
+    vertex_injective = True
+    for label, vs in sorted(by_label.items(), key=lambda kv: kv[1]):
+        if len(vs) > 1:
+            vertex_injective = False
+            witnesses.append(f"vertices {', '.join(vs)} share the label {label}")
+
+    edges = g.sorted_edges()
+    edge_sums = {e: sumset(f[e[0]], f[e[1]]) for e in edges}
+    by_sum: dict = {}
+    for e in edges:
+        by_sum.setdefault(edge_sums[e], []).append(e)
+    edge_injective = True
+    for s, es in sorted(by_sum.items(), key=lambda kv: kv[1]):
+        if len(es) > 1:
+            edge_injective = False
+            names = ", ".join(f"({u},{v})" for u, v in es)
+            witnesses.append(f"edges {names} share the sumset {s}")
+
+    strong_edges = []
+    for u, v in edges:
+        size, full = len(edge_sums[(u, v)]), len(f[u]) * len(f[v])
+        strong_edges.append(((u, v), size == full))
+        if size != full:
+            mine = set(diff_set(f[u]).elements)
+            shared = [x for x in diff_set(f[v]).elements if x in mine]
+            witnesses.append(
+                f"edge ({u},{v}) is not strong: |{f[u]}+{f[v]}| = {size} "
+                f"< {full}; shared differences {{{','.join(map(str, shared))}}}"
+            )
+
+    is_iasi = vertex_injective and edge_injective
+    return VerificationReport(
+        vertex_injective=vertex_injective,
+        edge_injective=edge_injective,
+        strong_edges=strong_edges,
+        is_iasi=is_iasi,
+        is_strong=is_iasi and all(ok for _, ok in strong_edges),
+        witnesses=witnesses,
+    ), edge_sums

@@ -1,7 +1,15 @@
 import random
 
 import pytest
-from helpers import automorphisms, connected_atlas, random_induced_subgraph
+from helpers import (
+    automorphisms,
+    connected_atlas,
+    random_graph,
+    random_induced_subgraph,
+    reference_verify,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iasi import (
     Graph,
@@ -89,6 +97,69 @@ def test_verify_reports_every_violation():
     assert len(report.witnesses) == 2
 
 
+def _same_as_reference(g, f):
+    """verify and verify_uniform agree with the sumset-route reference."""
+    report, sums = reference_verify(g, f)
+    assert verify(g, f) == report
+    if report.is_iasi:
+        cards = {len(s) for s in sums.values()}
+        labels = {len(f[v]) for v in g.vertices}
+        expected = tuple(c.pop() if len(c) == 1 else None for c in (cards, labels))
+        assert verify_uniform(g, f) == expected
+    else:
+        with pytest.raises(ValueError):
+            verify_uniform(g, f)
+    return report
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    p=st.sampled_from([0.3, 0.6, 0.9]),
+    labels=st.lists(
+        st.frozensets(st.integers(0, 6), min_size=1, max_size=3), min_size=7, max_size=7
+    ),
+)
+def test_verify_matches_the_sumset_reference(seed, n, p, labels):
+    # Small labels from {0..6} make weak edges and shared sumsets common.
+    g = random_graph(random.Random(seed), n, p)
+    f = Labeling({v: IntSet(labels[i]) for i, v in enumerate(g.sorted_vertices())})
+    _same_as_reference(g, f)
+
+
+TWO_EDGES = Graph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+
+
+def test_verify_colliding_fingerprints_of_distinct_sumsets(monkeypatch):
+    # {0,3,5,8} and {0,1,7,8}: both (min 0, max 8, size 4, sum 16)
+    import iasi.labeling as labelingmod
+
+    f = lab(a=[0, 3], b=[0, 5], c=[0, 1], d=[0, 7])
+    report = _same_as_reference(TWO_EDGES, f)
+    assert report.is_strong and report.edge_injective
+    calls = []
+    real = labelingmod.sumset
+    monkeypatch.setattr(labelingmod, "sumset", lambda a, b: calls.append(1) or real(a, b))
+    verify(TWO_EDGES, f)
+    assert len(calls) == 2
+
+
+def test_verify_strong_edges_with_one_sumset():
+    report = _same_as_reference(TWO_EDGES, lab(a=[1, 4], b=[0, 5], c=[0, 3], d=[1, 6]))
+    assert not report.edge_injective
+    assert report.witnesses == ["edges (a,b), (c,d) share the sumset {1,4,6,9}"]
+
+
+def test_verify_weak_edge_shares_its_sumset_with_a_strong_edge():
+    report = _same_as_reference(TWO_EDGES, lab(a=[0, 1], b=[1, 2], c=[1], d=[0, 1, 2]))
+    assert report.strong_edges == [(("a", "b"), False), (("c", "d"), True)]
+    assert report.witnesses == [
+        "edges (a,b), (c,d) share the sumset {1,2,3}",
+        "edge (a,b) is not strong: |{0,1}+{1,2}| = 3 < 4; shared differences {1}",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # uniformity
 # ---------------------------------------------------------------------------
@@ -122,7 +193,10 @@ def test_uniform_builds_each_edge_sumset_once(monkeypatch):
 
     monkeypatch.setattr(labelingmod, "sumset", counting)
     assert verify_uniform(g, f) == (4, 2)
-    assert len(calls) == 15
+    assert len(calls) == 0
+    # one weak edge (ab), whose fingerprint no other edge shares
+    assert verify_uniform(P3, lab(a=[0, 1], b=[2, 3], c=[10, 20])) == (None, 2)
+    assert len(calls) == 1
 
 
 def test_uniform_requires_iasi():

@@ -117,6 +117,7 @@ def test_minchain_killed_mid_sweep_resumes_to_the_same_result(tmp_path, monkeypa
     clean = _minchain(g, cfg)
     real = oraclemod._write_checkpoint
     written = []
+    monkeypatch.setattr(oraclemod, "CHECKPOINT_INTERVAL_S", 0)
 
     def dying(path, state):
         if len(written) == killed_after:
@@ -133,6 +134,24 @@ def test_minchain_killed_mid_sweep_resumes_to_the_same_result(tmp_path, monkeypa
     assert state == written[-1]
     assert 0 < len(state["done"]) < len(cfg.candidate_labels())
     assert _minchain(g, cfg, checkpoint_dir=str(tmp_path)) == clean
+
+
+def test_minchain_checkpoints_at_most_once_a_second_and_at_the_end(tmp_path, monkeypatch):
+    g, cfg = path_graph(4), OracleConfig(universe_max=7)
+    clean = _minchain(g, cfg)
+    real = oraclemod._write_checkpoint
+    written = []
+
+    def counting(path, state):
+        written.append(state)
+        real(path, state)
+
+    monkeypatch.setattr(oraclemod, "_write_checkpoint", counting)
+    assert _minchain(g, cfg, checkpoint_dir=str(tmp_path)) == clean
+    assert 1 <= len(written) <= 2
+    assert len(written[-1]["done"]) == len(cfg.candidate_labels())
+    assert _minchain(g, cfg, checkpoint_dir=str(tmp_path)) == clean
+    assert len(written) <= 2
 
 
 def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path):
