@@ -60,6 +60,6 @@ from .oracle import (
     min_max_chain,
     write_bundle,
 )
-from .setalg import DiffSet, IntSet, diff_set, disjoint, is_strong_pair, scale, sumset
+from .setalg import IntSet, diff_set, is_strong_pair, scale, sumset
 
 __version__ = "0.1.0"

@@ -120,6 +120,8 @@ def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: fl
 def _cmd_verify(args) -> int:
     started = time.perf_counter()
     g, gin = _load(args.graph, read_graph)
+    if not g.vertices:
+        raise ParseError("graph is empty; nothing to verify")
     f, fin = _load(args.labeling, read_labeling)
     extra = set(f.vertices()) - g.vertices
     if extra:

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Mapping
 from . import graph as graphmod
 from .errors import InternalCheckError, ParseError
 from .graph import Graph, clique_number, complement
-from .setalg import IntSet, diff_set, disjoint, parse_int_set, scale, sumset
+from .setalg import IntSet, diff_set, parse_int_set, scale, sumset
 
 __all__ = [
     "Labeling",
@@ -130,7 +130,7 @@ class VerificationReport:
         return {
             "vertex_injective": self.vertex_injective,
             "edge_injective": self.edge_injective,
-            "strong_edges": [[list(e), ok] for e, ok in self.strong_edges],
+            "strong_edges": self.strong_edges,
             "is_iasi": self.is_iasi,
             "is_strong": self.is_strong,
             "witnesses": list(self.witnesses),
@@ -150,7 +150,7 @@ class ChainReport:
         return {
             "max_chain": list(self.max_chain),
             "max_chain_length": self.max_chain_length,
-            "per_edge_relation": [[list(e), ok] for e, ok in self.per_edge_relation],
+            "per_edge_relation": self.per_edge_relation,
         }
 
 
@@ -208,7 +208,7 @@ def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[Verificat
     for v in verts:
         label = f[v]
         e = label.elements
-        facts[v] = (e[0], e[-1], len(e), sum(e), frozenset(diff_set(label).elements))
+        facts[v] = (e[0], e[-1], len(e), sum(e), diff_set(label))
 
     edges = g.sorted_edges()
     cards: list[int] = []
@@ -299,14 +299,14 @@ def chain_report(g: Graph, f: Labeling) -> ChainReport:
     diffs = {v: diff_set(f[v]) for v in g.vertices}
 
     carriers = sorted(v for v in g.vertices if len(diffs[v]) > 0)
-    aux_edges = [(u, v) for u, v in combinations(carriers, 2) if disjoint(diffs[u], diffs[v])]
+    aux_edges = [(u, v) for u, v in combinations(carriers, 2) if diffs[u].isdisjoint(diffs[v])]
     if carriers:
         aux = Graph(carriers, aux_edges)
         chain = list(graphmod.max_clique(aux))
     else:
         chain = []
 
-    relation = [((u, v), disjoint(diffs[u], diffs[v])) for u, v in g.sorted_edges()]
+    relation = [((u, v), diffs[u].isdisjoint(diffs[v])) for u, v in g.sorted_edges()]
     return ChainReport(max_chain=chain, max_chain_length=len(chain), per_edge_relation=relation)
 
 
@@ -341,7 +341,7 @@ def _verify_concurrent(
 
     labels = [f[v] for v in g.sorted_vertices()]
     diffs = [diff_set(s) for s in labels]
-    all_disjoint = all(disjoint(d1, d2) for d1, d2 in combinations(diffs, 2))
+    all_disjoint = all(d1.isdisjoint(d2) for d1, d2 in combinations(diffs, 2))
     injective = len(set(labels)) == len(labels)
     direct = injective and all_disjoint and rep_g.edge_injective and rep_gbar.edge_injective
     if primary != direct:

@@ -31,7 +31,7 @@ from .labeling import (
     verify_concurrent_strong,
     write_labeling,
 )
-from .setalg import IntSet, diff_set, disjoint
+from .setalg import IntSet, diff_set
 
 __all__ = [
     "OracleConfig",
@@ -181,7 +181,7 @@ class _Space:
                         sid = self.sum_id[i][j] = self.sum_id[j][i] = ids.setdefault(s, len(ids))
                         self.partners[i][sid] = bits[j]
                         self.partners[j][sid] = bits[i]
-                if disjoint(diffs[i], diffs[j]):
+                if diffs[i].isdisjoint(diffs[j]):
                     self.ddisjoint[i] |= bits[j]
                     self.ddisjoint[j] |= bits[i]
 

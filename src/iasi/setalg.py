@@ -19,37 +19,36 @@ from .errors import ParseError, parse_natural
 
 __all__ = [
     "IntSet",
-    "DiffSet",
     "sumset",
     "scale",
     "diff_set",
-    "disjoint",
     "is_strong_pair",
     "parse_int_set",
 ]
 
 
-class _SortedSet:
-    """Immutable finite set of integers at or above `_floor`, kept as a
-    strictly increasing tuple.  Sets of different subclasses never compare
-    equal, even with the same elements."""
+class IntSet:
+    """Immutable finite set of non-negative integers, kept as a strictly
+    increasing tuple.
+
+    Canonical text form is ``{a1,a2,...,ak}`` with strictly increasing
+    elements and no spaces.
+    """
 
     __slots__ = ("elements",)
-    _floor = 0
-    _noun, _below = "set element", "negative"
 
     def __init__(self, elements: Iterable[int]):
         seen = sorted(set(elements))
         for x in seen:
             if not isinstance(x, int) or isinstance(x, bool):
-                raise ValueError(f"{self._noun} {x!r} is not an integer")
-            if x < self._floor:
-                raise ValueError(f"{self._noun} {x} is {self._below}")
+                raise ValueError(f"set element {x!r} is not an integer")
+            if x < 0:
+                raise ValueError(f"set element {x} is negative")
         object.__setattr__(self, "elements", tuple(seen))
 
     @classmethod
-    def _trusted(cls, elements: tuple[int, ...]):
-        """Wrap a tuple already known to be sorted, duplicate-free and in range."""
+    def _trusted(cls, elements: tuple[int, ...]) -> "IntSet":
+        """Wrap a tuple already known to be sorted, duplicate-free and non-negative."""
         s = object.__new__(cls)
         object.__setattr__(s, "elements", elements)
         return s
@@ -78,19 +77,6 @@ class _SortedSet:
     def __str__(self) -> str:
         return "{" + ",".join(str(x) for x in self.elements) + "}"
 
-
-class IntSet(_SortedSet):
-    """Immutable finite set of non-negative integers, kept sorted.
-
-    Canonical text form is ``{a1,a2,...,ak}`` with strictly increasing
-    elements and no spaces.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other: "IntSet") -> bool:
-        return self.elements < other.elements
-
     def __add__(self, other: "IntSet") -> "IntSet":
         return sumset(self, other)
 
@@ -115,15 +101,6 @@ class IntSet(_SortedSet):
         return IntSet._trusted(tuple(x + offset for x in self.elements))
 
 
-class DiffSet(_SortedSet):
-    """Immutable set of positive integers: the pairwise absolute differences
-    of some IntSet.  Empty exactly when the source set was a singleton."""
-
-    __slots__ = ()
-    _floor = 1
-    _noun, _below = "difference", "not positive"
-
-
 def _require_nonempty(a: IntSet, what: str) -> None:
     if len(a) == 0:
         raise ValueError(f"{what} requires a nonempty set")
@@ -144,35 +121,18 @@ def scale(n: int, a: IntSet) -> IntSet:
     return IntSet._trusted(tuple(sorted({n * x for x in a.elements})))
 
 
-def diff_set(a: IntSet) -> DiffSet:
-    """All absolute differences |x - y| over distinct x, y in a; empty for singletons."""
+def diff_set(a: IntSet) -> frozenset[int]:
+    """D(a): all absolute differences |x - y| over distinct x, y in a; empty
+    for singletons.  An edge uv is strong iff D(f(u)).isdisjoint(D(f(v)))."""
     _require_nonempty(a, "diff_set")
-    return DiffSet._trusted(tuple(sorted({y - x for x, y in combinations(a.elements, 2)})))
-
-
-def disjoint(d1: DiffSet, d2: DiffSet) -> bool:
-    """True iff the two difference sets share no element.
-
-    An empty difference set is disjoint from everything, itself included.
-    Both inputs are sorted, so a linear merge scan suffices.
-    """
-    e1, e2 = d1.elements, d2.elements
-    i = j = 0
-    while i < len(e1) and j < len(e2):
-        if e1[i] == e2[j]:
-            return False
-        if e1[i] < e2[j]:
-            i += 1
-        else:
-            j += 1
-    return True
+    return frozenset(y - x for x, y in combinations(a.elements, 2))
 
 
 def is_strong_pair(a: IntSet, b: IntSet) -> bool:
     """Whether the sumset attains maximal cardinality: |a+b| == |a|*|b|.
 
     Deliberately computed through the sumset itself, not through difference
-    sets, so the equivalence with `disjoint(diff_set(a), diff_set(b))` stays
+    sets, so the equivalence with `diff_set(a).isdisjoint(diff_set(b))` stays
     an independently testable theorem.
     """
     _require_nonempty(a, "is_strong_pair")

@@ -200,8 +200,7 @@ def reference_verify(g: Graph, f: Labeling) -> tuple[VerificationReport, dict]:
         size, full = len(edge_sums[(u, v)]), len(f[u]) * len(f[v])
         strong_edges.append(((u, v), size == full))
         if size != full:
-            mine = set(diff_set(f[u]).elements)
-            shared = [x for x in diff_set(f[v]).elements if x in mine]
+            shared = sorted(diff_set(f[u]) & diff_set(f[v]))
             witnesses.append(
                 f"edge ({u},{v}) is not strong: |{f[u]}+{f[v]}| = {size} "
                 f"< {full}; shared differences {{{','.join(map(str, shared))}}}"

@@ -98,6 +98,16 @@ def test_verify_missing_file_exits_two(files):
     assert main(["verify", gp, "/nonexistent/file.l"]) == 2
 
 
+@pytest.mark.parametrize("flag", [[], ["--strong"], ["--concurrent"]])
+def test_verify_empty_graph_exits_two(files, capsys, flag):
+    # An empty graph has no edges to check; it is refused, not passed vacuously.
+    _, _, raw, _ = files
+    gp, fp = raw("empty.g", ""), raw("empty.l", "")
+    assert main(["verify", gp, fp, *flag]) == 2
+    captured = capsys.readouterr()
+    assert "graph is empty" in captured.err and "outcome:" not in captured.out
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------

@@ -237,6 +237,23 @@ def test_chain_at_least_clique_number_for_wide_labels():
         assert chain_report(g, f).max_chain_length >= nourishing_number(g)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    p=st.sampled_from([0.3, 0.6, 0.9]),
+    labels=st.lists(
+        st.frozensets(st.integers(0, 6), min_size=1, max_size=3), min_size=7, max_size=7
+    ),
+)
+def test_chain_relation_matches_the_sumset_reference(seed, n, p, labels):
+    # The difference-set relation of each edge equals strength read from
+    # the sumset's cardinality.
+    g = random_graph(random.Random(seed), n, p)
+    f = Labeling({v: IntSet(labels[i]) for i, v in enumerate(g.sorted_vertices())})
+    assert chain_report(g, f).per_edge_relation == reference_verify(g, f)[0].strong_edges
+
+
 # ---------------------------------------------------------------------------
 # nourishing number
 # ---------------------------------------------------------------------------
