@@ -16,17 +16,17 @@ Exit codes are a contract:
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import construct as constructmod
 from . import graph as graphmod
 from . import labeling as labelingmod
 from . import oracle as oraclemod
-from .errors import InternalCheckError, ParseError, parse_natural
+from .errors import InternalCheckError, ParseError, parse_natural, to_json
 from .graph import Graph, clique_number, max_clique, read_graph, write_graph
 from .labeling import read_labeling, write_labeling
 
@@ -54,62 +54,18 @@ def _load(path: str, reader) -> tuple:
     return parsed, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _dumps(obj, newline: str = "\n") -> str:
-    """The text of `json.dumps(obj, indent=2, sort_keys=True)`, written
-    directly: with an indent the standard library falls back to its
-    pure-Python encoder.  Takes dicts with str keys, lists, tuples, str,
-    bool, None and int; anything else raises TypeError."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        parts = []
-        for x in obj:
-            # Strings and bools, most items of a report, skip the call.
-            if type(x) is str:
-                parts.append(encode_basestring_ascii(x))
-            elif x is True:
-                parts.append("true")
-            elif x is False:
-                parts.append("false")
-            else:
-                parts.append(_dumps(x, inner))
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = newline + "  "
-        items = []
-        for key, value in sorted(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + _dumps(value, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: float) -> None:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if fmt == "json":
         doc = {"command": command, "inputs": inputs, "outcome": outcome}
-        print(_dumps(doc))
+        print(to_json(doc))
         print(f'{{"timing_ms": {elapsed_ms:.1f}}}')
     else:
         print(f"command: {command}")
         for item in inputs:
             print(f"input: {item['path']} sha256={item['sha256']}")
         print("outcome:")
-        print(_dumps(outcome))
+        print(to_json(outcome))
         print(f"timing: {elapsed_ms:.1f} ms")
 
 
@@ -142,7 +98,7 @@ def _cmd_verify(args) -> int:
         outcome = {"property": prop, "holds": holds, "report": report.to_dict()}
 
     if args.output:
-        Path(args.output).write_text(_dumps(outcome) + "\n", encoding="utf-8")
+        Path(args.output).write_text(to_json(outcome) + "\n", encoding="utf-8")
     _emit("verify", [gin, fin], outcome, args.format, started)
     return EXIT_OK if holds else EXIT_PROPERTY_FAILED
 
@@ -192,7 +148,7 @@ def _cmd_construct(args) -> int:
     else:
         outcome["labeling_text"] = text
     if args.trace:
-        Path(args.trace).write_text(_dumps(trace) + "\n", encoding="utf-8")
+        Path(args.trace).write_text(to_json(trace) + "\n", encoding="utf-8")
     _emit("construct", inputs, outcome, args.format, started)
     return EXIT_OK
 
@@ -401,6 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # What a command builds (tuples, frozensets, dicts of names) holds no
+    # reference cycles, so reference counting frees it; the cyclic collector
+    # would only re-scan the per-edge objects.  The caller's state comes back.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except InternalCheckError as exc:
@@ -413,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         reason = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else exc
         print(f"error: {reason}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def console_main() -> None:

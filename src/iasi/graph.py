@@ -85,6 +85,18 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(es))
         object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
 
+    @classmethod
+    def _trusted(
+        cls, vertices: frozenset[str], edges: frozenset[tuple[str, str]], adj: dict[str, frozenset[str]]
+    ) -> "Graph":
+        """Wrap parts already checked: valid names, edges (u, v) with u < v
+        between them, and each vertex's neighbours, agreeing with the edges."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertices", vertices)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "_adj", adj)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
@@ -310,49 +322,83 @@ def is_triangle_free(g: Graph) -> bool:
 # text format
 # ---------------------------------------------------------------------------
 
+def _name_problem(name: str) -> str | None:
+    """Why `Graph` would refuse `name`, or None."""
+    try:
+        _check_name(name)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def read_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
     Lines: `# comment`, optional `p <n> <m>` header, `v <name>` vertex
     declarations, and `u v` edges.  A header, when present, must match the
-    final counts.
+    final counts.  The graph is built as the lines are read: an edge seen
+    before, in either orientation, is skipped, and each name is checked
+    once, when it first appears.
     """
-    vertices: set[str] = set()
+    adj: dict[str, set[str]] = {}
     edges: list[tuple[str, str]] = []
     header: tuple[int, int] | None = None
+    header_line = 0
+    # The first name `Graph` would refuse, raised once every line has parsed
+    # so that a malformed line anywhere is reported first.  A first token is
+    # never one: the line would be a header, a vertex line or a comment.
+    bad_name: tuple[str, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
-        if tokens[0] == "p":
+        first = tokens[0]
+        if len(tokens) == 2 and first != "p" and first != "v":
+            u, v = tokens
+            if u == v:
+                raise ParseError(f"self-loop at {u!r}", line=lineno)
+            nu = adj.get(u)
+            if nu is None:
+                nu = adj[u] = set()
+            elif v in nu:
+                continue
+            nv = adj.get(v)
+            if nv is None:
+                nv = adj[v] = set()
+                if bad_name is None and (problem := _name_problem(v)):
+                    bad_name = (problem, lineno)
+            nu.add(v)
+            nv.add(u)
+            edges.append((u, v) if u < v else (v, u))
+        elif first == "p":
             if header is not None:
                 raise ParseError("duplicate p header", line=lineno)
             counts = tuple(parse_natural(t) for t in tokens[1:])
             if len(counts) != 2 or None in counts:
                 raise ParseError("malformed header, expected 'p <n> <m>'", line=lineno)
-            header = counts
-        elif tokens[0] == "v":
+            header, header_line = counts, lineno
+        elif first == "v":
             if len(tokens) != 2:
                 raise ParseError("malformed vertex line, expected 'v <name>'", line=lineno)
-            vertices.add(tokens[1])
-        elif len(tokens) == 2:
-            if tokens[0] == tokens[1]:
-                raise ParseError(f"self-loop at {tokens[0]!r}", line=lineno)
-            vertices.update(tokens)
-            edges.append((tokens[0], tokens[1]))
+            name = tokens[1]
+            if name not in adj:
+                adj[name] = set()
+                if bad_name is None and (problem := _name_problem(name)):
+                    bad_name = (problem, lineno)
         else:
-            raise ParseError(f"unrecognized line {line!r}", line=lineno)
-    try:
-        g = Graph(vertices, edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    if header is not None and header != (len(g.vertices), len(g.edges)):
+            raise ParseError(f"unrecognized line {raw.strip()!r}", line=lineno)
+    if bad_name is not None:
+        problem, lineno = bad_name
+        raise ParseError(problem, line=lineno)
+    if header is not None and header != (len(adj), len(edges)):
         raise ParseError(
             f"header says {header[0]} vertices / {header[1]} edges, "
-            f"file has {len(g.vertices)} / {len(g.edges)}"
+            f"file has {len(adj)} / {len(edges)}",
+            line=header_line,
         )
-    return g
+    return Graph._trusted(
+        frozenset(adj), frozenset(edges), {v: frozenset(ns) for v, ns in adj.items()}
+    )
 
 
 def write_graph(g: Graph) -> str:

@@ -215,7 +215,10 @@ def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[Verificat
     strong_edges: list[tuple[Edge, bool]] = []
     weak: list[tuple[Edge, int]] = []
     sums: dict[Edge, IntSet] = {}
-    by_key: dict[tuple[int, int, int, int], list[Edge]] = {}
+    # Fingerprint -> its first edge; a repeated fingerprint also gets the
+    # list of all its edges, so a unique one allocates nothing more.
+    by_key: dict[tuple[int, int, int, int], Edge] = {}
+    repeats: dict[tuple[int, int, int, int], list[Edge]] = {}
     for e in edges:
         lo_u, hi_u, n_u, s_u, d_u = facts[e[0]]
         lo_v, hi_v, n_v, s_v, d_v = facts[e[1]]
@@ -232,24 +235,25 @@ def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[Verificat
             weak.append((e, card))
         cards.append(card)
         strong_edges.append((e, strong))
-        group = by_key.get(key)
-        if group is None:
-            by_key[key] = [e]
-        else:
-            group.append(e)
+        first = by_key.setdefault(key, e)
+        if first is not e:
+            group = repeats.get(key)
+            if group is None:
+                repeats[key] = [first, e]
+            else:
+                group.append(e)
 
     # Equal sumsets have equal fingerprints, so only a shared fingerprint
     # can hide a shared sumset.
     shared: list[tuple[list[Edge], IntSet]] = []
-    for group in by_key.values():
-        if len(group) > 1:
-            by_sum: dict[IntSet, list[Edge]] = {}
-            for e in group:
-                s = sums.get(e)
-                if s is None:
-                    s = sums[e] = sumset(f[e[0]], f[e[1]])
-                by_sum.setdefault(s, []).append(e)
-            shared.extend((es, s) for s, es in by_sum.items() if len(es) > 1)
+    for group in repeats.values():
+        by_sum: dict[IntSet, list[Edge]] = {}
+        for e in group:
+            s = sums.get(e)
+            if s is None:
+                s = sums[e] = sumset(f[e[0]], f[e[1]])
+            by_sum.setdefault(s, []).append(e)
+        shared.extend((es, s) for s, es in by_sum.items() if len(es) > 1)
     edge_injective = not shared
     for es, s in sorted(shared, key=lambda pair: pair[0]):
         names = ", ".join(f"({u},{v})" for u, v in es)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, to_json
 from .graph import Graph, complement, write_graph
 from .labeling import (
     Labeling,
@@ -580,7 +580,8 @@ def write_bundle(
     f: Labeling | None,
     report: dict,
 ) -> list[Path]:
-    """Serialize a (graph, labeling, report) evidence bundle to a directory."""
+    """Serialize a (graph, labeling, report) evidence bundle to a directory.
+    The report is written by `to_json`, so it holds what that takes."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / f"{name}.graph.txt"]
@@ -590,6 +591,6 @@ def write_bundle(
         p.write_text(write_labeling(f), encoding="utf-8")
         paths.append(p)
     rp = out / f"{name}.report.json"
-    rp.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    rp.write_text(to_json(report) + "\n", encoding="utf-8")
     paths.append(rp)
     return paths

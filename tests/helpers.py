@@ -16,6 +16,7 @@ import networkx as nx
 from iasi import (
     Graph,
     Labeling,
+    ParseError,
     VerificationReport,
     chain_report,
     complement,
@@ -24,6 +25,7 @@ from iasi import (
     sumset,
     verify,
 )
+from iasi.errors import parse_natural
 
 
 def from_networkx(G, prefix: str = "v") -> Graph:
@@ -215,3 +217,45 @@ def reference_verify(g: Graph, f: Labeling) -> tuple[VerificationReport, dict]:
         is_strong=is_iasi and all(ok for _, ok in strong_edges),
         witnesses=witnesses,
     ), edge_sums
+
+
+def reference_read_graph(text: str) -> Graph:
+    """`graph.read_graph` by way of `Graph.__init__`: the lines are collected,
+    then the constructor checks every name and edge.  A name it refuses and
+    a header count mismatch are reported at line 1."""
+    vertices: set[str] = set()
+    edges: list[tuple[str, str]] = []
+    header: tuple[int, int] | None = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "p":
+            if header is not None:
+                raise ParseError("duplicate p header", line=lineno)
+            counts = tuple(parse_natural(t) for t in tokens[1:])
+            if len(counts) != 2 or None in counts:
+                raise ParseError("malformed header, expected 'p <n> <m>'", line=lineno)
+            header = counts
+        elif tokens[0] == "v":
+            if len(tokens) != 2:
+                raise ParseError("malformed vertex line, expected 'v <name>'", line=lineno)
+            vertices.add(tokens[1])
+        elif len(tokens) == 2:
+            if tokens[0] == tokens[1]:
+                raise ParseError(f"self-loop at {tokens[0]!r}", line=lineno)
+            vertices.update(tokens)
+            edges.append((tokens[0], tokens[1]))
+        else:
+            raise ParseError(f"unrecognized line {line!r}", line=lineno)
+    try:
+        g = Graph(vertices, edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    if header is not None and header != (len(g.vertices), len(g.edges)):
+        raise ParseError(
+            f"header says {header[0]} vertices / {header[1]} edges, "
+            f"file has {len(g.vertices)} / {len(g.edges)}"
+        )
+    return g

@@ -1,8 +1,8 @@
 import random
 
 import pytest
-from helpers import random_graph
-from hypothesis import given
+from helpers import random_graph, reference_read_graph
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iasi import (
@@ -67,9 +67,89 @@ def test_graph_parser_rejects(text, fragment):
 
 
 def test_graph_parse_error_has_line_number():
-    with pytest.raises(ParseError) as exc:
-        read_graph("a b\n\nc c\n")
-    assert exc.value.line == 3
+    cases = [
+        ("a b\n\nc c\n", 3),
+        # A reserved name is reported where it first appears, a header count
+        # mismatch at its header.
+        ("a b\nv p\n", 2),
+        ("a #b\n", 1),
+        ("a b\nc v\nv #q\nd p\n", 2),
+        ("# a path\n\np 3 1\na b\n", 3),
+    ]
+    for text, line in cases:
+        with pytest.raises(ParseError) as exc:
+            read_graph(text)
+        assert exc.value.line == line, text
+
+
+# Edge lines, vertex lines, headers (good, malformed, repeated), comments,
+# blank lines, reserved names and self-loops, over a few names, with tabs,
+# Unicode spaces and every kind of line break.
+spaces = st.sampled_from([" ", "  ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"])
+line_breaks = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1e", "\x85", "\u2028"])
+names = st.sampled_from(["a", "b", "c", "pv", "é", "a:b", "p", "v", "#", "#q"])
+counts = st.sampled_from(["0", "1", "2", "3", "4", "x", "²", "٢"])
+line_tokens = st.one_of(
+    st.tuples(names, names).map(list),  # edges, self-loops, both orientations
+    st.tuples(st.just("v"), names).map(list),
+    st.tuples(st.just("p"), counts, counts).map(list),
+    st.lists(st.sampled_from(["p", "v"]) | names | counts, max_size=3),
+    st.tuples(st.sampled_from(["#", "# note", "#a"]), names).map(list),
+)
+
+
+@st.composite
+def graph_texts(draw):
+    lines = []
+    for tokens in draw(st.lists(line_tokens, max_size=10)):
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + draw(spaces).join(tokens) + pad + draw(line_breaks))
+    return "".join(lines)
+
+
+def _parse(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc
+
+
+def _message(exc: ParseError) -> str:
+    return str(exc).split(": ", 1)[1]
+
+
+@given(graph_texts())
+@example("p 3 1\na b\nb a\na b\nv c\n")
+@example("v #q\nv p\n")
+@example("p 2 1\nb a\n")
+@example("p 3 1\na b\n")
+def test_read_graph_agrees_with_the_reference_parser(text):
+    want, got = _parse(reference_read_graph, text), _parse(read_graph, text)
+    if isinstance(want, Graph):
+        assert got == want
+        assert all(got.neighbors(v) == want.neighbors(v) for v in want.vertices)
+        return
+    assert isinstance(got, ParseError), got
+    lines = [raw.split() for raw in text.splitlines()]
+    if "is reserved" in _message(want):
+        # The reference reports line 1 and whichever reserved name its set
+        # yields first; the parser, the first to appear and its line.  Every
+        # line parsed, so a reserved name is the second of two tokens on a
+        # line that is not a comment.
+        line, name = next(
+            (i, t[1])
+            for i, t in enumerate(lines, start=1)
+            if len(t) == 2 and t[0][0] != "#" and (t[1] in ("p", "v") or t[1][0] == "#")
+        )
+        assert (got.line, _message(got)) == (
+            line, f"vertex name {name!r} is reserved by the graph file format"
+        )
+    elif _message(want).startswith("header says"):
+        # The reference reports line 1; the parser, the header's line.
+        header = next(i for i, t in enumerate(lines, start=1) if t[:1] == ["p"])
+        assert (got.line, _message(got)) == (header, _message(want))
+    else:
+        assert (got.line, _message(got)) == (want.line, _message(want))
 
 
 # ---------------------------------------------------------------------------
