@@ -135,22 +135,29 @@ def lemma_oracle(universe_max: int) -> LemmaCheck:
 # ---------------------------------------------------------------------------
 
 class _Space:
-    """Pairwise facts about the candidate labels, one pass per unordered pair.
+    """Pairwise facts about the candidate labels, one product per unordered pair.
 
     `strong[i]` is a bitmask of the j with |L_i + L_j| == |L_i| * |L_j|
-    (read from the sumset, the cardinality route); `ddisjoint[i]` marks the
-    j whose difference sets avoid L_i's (the difference route).  The
-    searches prune with the former and audit with the latter, so a failure
-    of the equivalence would surface as a disagreement instead of being
-    assumed away.  Each sumset is built as a bitmask, OR(mask(L_j) << a for
-    a in L_i): its popcount is |L_i + L_j| and it is an exact key for the
-    sumset.  With `sum_ids`, `sum_id[i][j]` names the sumset of each strong
-    pair by a small integer, equal exactly when the sumsets are, and
-    `partners[i]` maps the id of each L_i + L_j to the bit of j.  That j is
-    unique: strong pairs repeat no sum, so L_i + X = L_i + Y makes the 0/1
-    polynomials satisfy L_i(t)X(t) = L_i(t)Y(t), hence X = Y.
-    `carriers` marks the labels with a nonempty difference set and
-    `mirror[i]` is the index of L_i reflected by x -> universe_max - x.
+    (read from a product, the cardinality route); `ddisjoint[i]` marks the
+    j whose difference sets avoid L_i's (the difference route: the labels
+    holding none of D(L_i)'s differences).  The searches prune with the
+    former and audit with the latter, so a failure of the equivalence would
+    surface as a disagreement instead of being assumed away.
+
+    Each label L becomes the 0/1 polynomial L(t) = sum of t^x over x in L,
+    evaluated at t = 2^w with field width w = (universe_max + 1).bit_length().
+    In L_i(t) * L_j(t) the field at s counts the ways s = a + b with a in
+    L_i, b in L_j; that count is at most |universe| < 2^w, so no field
+    carries into the next.  The |L_i| * |L_j| ways are all distinct sums,
+    i.e. the pair is strong, iff no field exceeds 1: one AND with the bits
+    above the lowest of every field.  The product of a strong pair is then
+    the sumset's indicator, an exact key for it.  With `sum_ids`,
+    `sum_id[i][j]` names the sumset of each strong pair by a small integer,
+    equal exactly when the sumsets are, and `partners[i]` maps the id of
+    each L_i + L_j to the bit of j.  That j is unique: L_i(t)X(t) =
+    L_i(t)Y(t) gives X = Y.  `carriers` marks the labels with a nonempty
+    difference set and `mirror[i]` is the index of L_i reflected by
+    x -> universe_max - x.
     """
 
     def __init__(self, cfg: OracleConfig, sum_ids: bool = True):
@@ -161,29 +168,38 @@ class _Space:
         rank = {m: i for i, m in enumerate(masks)}
         width = cfg.universe_max + 1
         self.mirror = [rank[int(f"{m:0{width}b}"[::-1], 2)] for m in masks]
+
         diffs = [diff_set(s) for s in labels]
         self.carriers = sum(bit for bit, d in zip(bits, diffs) if len(d) > 0)
-        self.strong = [0] * n
-        self.ddisjoint = [0] * n
+        holders: dict[int, int] = {}  # difference -> labels whose difference set holds it
+        for bit, d in zip(bits, diffs):
+            for x in d:
+                holders[x] = holders.get(x, 0) | bit
+        self.ddisjoint = []
+        for d in diffs:
+            shared = 0
+            for x in d:
+                shared |= holders[x]
+            self.ddisjoint.append(~shared & (1 << n) - 1)
+
+        w = width.bit_length()
+        spread = [sum(1 << w * x for x in s) for s in labels]
+        repeated = sum(((1 << w) - 2) << w * x for x in range(2 * width - 1))
+        self.strong = strong = [0] * n
         self.sum_id: list[list[int | None]] = [[None] * n for _ in range(n)] if sum_ids else []
         self.partners: list[dict[int, int]] = [{} for _ in range(n)] if sum_ids else []
         ids: dict[int, int] = {}
         for i in range(n):
-            elems, size = labels[i].elements, len(labels[i])
+            si, bi = spread[i], bits[i]
             for j in range(i, n):
-                s = 0
-                for a in elems:
-                    s |= masks[j] << a
-                if s.bit_count() == size * len(labels[j]):
-                    self.strong[i] |= bits[j]
-                    self.strong[j] |= bits[i]
+                p = si * spread[j]
+                if not p & repeated:
+                    strong[i] |= bits[j]
+                    strong[j] |= bi
                     if sum_ids:
-                        sid = self.sum_id[i][j] = self.sum_id[j][i] = ids.setdefault(s, len(ids))
+                        sid = self.sum_id[i][j] = self.sum_id[j][i] = ids.setdefault(p, len(ids))
                         self.partners[i][sid] = bits[j]
-                        self.partners[j][sid] = bits[i]
-                if diffs[i].isdisjoint(diffs[j]):
-                    self.ddisjoint[i] |= bits[j]
-                    self.ddisjoint[j] |= bits[i]
+                        self.partners[j][sid] = bi
 
 
 def _edge_indices(g: Graph, verts: list[str]) -> list[tuple[int, int]]:
@@ -269,30 +285,25 @@ def _chain_extension(space: _Space, used: int) -> tuple[int, int]:
     difference-disjoint subfamily (only labels with nonempty difference sets
     count), and the mask of the other carriers that extend some such
     subfamily of length c.  One more label x makes the longest chain c + 1
-    when x is in that mask, and leaves it c otherwise."""
-    members = []  # (bit, its disjointness row with its own bit set)
+    when x is in that mask, and leaves it c otherwise.
+
+    The subfamilies grow member by member: each is kept as (size, labels
+    difference-disjoint from every member), and a member is added to each
+    one it fits."""
+    families = [(0, -1)]
     rest = used & space.carriers
     while rest:
         bit = rest & -rest
-        members.append((bit, space.ddisjoint[bit.bit_length() - 1] | bit))
+        row = space.ddisjoint[bit.bit_length() - 1]
+        families += [(size + 1, reach & row) for size, reach in families if reach & bit]
         rest ^= bit
-    outside = space.carriers & ~used
-    best, up = 0, outside  # every carrier extends the empty chain
-    for pick in range(1, 1 << len(members)):
-        size = pick.bit_count()
-        if size < best:
-            continue
-        chosen, reach = 0, -1
-        for p, (bit, row) in enumerate(members):
-            if pick >> p & 1:
-                chosen |= bit
-                reach &= row
-        if chosen & ~reach:
-            continue  # some two picked labels share a difference
+    best, up = 0, 0
+    for size, reach in families:
         if size > best:
-            best, up = size, 0
-        up |= reach & outside
-    return best, up
+            best, up = size, reach
+        elif size == best:
+            up |= reach
+    return best, up & space.carriers & ~used
 
 
 @dataclass
@@ -523,11 +534,12 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
     # sample (witnesses 1-8, then each power-of-two-numbered one).
     last = len(verts) - 1
     count = 0
+    audit = 1  # the number of the next witness to sample
     bad: tuple[int, ...] | None = None
     sample: list[tuple[int, ...]] = []
 
     def visit(assign: list[int], used: int, mask: int) -> None:
-        nonlocal count, bad
+        nonlocal count, audit, bad
         if bad is None:
             reach = -1  # labels difference-disjoint from every assigned one
             for a in assign[:last]:
@@ -536,11 +548,12 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
             if flawed:
                 bad = (*assign[:last], _lowest(flawed))
         found = mask.bit_count()
-        for number in _audit_numbers(count, count + found):
+        while audit <= count + found:
             rest = mask
-            for _ in range(number - count - 1):
+            for _ in range(audit - count - 1):
                 rest &= rest - 1
             sample.append((*assign[:last], _lowest(rest)))
+            audit = audit + 1 if audit < 8 else audit << 1
         count += found
 
     for label in range(len(space.labels)):
@@ -560,17 +573,6 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
         all_witnesses_pairwise_disjoint=bad is None,
         disjointness_counterexample=to_labeling(bad) if bad is not None else None,
     )
-
-
-def _audit_numbers(lo: int, hi: int) -> list[int]:
-    """The witness numbers in lo+1..hi that the audit sample takes: 1-8 and
-    every power of two."""
-    numbers = list(range(lo + 1, min(hi, 8) + 1))
-    power = max(16, 1 << lo.bit_length())
-    while power <= hi:
-        numbers.append(power)
-        power <<= 1
-    return numbers
 
 
 def write_bundle(

@@ -259,3 +259,33 @@ def reference_read_graph(text: str) -> Graph:
             f"file has {len(g.vertices)} / {len(g.edges)}"
         )
     return g
+
+
+def reference_chain_extension(space, used: int) -> tuple[int, int]:
+    """`oracle._chain_extension` by testing every subset of the carriers in
+    `used`: (c, up), where c is the size of the largest pairwise
+    difference-disjoint subset and up the carriers outside `used` that
+    extend some disjoint subset of size c."""
+    members = []  # (bit, its disjointness row with its own bit set)
+    rest = used & space.carriers
+    while rest:
+        bit = rest & -rest
+        members.append((bit, space.ddisjoint[bit.bit_length() - 1] | bit))
+        rest ^= bit
+    outside = space.carriers & ~used
+    best, up = 0, outside  # every carrier extends the empty chain
+    for pick in range(1, 1 << len(members)):
+        size = pick.bit_count()
+        if size < best:
+            continue
+        chosen, reach = 0, -1
+        for p, (bit, row) in enumerate(members):
+            if pick >> p & 1:
+                chosen |= bit
+                reach &= row
+        if chosen & ~reach:
+            continue  # some two picked labels share a difference
+        if size > best:
+            best, up = size, 0
+        up |= reach & outside
+    return best, up

@@ -4,6 +4,7 @@ mirror pairing of partitions."""
 
 import json
 import random
+from functools import cache
 
 import pytest
 from helpers import (
@@ -11,6 +12,7 @@ from helpers import (
     naive_concurrent,
     naive_min_max_chain,
     random_graph,
+    reference_chain_extension,
     strong_labelings,
 )
 from hypothesis import given, settings
@@ -63,6 +65,23 @@ def test_minchain_matches_the_naive_scan_on_random_graphs(seed, n, p, universe_m
     g = random_graph(random.Random(seed), n, p)
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
     assert _minchain(g, cfg) == naive_min_max_chain(g, cfg)
+
+
+@cache
+def _space(universe_max: int, max_card: int):
+    return oraclemod._Space(OracleConfig(universe_max=universe_max, min_card=1, max_card=max_card))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), universe_max=st.integers(2, 7), max_card=st.integers(1, 3))
+def test_chain_extension_matches_the_subset_scan(data, universe_max, max_card):
+    # Cards from 1 put singletons, which carry no difference, among the labels.
+    space = _space(universe_max, max_card)
+    picked = data.draw(
+        st.lists(st.integers(0, len(space.labels) - 1), max_size=5, unique=True)
+    )
+    used = sum(1 << i for i in picked)
+    assert oraclemod._chain_extension(space, used) == reference_chain_extension(space, used)
 
 
 @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(4)], ids=["p4", "c4"])

@@ -26,7 +26,10 @@ TABLE_CONFIGS = [
     for u in (2, 4, 6)
     for c in (1, 2, 3)
     if c <= u + 1
-] + [OracleConfig(universe_max=4, min_card=1, max_card=5)]
+] + [
+    OracleConfig(universe_max=4, min_card=1, max_card=5),
+    OracleConfig(universe_max=7, min_card=2, max_card=3),
+]
 
 
 @pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=repr)
@@ -51,6 +54,24 @@ def test_pair_table_matches_both_routes(cfg):
         s = sumset(a, b)
         assert id_of_sumset.setdefault(s, sid) == sid
         assert sumset_of_id.setdefault(sid, s) == s
+
+
+def test_widest_fields_keep_the_strong_rows_exact():
+    # At the largest universe a product field is 4 bits wide and counts up
+    # to 11 ways to one sum.  Counts of 10 and 11 need two labels of at
+    # least 10 elements, so their rows hold every pair that reaches them.
+    top = oraclemod.UNIVERSE_LIMIT
+    cfg = OracleConfig(universe_max=top, min_card=1, max_card=top + 1)
+    space = oraclemod._Space(cfg, sum_ids=False)
+    labels = space.labels
+    wide = [i for i, a in enumerate(labels) if len(a) >= 10]
+    assert len(wide) == 12
+    for i in wide:
+        row = sum(1 << j for j, b in enumerate(labels) if is_strong_pair(labels[i], b))
+        assert space.strong[i] == row
+    check = lemma_oracle(top)
+    assert check.ok
+    assert check.pairs_checked == 4_190_209 == len(labels) ** 2
 
 
 def test_lemma_table_keeps_no_sumset_ids():
