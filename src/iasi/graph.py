@@ -3,12 +3,12 @@
 Vertices are opaque string names; a graph is an immutable (vertices, edges)
 pair.  Besides the five binary operations (union, intersection, join,
 Cartesian product, corona) and complement, the module houses the clique
-machinery: `max_clique`, a colour-bounded branch-and-bound over int bitsets
-that returns the lexicographically least maximum clique (ties broken by
-vertex name order); the clique number as its length; pivoted Bron-Kerbosch
-enumeration of all maximal cliques, the slow reference it is tested
-against; and a triangle test.  Worst-case exponential clique search is
-accepted; the intended inputs are desk scale.
+machinery: `clique_number`, Tomita & Seki's colour-sort branch-and-bound
+(MCQ) over int bitsets; `max_clique`, which finds ω that way and then grows
+the lexicographically least maximum clique one vertex name at a time;
+pivoted Bron-Kerbosch enumeration of all maximal cliques, the slow
+reference they are tested against; and a triangle test.  Worst-case
+exponential clique search is accepted; the intended inputs are desk scale.
 """
 
 from __future__ import annotations
@@ -256,62 +256,135 @@ def maximal_cliques(g: Graph) -> list[tuple[str, ...]]:
     return sorted(out)
 
 
+def _bitsets(g: Graph) -> tuple[dict[str, int], list[int], list[int]]:
+    """Each vertex's bit, and by bit index each vertex's neighbours and
+    non-neighbours (itself excluded) as bitsets.
+
+    Bit i is the i-th vertex in non-increasing degree order, ties broken by
+    name, so greedy colouring in bit order meets high degrees first (MCQ's
+    initial order).
+    """
+    adj = g._adj
+    order = sorted(sorted(adj), key=lambda v: -len(adj[v]))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    get = bit.__getitem__
+    rows = [sum(map(get, adj[v])) for v in order]
+    return bit, rows, [~row ^ bit[v] for v, row in zip(order, rows)]
+
+
+def _largest(
+    adj: list[int], non_adj: list[int], cand: int, target: int, best: int = 0
+) -> tuple[int, int]:
+    """Order of a largest clique inside bitset `cand` and that clique as a
+    bitset, stopping at the first clique of `target` vertices.
+
+    Only cliques larger than `best` are sought; if there is none the result
+    is `(best, 0)`.  Tomita & Seki's MCQ (2003) over int bitsets: each frame
+    greedily colours its candidates in bit order, and branches on them from
+    the highest colour down while clique size + colour can beat the best so
+    far.  A frame whose colour count equals its candidate count is a clique
+    (greedy colouring gives one class per vertex only there), so it is taken
+    whole without branching.  The stack of frames is explicit, so clique
+    size is not bound by the recursion limit.
+    """
+    found = 0
+    # Frames: [clique size, candidates left, vertices to branch on and
+    # their colours (ascending), bit of the vertex being tried].
+    stack: list[list] = []
+    size, sub = 0, cand
+    while True:
+        # Colour `sub`, the candidates of a clique of `size` vertices.  Only
+        # a vertex whose colour could lift the clique past `best` is kept
+        # for branching.
+        verts: list[int] = []
+        colours: list[int] = []
+        floor = best - size
+        rest, colour = sub, 0
+        while rest:
+            colour += 1
+            free = rest
+            while free:
+                low = free & -free
+                rest ^= low
+                v = low.bit_length() - 1
+                free &= non_adj[v]
+                if colour > floor:
+                    verts.append(v)
+                    colours.append(colour)
+        if colour == sub.bit_count():
+            if colour > floor:
+                best = size + colour
+                found = sub
+                for frame in stack:
+                    found |= frame[4]
+                if best >= target:
+                    return target, found
+        elif colour > floor:
+            stack.append([size, sub, verts, colours, 0])
+        while stack:
+            frame = stack[-1]
+            size, sub, verts, colours, _ = frame
+            if not verts or size + colours[-1] <= best:
+                stack.pop()
+                continue
+            v = verts.pop()
+            colours.pop()
+            frame[1] = sub ^ (1 << v)
+            frame[4] = 1 << v
+            size, sub = size + 1, sub & adj[v]
+            break
+        else:
+            return best, found
+
+
 def clique_number(g: Graph) -> int:
-    """Order of a largest clique."""
+    """Order of a largest clique: the colour-sort search of `_largest`
+    alone, with no lexicographic phase."""
     if not g.vertices:
         raise ValueError("clique number of the empty graph is undefined")
-    return len(max_clique(g))
-
-
-def _colours(cand: int, non_adj: list[int], cap: int) -> int:
-    """Classes of a greedy colouring of bitset `cand`, counted up to `cap`."""
-    k = 0
-    while cand and k < cap:
-        k += 1
-        free = cand
-        while free:
-            low = free & -free
-            cand ^= low
-            free &= non_adj[low.bit_length() - 1]
-    return k
+    _, adj, non_adj = _bitsets(g)
+    return _largest(adj, non_adj, (1 << len(adj)) - 1, len(adj))[0]
 
 
 def max_clique(g: Graph) -> tuple[str, ...]:
     """One largest clique, the lexicographically least among them.
 
-    Colour-bounded branch-and-bound over int bitsets (Tomita & Seki's MCQ,
-    San Segundo et al.'s BBMC): bit i is the i-th vertex by name, and a
-    child's candidates are the later vertices adjacent to it.  Depth first
-    and lowest candidate first, the search meets cliques in lexicographic
-    order and keeps a new best only if it is strictly larger, so it returns
-    `min(maximal_cliques(g), key=lambda c: (-len(c), c))`.  The stack is
-    explicit, so clique size is not bound by the recursion limit.
+    Two phases.  `_largest` first finds the clique number ω and one
+    ω-clique.  The least one is then grown one name at a time: walking the
+    names in sorted order, v joins the prefix when v is adjacent to every
+    member and some clique of the missing size lies among their common
+    neighbours and v's.  Each step so takes the least vertex of some
+    ω-clique through the prefix, and the result is
+    `min(maximal_cliques(g), key=lambda c: (-len(c), c))`.  The last
+    ω-clique found through the prefix answers for its own later vertices
+    without a search.
     """
     if not g.vertices:
         raise ValueError("empty graph has no clique")
-    names = g.sorted_vertices()
-    bit = {v: 1 << i for i, v in enumerate(names)}
-    full = (1 << len(names)) - 1
-    adj = [sum(bit[w] for w in g._adj[v]) for v in names]
-    non_adj = [full ^ a ^ bit[v] for v, a in zip(names, adj)]
-    best: tuple[int, ...] = ()
-    stack = [(best, full)]
-    while stack:
-        clique, cand = stack[-1]
-        if len(clique) + cand.bit_count() <= len(best):
-            stack.pop()
+    bits, adj, non_adj = _bitsets(g)
+    cand = (1 << len(adj)) - 1
+    omega, witness = _largest(adj, non_adj, cand, len(adj))
+    clique: list[str] = []
+    for v in sorted(bits):
+        bit = bits[v]
+        if not cand & bit:
             continue
-        low = cand & -cand
-        stack[-1] = (clique, cand ^ low)
-        v = low.bit_length() - 1
-        grown, sub = clique + (v,), cand & adj[v]
-        if len(grown) > len(best):
-            best = grown
-        # A child survives only if its candidates could still beat `best`.
-        room = len(best) - len(grown)
-        if sub.bit_count() > room and _colours(sub, non_adj, room + 1) > room:
-            stack.append((grown, sub))
-    return tuple(names[i] for i in best)
+        # A vertex passed over is in no ω-clique through the prefix, which
+        # only grows, so it leaves the candidates either way.
+        cand ^= bit
+        need = omega - len(clique) - 1
+        row = adj[bit.bit_length() - 1]
+        if need and not witness & bit:
+            # Only a clique of `need` vertices decides v, so none smaller is sought.
+            size, found = _largest(adj, non_adj, cand & row, need, need - 1)
+            if size < need:
+                continue
+            witness = found
+        clique.append(v)
+        if not need:
+            break
+        cand &= row
+    return tuple(clique)
 
 
 def is_triangle_free(g: Graph) -> bool:

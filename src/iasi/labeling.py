@@ -210,7 +210,6 @@ def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[Verificat
         e = label.elements
         facts[v] = (e[0], e[-1], len(e), sum(e), diff_set(label))
 
-    edges = g.sorted_edges()
     cards: list[int] = []
     strong_edges: list[tuple[Edge, bool]] = []
     weak: list[tuple[Edge, int]] = []
@@ -219,29 +218,34 @@ def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[Verificat
     # list of all its edges, so a unique one allocates nothing more.
     by_key: dict[tuple[int, int, int, int], Edge] = {}
     repeats: dict[tuple[int, int, int, int], list[Edge]] = {}
-    for e in edges:
-        lo_u, hi_u, n_u, s_u, d_u = facts[e[0]]
-        lo_v, hi_v, n_v, s_v, d_v = facts[e[1]]
-        strong = d_u.isdisjoint(d_v)
-        if strong:
-            # Every a + b is distinct, so the sumset's fingerprint is exact.
-            card = n_u * n_v
-            key = (lo_u + lo_v, hi_u + hi_v, card, n_v * s_u + n_u * s_v)
-        else:
-            s = sums[e] = sumset(f[e[0]], f[e[1]])
-            el = s.elements
-            card = len(el)
-            key = (el[0], el[-1], card, sum(el))
-            weak.append((e, card))
-        cards.append(card)
-        strong_edges.append((e, strong))
-        first = by_key.setdefault(key, e)
-        if first is not e:
-            group = repeats.get(key)
-            if group is None:
-                repeats[key] = [first, e]
+    # The edges in sorted order: each vertex by name, then its later
+    # neighbours by name.
+    adj = g._adj
+    for u in verts:
+        lo_u, hi_u, n_u, s_u, d_u = facts[u]
+        for v in sorted([w for w in adj[u] if w > u]):
+            e = (u, v)
+            lo_v, hi_v, n_v, s_v, d_v = facts[v]
+            strong = d_u.isdisjoint(d_v)
+            if strong:
+                # Every a + b is distinct, so the sumset's fingerprint is exact.
+                card = n_u * n_v
+                key = (lo_u + lo_v, hi_u + hi_v, card, n_v * s_u + n_u * s_v)
             else:
-                group.append(e)
+                s = sums[e] = sumset(f[u], f[v])
+                el = s.elements
+                card = len(el)
+                key = (el[0], el[-1], card, sum(el))
+                weak.append((e, card))
+            cards.append(card)
+            strong_edges.append((e, strong))
+            first = by_key.setdefault(key, e)
+            if first is not e:
+                group = repeats.get(key)
+                if group is None:
+                    repeats[key] = [first, e]
+                else:
+                    group.append(e)
 
     # Equal sumsets have equal fingerprints, so only a shared fingerprint
     # can hide a shared sumset.

@@ -173,4 +173,5 @@ def parse_int_set(text: str, line: int = 1, col_offset: int = 0) -> IntSet:
         pos += len(chunk) + 1
     if any(x <= y for x, y in zip(elements[1:], elements)):
         raise err("set elements must be strictly increasing", 1)
-    return IntSet(elements)
+    # parse_natural admits only ASCII-digit naturals, checked increasing above.
+    return IntSet._trusted(tuple(elements))

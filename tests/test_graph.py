@@ -11,6 +11,7 @@ from helpers import (
     from_networkx,
     is_isomorphic_brute,
     random_graph,
+    reference_max_clique,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -404,6 +405,54 @@ def test_clique_number_matches_networkx():
 
 def test_max_clique_is_not_bounded_by_the_recursion_limit():
     assert len(max_clique(complete_graph(1000))) == 1000
+
+
+def test_clique_number_is_not_bounded_by_the_recursion_limit():
+    # clique_number runs its own search, without the lexicographic phase.
+    depth = len(inspect.stack(0))
+    n = depth + 150
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        omega = clique_number(complete_graph(n))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert omega == n
+
+
+@st.composite
+def dense_and_sparse_graphs(draw):
+    n = draw(st.integers(1, 30))
+    p = draw(st.sampled_from([0.3, 0.5, 0.7, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    names = [f"v{i}" for i in range(n)]
+    return Graph(names, (e for e in combinations(names, 2) if rng.random() < p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_and_sparse_graphs())
+def test_max_clique_matches_the_name_order_search(g):
+    expected = reference_max_clique(g)
+    assert max_clique(g) == expected
+    assert clique_number(g) == len(expected)
+
+
+def _seeded_gnp(n, p, seed):
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(n)]
+    return Graph(names, (e for e in combinations(names, 2) if rng.random() < p))
+
+
+def test_max_clique_on_a_dense_graph_where_name_order_is_slow():
+    g = _seeded_gnp(120, 0.9, 1)
+    # Recorded once from reference_max_clique, which takes about 30 s here.
+    expected = (
+        "v0", "v102", "v104", "v107", "v108", "v110", "v111", "v112", "v13", "v14", "v21",
+        "v31", "v4", "v42", "v43", "v44", "v45", "v51", "v52", "v61", "v67", "v68", "v69",
+        "v77", "v78", "v8", "v84", "v85", "v94", "v95", "v97", "v98",
+    )
+    assert max_clique(g) == expected
+    assert clique_number(g) == 32
 
 
 def test_maximal_cliques_is_not_bounded_by_the_recursion_limit():
