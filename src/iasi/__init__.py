@@ -30,7 +30,6 @@ from .graph import (
     is_triangle_free,
     join,
     max_clique,
-    maximal_cliques,
     path_graph,
     petersen_graph,
     read_graph,

@@ -16,6 +16,7 @@ Exit codes are a contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import hashlib
 import sys
@@ -37,6 +38,8 @@ EXIT_INTERNAL = 3
 
 # op -> (arity, function of iasi.graph); the function is looked up by name at
 # call time, so a wrapper installed on the module (a profiler's) sees the call.
+# Subcommands dispatch the same way: the parser is built once per process, and
+# `main` looks up `_cmd_<command>` in this module on every call.
 OPS = {
     "union": (2, "union"),
     "join": (2, "join"),
@@ -302,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strong", action="store_true", help="require the strong condition")
     p.add_argument("--concurrent", action="store_true", help="require strength on graph and complement")
     common(p)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("construct", help="build a strong labeling")
     p.add_argument("graph")
@@ -313,18 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", help="write the JSON construction trace here")
     common(p)
-    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("nourish", help="nourishing number with a clique witness")
     p.add_argument("graph")
     common(p)
-    p.set_defaults(func=_cmd_nourish)
 
     p = sub.add_parser("ops", help="apply a graph operation and report invariants")
     p.add_argument("op", choices=sorted(OPS))
     p.add_argument("graphs", nargs="+")
     common(p)
-    p.set_defaults(func=_cmd_ops)
 
     p = sub.add_parser("oracle", help="exhaustive small-instance checks")
     osub = p.add_subparsers(dest="oracle_cmd", required=True)
@@ -332,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("lemma", help="sumset-cardinality vs difference-disjointness sweep")
     q.add_argument("--max", type=int, default=6, help="universe maximum")
     common(q)
-    q.set_defaults(func=_cmd_oracle)
 
     q = osub.add_parser("minchain", help="definitional nourishing number by enumeration")
     q.add_argument("graph")
@@ -341,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--vertex-limit", type=int, default=5)
     q.add_argument("--bundle-dir", help="emit a counterexample bundle here on disagreement")
     common(q)
-    q.set_defaults(func=_cmd_oracle)
 
     q = osub.add_parser("concurrent", help="search for a labeling strong on graph and complement")
     q.add_argument("graph")
@@ -349,21 +346,24 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max", type=int, default=6)
     q.add_argument("--vertex-limit", type=int, default=5)
     common(q)
-    q.set_defaults(func=_cmd_oracle)
 
     return parser
 
 
+# Filled by the first `main` call, not at import; parsing leaves no state on
+# the tree, so every later call in the process reuses it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # What a command builds (tuples, frozensets, dicts of names) holds no
     # reference cycles, so reference counting frees it; the cyclic collector
     # would only re-scan the per-edge objects.  The caller's state comes back.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

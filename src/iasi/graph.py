@@ -5,10 +5,11 @@ pair.  Besides the five binary operations (union, intersection, join,
 Cartesian product, corona) and complement, the module houses the clique
 machinery: `clique_number`, Tomita & Seki's colour-sort branch-and-bound
 (MCQ) over int bitsets; `max_clique`, which finds ω that way and then grows
-the lexicographically least maximum clique one vertex name at a time;
-pivoted Bron-Kerbosch enumeration of all maximal cliques, the slow
-reference they are tested against; and a triangle test.  Worst-case
-exponential clique search is accepted; the intended inputs are desk scale.
+the lexicographically least maximum clique one vertex name at a time; and a
+triangle test.  Their slow references, pivoted Bron-Kerbosch enumeration of
+all maximal cliques and the former search in name order, live with the
+tests.  Worst-case exponential clique search is accepted; the intended
+inputs are desk scale.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "complement",
     "cartesian_product",
     "corona",
-    "maximal_cliques",
     "clique_number",
     "max_clique",
     "is_triangle_free",
@@ -235,27 +235,6 @@ def corona(g1: Graph, g2: Graph) -> Graph:
 # cliques
 # ---------------------------------------------------------------------------
 
-def maximal_cliques(g: Graph) -> list[tuple[str, ...]]:
-    """All maximal cliques via Bron-Kerbosch with Tomita's pivot: the slow
-    reference for `max_clique`.  Each clique sorted, cliques listed sorted."""
-    adj = g._adj
-    out: list[tuple[str, ...]] = []
-    # An explicit stack of (r, p, x) calls, so clique size is not bounded by
-    # the recursion limit; a child's sets are copied before p and x move on.
-    stack = [(set(), set(g.vertices), set())]
-    while stack:
-        r, p, x = stack.pop()
-        if not p and not x:
-            out.append(tuple(sorted(r)))
-            continue
-        pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
-        for v in sorted(p - adj[pivot]):
-            stack.append((r | {v}, p & adj[v], x & adj[v]))
-            p.remove(v)
-            x.add(v)
-    return sorted(out)
-
-
 def _bitsets(g: Graph) -> tuple[dict[str, int], list[int], list[int]]:
     """Each vertex's bit, and by bit index each vertex's neighbours and
     non-neighbours (itself excluded) as bitsets.
@@ -354,10 +333,9 @@ def max_clique(g: Graph) -> tuple[str, ...]:
     names in sorted order, v joins the prefix when v is adjacent to every
     member and some clique of the missing size lies among their common
     neighbours and v's.  Each step so takes the least vertex of some
-    ω-clique through the prefix, and the result is
-    `min(maximal_cliques(g), key=lambda c: (-len(c), c))`.  The last
-    ω-clique found through the prefix answers for its own later vertices
-    without a search.
+    ω-clique through the prefix, and the result is the least of the largest
+    maximal cliques, each a sorted tuple.  The last ω-clique found through
+    the prefix answers for its own later vertices without a search.
     """
     if not g.vertices:
         raise ValueError("empty graph has no clique")

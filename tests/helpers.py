@@ -73,6 +73,28 @@ def random_graph_corpus(count: int, seed: int, max_n: int = 50) -> list[Graph]:
     ]
 
 
+def maximal_cliques(g: Graph) -> list[tuple[str, ...]]:
+    """All maximal cliques via Bron-Kerbosch with Tomita's pivot: the slow
+    reference for `graph.max_clique` and `graph.clique_number`.  Each clique
+    sorted, cliques listed sorted."""
+    adj = g._adj
+    out: list[tuple[str, ...]] = []
+    # An explicit stack of (r, p, x) calls, so clique size is not bounded by
+    # the recursion limit; a child's sets are copied before p and x move on.
+    stack = [(set(), set(g.vertices), set())]
+    while stack:
+        r, p, x = stack.pop()
+        if not p and not x:
+            out.append(tuple(sorted(r)))
+            continue
+        pivot = max(sorted(p | x), key=lambda u: len(adj[u] & p))
+        for v in sorted(p - adj[pivot]):
+            stack.append((r | {v}, p & adj[v], x & adj[v]))
+            p.remove(v)
+            x.add(v)
+    return sorted(out)
+
+
 def brute_maximal_cliques(g: Graph) -> set[frozenset[str]]:
     """Maximal cliques by scanning every vertex subset.  Only for tiny graphs."""
     verts = g.sorted_vertices()

@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import iasi
 from iasi import (
     ConstructionSpec,
     Graph,
+    OracleConfig,
     complete_graph,
     construct_strong,
     cycle_graph,
+    min_max_chain,
     path_graph,
     petersen_graph,
     read_labeling,
@@ -15,7 +22,7 @@ from iasi import (
     write_graph,
     write_labeling,
 )
-from iasi.cli import main
+from iasi.cli import build_parser, main
 
 
 @pytest.fixture
@@ -484,7 +491,6 @@ def test_each_input_is_read_once(files, capsys, monkeypatch):
 
 def test_nourish_searches_for_a_max_clique_once(files, capsys, monkeypatch):
     import iasi.cli as climod
-    import iasi.graph as graphmod
 
     graph_file, _, _, _ = files
     gp = graph_file("k5.g", complete_graph(5))
@@ -495,12 +501,93 @@ def test_nourish_searches_for_a_max_clique_once(files, capsys, monkeypatch):
         calls.append(len(g.vertices))
         return real(g)
 
-    def reference(g):
-        raise AssertionError("the ω path went through the sorted reference")
-
     monkeypatch.setattr(climod, "max_clique", counting)
-    monkeypatch.setattr(graphmod, "maximal_cliques", reference)
     assert main(["nourish", gp]) == 0
     assert calls == [5]
     doc = outcome_of(capsys)
     assert doc["nourishing_number"] == doc["clique_number"] == len(doc["max_clique"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# repeated in-process calls (the parser is built once per process)
+# ---------------------------------------------------------------------------
+
+def test_consecutive_calls_do_not_share_options(files, capsys):
+    graph_file, labeling_file, _, _ = files
+    g = cycle_graph(4)
+    gp = graph_file("c4.g", g)
+    fp = labeling_file("c4.l", construct_strong(g, ConstructionSpec(cardinalities=2)))
+    assert main(["verify", gp, fp, "--strong"]) == 0
+    assert outcome_of(capsys)["property"] == "strong"
+    assert main(["verify", gp, fp]) == 0
+    assert outcome_of(capsys)["property"] == "iasi"
+
+    k2 = complete_graph(2)
+    kp = graph_file("k2.g", k2)
+    assert main(["oracle", "minchain", kp, "--cards", "3", "--max", "5"]) == 0
+    three = outcome_of(capsys)["strong_labelings"]
+    assert main(["oracle", "minchain", kp, "--max", "5"]) == 0
+    two = outcome_of(capsys)["strong_labelings"]
+    assert two == min_max_chain(k2, OracleConfig(universe_max=5)).strong_count != three
+
+
+def test_an_argparse_exit_leaves_the_next_call_intact(files, capsys):
+    graph_file, _, _, _ = files
+    gp = graph_file("k3.g", complete_graph(3))
+    with pytest.raises(SystemExit) as exc:
+        main(["nourish", gp, "--no-such-option"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+    assert main(["nourish", gp]) == 0
+    assert outcome_of(capsys)["max_clique"] == ["v0", "v1", "v2"]
+
+
+def test_a_wrapper_installed_after_the_first_call_sees_later_calls(files, capsys, monkeypatch):
+    import iasi.cli as climod
+
+    graph_file, _, _, _ = files
+    gp = graph_file("k3.g", complete_graph(3))
+    assert main(["nourish", gp]) == 0
+    capsys.readouterr()
+    calls = []
+    real = climod._cmd_nourish
+
+    def wrapper(args):
+        calls.append(args.graph)
+        return real(args)
+
+    monkeypatch.setattr(climod, "_cmd_nourish", wrapper)
+    assert main(["nourish", gp]) == 0
+    assert calls == [gp]
+    assert outcome_of(capsys)["nourishing_number"] == 3
+
+
+def test_import_builds_no_parser_and_the_first_call_builds_it_once(tmp_path):
+    # A fresh interpreter, so that no earlier test has filled the cache.
+    script = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting
+import iasi.cli
+assert built == [], built
+assert iasi.cli.main(["oracle", "lemma", "--max", "2"]) == 0
+first = len(built)
+assert iasi.cli.main(["oracle", "lemma", "--max", "2"]) == 0
+assert first > 0 and len(built) == first, built
+"""
+    src = str(Path(iasi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

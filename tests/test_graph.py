@@ -10,6 +10,7 @@ from helpers import (
     connected_atlas,
     from_networkx,
     is_isomorphic_brute,
+    maximal_cliques,
     random_graph,
     reference_max_clique,
 )
@@ -29,7 +30,6 @@ from iasi import (
     is_triangle_free,
     join,
     max_clique,
-    maximal_cliques,
     path_graph,
     petersen_graph,
     star_graph,
