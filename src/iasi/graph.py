@@ -173,6 +173,17 @@ class Graph:
 # operations
 # ---------------------------------------------------------------------------
 
+def _assembled(vertices: frozenset[str], edges: set[tuple[str, str]]) -> Graph:
+    """The graph of valid names and edges (u, v), u < v, between them, built
+    without checking either again, as the operations below build theirs
+    from valid graphs."""
+    adj: dict[str, list[str]] = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph._trusted(vertices, frozenset(edges), {v: frozenset(ns) for v, ns in adj.items()})
+
+
 def union(g1: Graph, g2: Graph) -> Graph:
     """Name-based union: shared names identify shared vertices."""
     return Graph(g1.vertices | g2.vertices, g1.edges | g2.edges)
@@ -187,8 +198,8 @@ def join(g1: Graph, g2: Graph) -> Graph:
     clash = g1.vertices & g2.vertices
     if clash:
         raise ValueError(f"join requires disjoint vertex names; shared: {sorted(clash)}")
-    cross = ((u, v) for u in g1.vertices for v in g2.vertices)
-    return Graph(g1.vertices | g2.vertices, list(g1.edges) + list(g2.edges) + list(cross))
+    cross = {(u, v) if u < v else (v, u) for u in g1.vertices for v in g2.vertices}
+    return _assembled(g1.vertices | g2.vertices, g1.edges | g2.edges | cross)
 
 
 def complement(g: Graph) -> Graph:
@@ -198,37 +209,46 @@ def complement(g: Graph) -> Graph:
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Box product: (u1,u2) ~ (v1,v2) iff equal in one coordinate and
-    adjacent in the other.  |V| = p1*p2 and |E| = p1*q2 + p2*q1."""
+    adjacent in the other.  |V| = p1*p2 and |E| = p1*q2 + p2*q1.
+    Names of valid graphs joined by PRODUCT_SEP are valid; a collision
+    between them is refused."""
     name = {}
     for u in g1.vertices:
         for v in g2.vertices:
             name[(u, v)] = f"{u}{PRODUCT_SEP}{v}"
-    if len(set(name.values())) != len(name):
+    vertices = frozenset(name.values())
+    if len(vertices) != len(name):
         raise ValueError("product vertex naming collides; rename inputs first")
-    edges = []
+    edges = set()
     for u in g1.vertices:
-        for a, b in g2.edges:
-            edges.append((name[(u, a)], name[(u, b)]))
+        # The shared prefix "u×" keeps a < b.
+        edges.update((name[(u, a)], name[(u, b)]) for a, b in g2.edges)
     for a, b in g1.edges:
         for v in g2.vertices:
-            edges.append((name[(a, v)], name[(b, v)]))
-    return Graph(name.values(), edges)
+            # Not so here: "x10×v" < "x1×v" though "x1" < "x10".
+            x, y = name[(a, v)], name[(b, v)]
+            edges.add((x, y) if x < y else (y, x))
+    return _assembled(vertices, edges)
 
 
 def corona(g1: Graph, g2: Graph) -> Graph:
     """One copy of g1; for its i-th vertex, a fresh copy of g2 fully joined
-    to that vertex.  |V| = p1*(1+p2) and |E| = q1 + p1*q2 + p1*p2."""
+    to that vertex.  |V| = p1*(1+p2) and |E| = q1 + p1*q2 + p1*p2.
+    A copy's name that is already taken is refused."""
     roots = g1.sorted_vertices()
     vertices = set(g1.vertices)
-    edges = list(g1.edges)
+    edges = set(g1.edges)
     for i, u in enumerate(roots):
         copy = {w: f"{u}{CORONA_SEP}{i}:{w}" for w in g2.vertices}
-        if vertices & set(copy.values()):
+        names = frozenset(copy.values())
+        if vertices & names:
             raise ValueError("corona vertex naming collides; rename inputs first")
-        vertices |= set(copy.values())
-        edges.extend((copy[a], copy[b]) for a, b in g2.edges)
-        edges.extend((u, cw) for cw in copy.values())
-    return Graph(vertices, edges)
+        vertices |= names
+        # Names with one prefix keep their order: copy[a] < copy[b] as a < b,
+        # and u is a prefix of, so less than, each of its copy's names.
+        edges.update((copy[a], copy[b]) for a, b in g2.edges)
+        edges.update((u, cw) for cw in names)
+    return _assembled(frozenset(vertices), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from .errors import InternalCheckError, to_json
 from .graph import Graph, complement, write_graph
@@ -135,7 +136,8 @@ def lemma_oracle(universe_max: int) -> LemmaCheck:
 # ---------------------------------------------------------------------------
 
 class _Space:
-    """Pairwise facts about the candidate labels, one product per unordered pair.
+    """Pairwise facts about the candidate labels, one product per unordered
+    pair of translation classes.
 
     `strong[i]` is a bitmask of the j with |L_i + L_j| == |L_i| * |L_j|
     (read from a product, the cardinality route); `ddisjoint[i]` marks the
@@ -151,13 +153,22 @@ class _Space:
     carries into the next.  The |L_i| * |L_j| ways are all distinct sums,
     i.e. the pair is strong, iff no field exceeds 1: one AND with the bits
     above the lowest of every field.  The product of a strong pair is then
-    the sumset's indicator, an exact key for it.  With `sum_ids`,
-    `sum_id[i][j]` names the sumset of each strong pair by a small integer,
-    equal exactly when the sumsets are, and `partners[i]` maps the id of
-    each L_i + L_j to the bit of j.  That j is unique: L_i(t)X(t) =
-    L_i(t)Y(t) gives X = Y.  `carriers` marks the labels with a nonempty
-    difference set and `mirror[i]` is the index of L_i reflected by
-    x -> universe_max - x.
+    the sumset's indicator, an exact key for it.
+
+    Strength is invariant under translating either label, since (A + s) +
+    (B + t) = (A + B) + s + t.  So the labels fall into translation classes,
+    each represented by its member that holds 0, and only the pairs of
+    representatives take a product: a strong one ORs each class's whole
+    member mask into the other's row, and `strong[i]` is the row of L_i's
+    class.
+
+    With `sum_ids`, `sum_id[i][j]` names the sumset of each strong pair by a
+    small integer, equal exactly when the sumsets are, and `partners[i]`
+    maps the id of each L_i + L_j to the bit of j.  That j is unique:
+    L_i(t)X(t) = L_i(t)Y(t) gives X = Y.  Ids are handed out walking each
+    row's strong pairs with j >= i, rows in order.  `carriers` marks the
+    labels with a nonempty difference set and `mirror[i]` is the index of
+    L_i reflected by x -> universe_max - x.
     """
 
     def __init__(self, cfg: OracleConfig, sum_ids: bool = True):
@@ -185,21 +196,33 @@ class _Space:
         w = width.bit_length()
         spread = [sum(1 << w * x for x in s) for s in labels]
         repeated = sum(((1 << w) - 2) << w * x for x in range(2 * width - 1))
-        self.strong = strong = [0] * n
+        # cls[i]: the index of L_i's translate that holds 0; members[r]: r's class
+        cls = [rank[m >> _lowest(m)] for m in masks]
+        members = [0] * n
+        for bit, r in zip(bits, cls):
+            members[r] |= bit
+        reps = [r for r in range(n) if masks[r] & 1]
+        rows = [0] * n
+        for a, r in enumerate(reps):
+            sr, mr = spread[r], members[r]
+            for s in reps[a:]:
+                if not sr * spread[s] & repeated:
+                    rows[r] |= members[s]
+                    rows[s] |= mr
+        self.strong = strong = [rows[r] for r in cls]
+
         self.sum_id: list[list[int | None]] = [[None] * n for _ in range(n)] if sum_ids else []
         self.partners: list[dict[int, int]] = [{} for _ in range(n)] if sum_ids else []
+        if not sum_ids:
+            return
         ids: dict[int, int] = {}
         for i in range(n):
-            si, bi = spread[i], bits[i]
             for j in range(i, n):
-                p = si * spread[j]
-                if not p & repeated:
-                    strong[i] |= bits[j]
-                    strong[j] |= bi
-                    if sum_ids:
-                        sid = self.sum_id[i][j] = self.sum_id[j][i] = ids.setdefault(p, len(ids))
-                        self.partners[i][sid] = bits[j]
-                        self.partners[j][sid] = bi
+                if strong[i] >> j & 1:
+                    p = spread[i] * spread[j]
+                    sid = self.sum_id[i][j] = self.sum_id[j][i] = ids.setdefault(p, len(ids))
+                    self.partners[i][sid] = bits[j]
+                    self.partners[j][sid] = bits[i]
 
 
 def _edge_indices(g: Graph, verts: list[str]) -> list[tuple[int, int]]:
@@ -224,12 +247,32 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _twin_classes(g: Graph, verts: list[str]) -> list[list[int]]:
+    """The twin classes of two or more among vertices 1..n-1 of `verts`,
+    each in increasing order: true twins share their closed neighbourhoods
+    (N[u] = N[v]), false twins their open ones (N(u) = N(v)).
+
+    Swapping two twins is an automorphism, so it maps strong labelings to
+    strong labelings with the same labels.  No open neighbourhood is a
+    closed one (N(u) = N[v] puts v in N(u), so u in N(v), but u is not in
+    N(u)), and so no vertex has twins of both kinds.  Vertex 0 is left out;
+    the partition by its label and the mirror pairing of partitions
+    already fix it."""
+    groups: dict[frozenset[str], list[int]] = {}
+    for k in range(1, len(verts)):
+        around = g.neighbors(verts[k])
+        groups.setdefault(around, []).append(k)
+        groups.setdefault(around | {verts[k]}, []).append(k)
+    return [members for members in groups.values() if len(members) > 1]
+
+
 def _partials(
     space: _Space,
     n: int,
     edge_groups: list[list[tuple[int, int]]],
     first: int,
     visit: Callable[[list[int], int, int], None],
+    classes: Sequence[list[int]] = (),
 ) -> None:
     """Call `visit(assign, used, mask)` for every injective assignment of
     label indices to vertices 0..n-2 (n >= 2) with assign[0] = first that
@@ -241,7 +284,10 @@ def _partials(
     unused labels strong with each earlier neighbour, minus the partners
     whose sum with that neighbour's label is already taken in the group.
     Two new edges at one vertex never share a sum, by the argument in
-    `_Space` with the roles of the two labels swapped.
+    `_Space` with the roles of the two labels swapped.  Within each of
+    `classes` (lists of vertices 1..n-1 in increasing order), labels must
+    also increase in vertex order: one AND per level with the labels above
+    that of the class's previous vertex.
 
     Leaves (a partial, then each bit of its mask upward) come in
     lexicographic order; `assign` is reused, so copy it to keep it."""
@@ -251,6 +297,11 @@ def _partials(
     for g, edges in enumerate(edge_groups):
         for a, b in edges:
             earlier[b].append((g, a))
+    # above[k]: the vertex before k in its class, whose label k's must exceed
+    above: list[int | None] = [None] * n
+    for members in classes:
+        for a, b in zip(members, members[1:]):
+            above[b] = a
     strong, sum_id, partners = space.strong, space.sum_id, space.partners
     full_mask = (1 << len(space.labels)) - 1
     sums: list[list[int]] = [[] for _ in edge_groups]  # edge sumset ids taken, per group
@@ -258,6 +309,8 @@ def _partials(
 
     def search(k: int, used: int) -> None:
         allowed = full_mask & ~used
+        if above[k] is not None:
+            allowed &= -2 << assign[above[k]]
         for g, p in earlier[k]:
             row = partners[assign[p]]
             allowed &= strong[assign[p]]
@@ -404,6 +457,20 @@ def min_max_chain(
     members of each swept pair, are recorded at most once per
     CHECKPOINT_INTERVAL_S and after the last partition, and skipped on
     re-runs.
+
+    Within a partition, swapping twin vertices (`_twin_classes`) is an
+    automorphism that fixes vertex 0, so only the labelings whose labels
+    increase along each twin class are enumerated, each weighted by the
+    product of the classes' factorials.  Sorting a labeling's labels within
+    each class never makes it lexicographically later, so the first
+    minimiser is class-sorted and is still the witness.
+
+    A chain never shrinks as labels join.  So once a minimum is known, a
+    partial labeling whose placed labels already hold a chain that long has
+    no completion below it: its leaves are counted and not measured.  The
+    placed labels' chain comes from the facts of all but the last of them,
+    cached like the rest.  n - 1 labels hold no chain longer than n - 1, so
+    the test is skipped while the minimum is above that.
     """
     verts = _search_vertices(g, cfg)
     space = _Space(cfg)
@@ -411,6 +478,9 @@ def min_max_chain(
     total = len(labels)
     n = len(verts)
     edges = _edge_indices(g, verts)
+    classes = _twin_classes(g, verts)
+    # labelings per class-sorted one: the product of the class factorials
+    orbit = math.prod(math.factorial(len(members)) for members in classes)
 
     ckpt_key = hashlib.sha256(
         (write_graph(g) + repr(cfg)).encode("utf-8")
@@ -428,18 +498,26 @@ def min_max_chain(
         strong_count = state["strong_count"]
 
     last = n - 1
-    # (longest chain, extending carriers) per partial labeling, keyed by its label mask
+    # (longest chain, extending carriers) per set of labels, keyed by its label mask
     chains: dict[int, tuple[int, int]] = {}
 
-    def visit(assign: list[int], used: int, mask: int) -> None:
-        nonlocal best, best_assign, strong_count
-        strong_count += weight * mask.bit_count()
+    def facts(used: int) -> tuple[int, int]:
         known = chains.get(used)
         if known is None:
             if len(chains) >= CHAIN_CACHE_LIMIT:
                 chains.clear()
             known = chains[used] = _chain_extension(space, used)
-        c, up = known
+        return known
+
+    def visit(assign: list[int], used: int, mask: int) -> None:
+        nonlocal best, best_assign, strong_count
+        strong_count += weight * mask.bit_count()
+        if best is not None and best <= last:
+            x = assign[last - 1]
+            c, up = facts(used ^ 1 << x)
+            if c + (up >> x & 1) >= best:
+                return
+        c, up = facts(used)
         shorter = mask & ~up
         chain = c if shorter else c + 1
         if best is None or chain < best:
@@ -466,8 +544,8 @@ def min_max_chain(
             continue
         mirror = space.mirror[first]
         # A mirror already counted (a resumed checkpoint may list it alone) counts once.
-        weight = 1 if mirror in done or mirror == first else 2
-        _partials(space, n, [edges], first, visit)
+        weight = orbit if mirror in done or mirror == first else 2 * orbit
+        _partials(space, n, [edges], first, visit, classes)
         done.update((first, mirror))
         unsaved = True
         if ckpt is not None and time.monotonic() - saved_at >= CHECKPOINT_INTERVAL_S:

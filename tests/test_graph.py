@@ -266,6 +266,51 @@ def test_corona_clique_number_covers_both_branches():
     assert clique_number(corona(complete_graph(2, "a"), complete_graph(2, "b"))) == 3
 
 
+def test_product_and_corona_refuse_colliding_names():
+    with pytest.raises(ValueError, match="collides"):
+        # "a" × "b×c" and "a×b" × "c" are both named "a×b×c".
+        cartesian_product(Graph(["a", "a×b"], [("a", "a×b")]), Graph(["c", "b×c"]))
+    with pytest.raises(ValueError, match="collides"):
+        corona(Graph(["u", "u⊙0:w"], [("u", "u⊙0:w")]), Graph(["w"]))
+
+
+def test_product_orders_edges_whose_names_sort_against_their_factors():
+    # "x1" < "x10", but "x10×w" < "x1×w": the separator sorts after "0".
+    g = cartesian_product(Graph(["x1", "x10"], [("x1", "x10")]), Graph(["w"]))
+    assert g.edges == {("x10×w", "x1×w")}
+
+
+# Names where one is a prefix of another, so a name built from them can
+# sort against the order of its parts.
+_PREFIXED_NAMES = ["a", "ab", "abc", "b", "x", "x1", "x10", "x100", "x2", "1", "10", "9"]
+
+
+@st.composite
+def _named_graphs(draw, names):
+    vs = draw(st.lists(st.sampled_from(names), min_size=1, max_size=5, unique=True))
+    pairs = list(combinations(vs, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(vs, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), op=st.sampled_from([join, cartesian_product, corona]))
+def test_operations_build_what_the_validating_constructor_would(data, op):
+    g1 = data.draw(_named_graphs(_PREFIXED_NAMES))
+    # join needs disjoint names; the other two may share them.
+    rest = [v for v in _PREFIXED_NAMES if op is not join or v not in g1.vertices]
+    g2 = data.draw(_named_graphs(rest))
+    h = op(g1, g2)
+    checked = Graph(h.vertices, h.edges)
+    assert h == checked
+    assert all(u < v for u, v in h.edges)
+    assert isinstance(h.vertices, frozenset) and isinstance(h.edges, frozenset)
+    assert h._adj.keys() == checked._adj.keys()
+    for v in h.vertices:
+        assert isinstance(h.neighbors(v), frozenset)
+        assert h.neighbors(v) == checked.neighbors(v)
+
+
 # ---------------------------------------------------------------------------
 # cliques
 # ---------------------------------------------------------------------------

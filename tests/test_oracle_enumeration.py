@@ -1,8 +1,9 @@
 """The bitmask enumeration behind `min_max_chain` and `exists_concurrent`
-against naive permutation scans, and minchain checkpoints across the
-mirror pairing of partitions."""
+against naive permutation scans, twin-sorted enumeration on graphs rich in
+twins, and minchain checkpoints across the mirror pairing of partitions."""
 
 import json
+import math
 import random
 from functools import cache
 
@@ -20,12 +21,16 @@ from hypothesis import strategies as st
 
 import iasi.oracle as oraclemod
 from iasi import (
+    Graph,
     OracleConfig,
     chain_report,
+    complete_bipartite_graph,
+    complete_graph,
     cycle_graph,
     exists_concurrent,
     min_max_chain,
     path_graph,
+    star_graph,
     write_graph,
 )
 from iasi.cli import main
@@ -84,6 +89,63 @@ def test_chain_extension_matches_the_subset_scan(data, universe_max, max_card):
     assert oraclemod._chain_extension(space, used) == reference_chain_extension(space, used)
 
 
+# ---------------------------------------------------------------------------
+# twin classes
+# ---------------------------------------------------------------------------
+
+DIAMOND = Graph("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")])
+
+
+def _reversed(g: Graph) -> Graph:
+    """g with its names' sorted order reversed, so another vertex is vertex 0."""
+    verts = g.sorted_vertices()
+    return g.relabel({v: f"r{len(verts) - k}" for k, v in enumerate(verts)})
+
+
+# (graph, twin classes among vertices 1..n-1, product of their factorials).
+# Each graph comes named twice.  In a star the centre is vertex 0, which has
+# no twin, or a leaf is.  In K2,3 vertex 0 is in the part of two or of
+# three, and in the diamond among the true twins (degree 3) or the false
+# ones.  K4 and C4 look the same from every vertex.
+TWIN_GRAPHS = {
+    "k4": (complete_graph(4), [[1, 2, 3]], 6),
+    "k4-reversed": (_reversed(complete_graph(4)), [[1, 2, 3]], 6),
+    "k13-centre-first": (star_graph(3), [[1, 2, 3]], 6),
+    "k13-leaf-first": (_reversed(star_graph(3)), [[1, 2]], 2),
+    "k14-centre-first": (star_graph(4), [[1, 2, 3, 4]], 24),
+    "k14-leaf-first": (_reversed(star_graph(4)), [[1, 2, 3]], 6),
+    "k23-pair-first": (complete_bipartite_graph(2, 3), [[2, 3, 4]], 6),
+    "k23-triple-first": (_reversed(complete_bipartite_graph(2, 3)), [[1, 2], [3, 4]], 4),
+    "diamond-true-twin-first": (DIAMOND, [[1, 3]], 2),
+    "diamond-false-twin-first": (_reversed(DIAMOND), [[1, 3]], 2),
+    "c4": (cycle_graph(4), [[1, 3]], 2),
+    "c4-reversed": (_reversed(cycle_graph(4)), [[1, 3]], 2),
+}
+
+
+@pytest.mark.parametrize("name", TWIN_GRAPHS)
+def test_twin_classes_leave_vertex_zero_out(name):
+    g, classes, orbit = TWIN_GRAPHS[name]
+    found = oraclemod._twin_classes(g, g.sorted_vertices())
+    assert sorted(found) == classes
+    assert math.prod(math.factorial(len(c)) for c in found) == orbit
+
+
+@pytest.mark.parametrize(
+    "name, universe_max, cards",
+    [
+        (name, universe_max, cards)
+        for name, (g, _, _) in TWIN_GRAPHS.items()
+        # The permutation scan of 5 vertices over the 15 labels of U 0..5 is slow.
+        for universe_max, cards in [(4, 1), (4, 2)] + [(5, 2)] * (len(g.vertices) == 4)
+    ],
+)
+def test_minchain_matches_the_naive_scan_on_twin_graphs(name, universe_max, cards):
+    g = TWIN_GRAPHS[name][0]
+    cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
+    assert _minchain(g, cfg) == naive_min_max_chain(g, cfg)
+
+
 @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(4)], ids=["p4", "c4"])
 @pytest.mark.parametrize("universe_max, cards", [(4, 1), (5, 2), (6, 2)])
 def test_concurrent_matches_the_naive_scan(g, universe_max, cards):
@@ -130,10 +192,9 @@ def test_mirror_is_the_reflection_and_an_involution():
 # checkpoints across the pairing
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("killed_after", [1, 3, 6])
-def test_minchain_killed_mid_sweep_resumes_to_the_same_result(tmp_path, monkeypatch, killed_after):
-    g, cfg = path_graph(4), OracleConfig(universe_max=5)
-    clean = _minchain(g, cfg)
+def _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch):
+    """Kill a checkpointed sweep after `killed_after` complete writes, check
+    the file holds the last of them, and return the resumed result."""
     real = oraclemod._write_checkpoint
     written = []
     monkeypatch.setattr(oraclemod, "CHECKPOINT_INTERVAL_S", 0)
@@ -152,7 +213,25 @@ def test_minchain_killed_mid_sweep_resumes_to_the_same_result(tmp_path, monkeypa
     state = json.loads(path.read_text())
     assert state == written[-1]
     assert 0 < len(state["done"]) < len(cfg.candidate_labels())
-    assert _minchain(g, cfg, checkpoint_dir=str(tmp_path)) == clean
+    return _minchain(g, cfg, checkpoint_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("killed_after", [1, 3, 6])
+def test_minchain_killed_mid_sweep_resumes_to_the_same_result(tmp_path, monkeypatch, killed_after):
+    g, cfg = path_graph(4), OracleConfig(universe_max=5)
+    clean = _minchain(g, cfg)
+    assert _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch) == clean
+
+
+@pytest.mark.parametrize("name", ["k13-leaf-first", "diamond-false-twin-first"])
+@pytest.mark.parametrize("killed_after", [1, 4])
+def test_minchain_on_a_twin_graph_resumed_mid_sweep_gives_the_uninterrupted_result(
+    tmp_path, monkeypatch, name, killed_after
+):
+    g, cfg = TWIN_GRAPHS[name][0], OracleConfig(universe_max=5)
+    assert _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch) == naive_min_max_chain(
+        g, cfg
+    )
 
 
 def test_minchain_checkpoints_at_most_once_a_second_and_at_the_end(tmp_path, monkeypatch):

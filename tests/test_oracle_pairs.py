@@ -4,6 +4,7 @@ and the audit sample of the concurrent search."""
 from itertools import combinations_with_replacement
 
 import pytest
+from helpers import reference_pair_table
 
 import iasi.oracle as oraclemod
 from iasi import (
@@ -54,6 +55,17 @@ def test_pair_table_matches_both_routes(cfg):
         s = sumset(a, b)
         assert id_of_sumset.setdefault(s, sid) == sid
         assert sumset_of_id.setdefault(sid, s) == s
+
+
+@pytest.mark.parametrize(
+    "cfg", [*TABLE_CONFIGS, OracleConfig(universe_max=8, min_card=1, max_card=9)], ids=repr
+)
+def test_pair_table_from_translation_classes_matches_one_product_per_pair(cfg):
+    # The last configuration is the table of `oracle lemma --max 8`.
+    space = oraclemod._Space(cfg)
+    assert (space.strong, space.sum_id, space.partners) == reference_pair_table(cfg)
+    lean = oraclemod._Space(cfg, sum_ids=False)
+    assert (lean.strong, lean.sum_id, lean.partners) == reference_pair_table(cfg, sum_ids=False)
 
 
 def test_widest_fields_keep_the_strong_rows_exact():
