@@ -72,6 +72,14 @@ def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: fl
         print(f"timing: {elapsed_ms:.1f} ms")
 
 
+def _report(args, command: str, inputs: list[dict], outcome: dict, started: float) -> None:
+    """`_emit`, after writing the outcome block to `--output` when given: the
+    artifact of the commands whose report is their only product."""
+    if args.output:
+        Path(args.output).write_text(to_json(outcome) + "\n", encoding="utf-8")
+    _emit(command, inputs, outcome, args.format, started)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -100,9 +108,7 @@ def _cmd_verify(args) -> int:
         holds = report.is_strong if args.strong else report.is_iasi
         outcome = {"property": prop, "holds": holds, "report": report.to_dict()}
 
-    if args.output:
-        Path(args.output).write_text(to_json(outcome) + "\n", encoding="utf-8")
-    _emit("verify", [gin, fin], outcome, args.format, started)
+    _report(args, "verify", [gin, fin], outcome, started)
     return EXIT_OK if holds else EXIT_PROPERTY_FAILED
 
 
@@ -168,7 +174,7 @@ def _cmd_nourish(args) -> int:
         "clique_number": len(clique),
         "max_clique": list(clique),
     }
-    _emit("nourish", [gin], outcome, args.format, started)
+    _report(args, "nourish", [gin], outcome, started)
     return EXIT_OK
 
 
@@ -251,7 +257,7 @@ def _cmd_oracle(args) -> int:
         outcome["verdict"] = (
             "agrees on all pairs" if check.ok else "DISAGREEMENT FOUND"
         )
-        _emit("oracle", [], outcome, args.format, started)
+        _report(args, "oracle", [], outcome, started)
         return EXIT_OK if check.ok else EXIT_PROPERTY_FAILED
 
     g, gin = _load(args.graph, read_graph)
@@ -272,14 +278,14 @@ def _cmd_oracle(args) -> int:
         }
         if outcome["agree"] is False and args.bundle_dir:
             oraclemod.write_bundle(args.bundle_dir, "minchain-disagreement", g, result.witness, outcome)
-        _emit("oracle", [gin], outcome, args.format, started)
+        _report(args, "oracle", [gin], outcome, started)
         if outcome["agree"] is False:
             return EXIT_PROPERTY_FAILED
         return EXIT_OK
 
     result = oraclemod.exists_concurrent(g, cfg)
     outcome = {"check": "concurrent", **result.to_dict()}
-    _emit("oracle", [gin], outcome, args.format, started)
+    _report(args, "oracle", [gin], outcome, started)
     return EXIT_OK if result.all_witnesses_pairwise_disjoint else EXIT_PROPERTY_FAILED
 
 

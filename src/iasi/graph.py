@@ -1,7 +1,11 @@
 """Finite simple graphs and the operations studied by the library.
 
 Vertices are opaque string names; a graph is an immutable (vertices, edges)
-pair.  Besides the five binary operations (union, intersection, join,
+pair.  Every graph, checked by the constructor or not, is built by one
+private builder, `Graph._trusted`, the only code that stores each edge as
+(u, v) with u < v, drops repeats and fills each vertex's neighbours; the
+constructor, `read_graph` and every derivation of valid graphs call it.
+Besides the five binary operations (union, intersection, join,
 Cartesian product, corona) and complement, the module houses the clique
 machinery: `clique_number`, Tomita & Seki's colour-sort branch-and-bound
 (MCQ) over int bitsets; `max_clique`, which finds ω that way and then grows
@@ -14,7 +18,7 @@ inputs are desk scale.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Mapping
 
 from .errors import ParseError, parse_natural
@@ -58,12 +62,6 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _norm_edge(u: str, v: str) -> tuple[str, str]:
-    if u == v:
-        raise ValueError(f"self-loop at vertex {u!r}")
-    return (u, v) if u < v else (v, u)
-
-
 class Graph:
     """Immutable finite simple graph with string vertex identifiers."""
 
@@ -71,30 +69,38 @@ class Graph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         vs = frozenset(_check_name(v) for v in vertices)
-        es = set()
-        adj: dict[str, set[str]] = {v: set() for v in vs}
+        pairs = []
         for u, v in edges:
-            e = _norm_edge(u, v)
-            for x in e:
-                if x not in vs:
-                    raise ValueError(f"edge endpoint {x!r} is not a declared vertex")
-            es.add(e)
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
-        object.__setattr__(self, "vertices", vs)
-        object.__setattr__(self, "edges", frozenset(es))
-        object.__setattr__(self, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u!r}")
+            if u not in vs or v not in vs:
+                missing = min(x for x in (u, v) if x not in vs)
+                raise ValueError(f"edge endpoint {missing!r} is not a declared vertex")
+            pairs.append((u, v))
+        built = Graph._trusted(vs, pairs)
+        for slot in Graph.__slots__:
+            object.__setattr__(self, slot, getattr(built, slot))
 
     @classmethod
-    def _trusted(
-        cls, vertices: frozenset[str], edges: frozenset[tuple[str, str]], adj: dict[str, frozenset[str]]
-    ) -> "Graph":
-        """Wrap parts already checked: valid names, edges (u, v) with u < v
-        between them, and each vertex's neighbours, agreeing with the edges."""
+    def _trusted(cls, vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> "Graph":
+        """The graph on `vertices` with an edge for each of `pairs`, taken
+        without checking either: the names must be valid and each pair a
+        tuple of two distinct ones among them, in either order and possibly
+        repeated.
+
+        The one place a graph is built: each edge is stored once as (u, v)
+        with u < v, and each vertex's neighbours are filled from the edges.
+        """
+        vs = frozenset(vertices)
+        es = frozenset([e if e[0] < e[1] else e[::-1] for e in pairs])
+        adj: dict[str, list[str]] = {v: [] for v in vs}
+        for u, v in es:
+            adj[u].append(v)
+            adj[v].append(u)
         g = object.__new__(cls)
-        object.__setattr__(g, "vertices", vertices)
-        object.__setattr__(g, "edges", edges)
-        object.__setattr__(g, "_adj", adj)
+        object.__setattr__(g, "vertices", vs)
+        object.__setattr__(g, "edges", es)
+        object.__setattr__(g, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
         return g
 
     def __setattr__(self, name, value):
@@ -120,7 +126,7 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: str, v: str) -> bool:
-        return u != v and _norm_edge(u, v) in self.edges
+        return v in self._adj.get(u, ())
 
     def sorted_vertices(self) -> list[str]:
         return sorted(self.vertices)
@@ -137,7 +143,7 @@ class Graph:
         missing = ks - self.vertices
         if missing:
             raise ValueError(f"not vertices of this graph: {sorted(missing)}")
-        return Graph(ks, (e for e in self.edges if e[0] in ks and e[1] in ks))
+        return Graph._trusted(ks, (e for e in self.edges if e[0] in ks and e[1] in ks))
 
     def relabel(self, mapping: Mapping[str, str] | Callable[[str], str]) -> "Graph":
         """New graph with every vertex renamed through `mapping` (must stay injective)."""
@@ -145,7 +151,7 @@ class Graph:
         new = {v: _check_name(f(v)) for v in self.vertices}
         if len(set(new.values())) != len(new):
             raise ValueError("relabeling is not injective")
-        return Graph(new.values(), ((new[u], new[v]) for u, v in self.edges))
+        return Graph._trusted(new.values(), ((new[u], new[v]) for u, v in self.edges))
 
     def rename(self, prefix: str) -> "Graph":
         """Prefix every vertex name; the stock way to force disjointness before a union."""
@@ -173,24 +179,13 @@ class Graph:
 # operations
 # ---------------------------------------------------------------------------
 
-def _assembled(vertices: frozenset[str], edges: set[tuple[str, str]]) -> Graph:
-    """The graph of valid names and edges (u, v), u < v, between them, built
-    without checking either again, as the operations below build theirs
-    from valid graphs."""
-    adj: dict[str, list[str]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph._trusted(vertices, frozenset(edges), {v: frozenset(ns) for v, ns in adj.items()})
-
-
 def union(g1: Graph, g2: Graph) -> Graph:
     """Name-based union: shared names identify shared vertices."""
-    return Graph(g1.vertices | g2.vertices, g1.edges | g2.edges)
+    return Graph._trusted(g1.vertices | g2.vertices, g1.edges | g2.edges)
 
 
 def intersection(g1: Graph, g2: Graph) -> Graph:
-    return Graph(g1.vertices & g2.vertices, g1.edges & g2.edges)
+    return Graph._trusted(g1.vertices & g2.vertices, g1.edges & g2.edges)
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
@@ -198,13 +193,13 @@ def join(g1: Graph, g2: Graph) -> Graph:
     clash = g1.vertices & g2.vertices
     if clash:
         raise ValueError(f"join requires disjoint vertex names; shared: {sorted(clash)}")
-    cross = {(u, v) if u < v else (v, u) for u in g1.vertices for v in g2.vertices}
-    return _assembled(g1.vertices | g2.vertices, g1.edges | g2.edges | cross)
+    cross = ((u, v) for u in g1.vertices for v in g2.vertices)
+    return Graph._trusted(g1.vertices | g2.vertices, chain(g1.edges, g2.edges, cross))
 
 
 def complement(g: Graph) -> Graph:
     vs = g.sorted_vertices()
-    return Graph(vs, (e for e in combinations(vs, 2) if e not in g.edges))
+    return Graph._trusted(vs, (e for e in combinations(vs, 2) if e not in g.edges))
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
@@ -219,16 +214,9 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     vertices = frozenset(name.values())
     if len(vertices) != len(name):
         raise ValueError("product vertex naming collides; rename inputs first")
-    edges = set()
-    for u in g1.vertices:
-        # The shared prefix "u×" keeps a < b.
-        edges.update((name[(u, a)], name[(u, b)]) for a, b in g2.edges)
-    for a, b in g1.edges:
-        for v in g2.vertices:
-            # Not so here: "x10×v" < "x1×v" though "x1" < "x10".
-            x, y = name[(a, v)], name[(b, v)]
-            edges.add((x, y) if x < y else (y, x))
-    return _assembled(vertices, edges)
+    edges = [(name[(u, a)], name[(u, b)]) for u in g1.vertices for a, b in g2.edges]
+    edges += [(name[(a, v)], name[(b, v)]) for a, b in g1.edges for v in g2.vertices]
+    return Graph._trusted(vertices, edges)
 
 
 def corona(g1: Graph, g2: Graph) -> Graph:
@@ -237,18 +225,16 @@ def corona(g1: Graph, g2: Graph) -> Graph:
     A copy's name that is already taken is refused."""
     roots = g1.sorted_vertices()
     vertices = set(g1.vertices)
-    edges = set(g1.edges)
+    edges = list(g1.edges)
     for i, u in enumerate(roots):
         copy = {w: f"{u}{CORONA_SEP}{i}:{w}" for w in g2.vertices}
         names = frozenset(copy.values())
         if vertices & names:
             raise ValueError("corona vertex naming collides; rename inputs first")
         vertices |= names
-        # Names with one prefix keep their order: copy[a] < copy[b] as a < b,
-        # and u is a prefix of, so less than, each of its copy's names.
-        edges.update((copy[a], copy[b]) for a, b in g2.edges)
-        edges.update((u, cw) for cw in names)
-    return _assembled(frozenset(vertices), edges)
+        edges += [(copy[a], copy[b]) for a, b in g2.edges]
+        edges += [(u, cw) for cw in names]
+    return Graph._trusted(vertices, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -393,32 +379,20 @@ def is_triangle_free(g: Graph) -> bool:
 # text format
 # ---------------------------------------------------------------------------
 
-def _name_problem(name: str) -> str | None:
-    """Why `Graph` would refuse `name`, or None."""
-    try:
-        _check_name(name)
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def read_graph(text: str) -> Graph:
     """Parse the edge-list format.
 
     Lines: `# comment`, optional `p <n> <m>` header, `v <name>` vertex
     declarations, and `u v` edges.  A header, when present, must match the
-    final counts.  The graph is built as the lines are read: an edge seen
-    before, in either orientation, is skipped, and each name is checked
-    once, when it first appears.
+    counts of the graph built.  The graph is built once every line has
+    parsed, from the names and the edges as read, so an edge listed twice,
+    in either orientation, counts once.  Each name is checked once, and one
+    `Graph` would refuse is reported at the line it first appears on.
     """
-    adj: dict[str, set[str]] = {}
-    edges: list[tuple[str, str]] = []
+    first_seen: dict[str, int] = {}  # each name and the line it first appears on
+    pairs: list[tuple[str, str]] = []
     header: tuple[int, int] | None = None
     header_line = 0
-    # The first name `Graph` would refuse, raised once every line has parsed
-    # so that a malformed line anywhere is reported first.  A first token is
-    # never one: the line would be a header, a vertex line or a comment.
-    bad_name: tuple[str, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens or tokens[0][0] == "#":
@@ -428,19 +402,9 @@ def read_graph(text: str) -> Graph:
             u, v = tokens
             if u == v:
                 raise ParseError(f"self-loop at {u!r}", line=lineno)
-            nu = adj.get(u)
-            if nu is None:
-                nu = adj[u] = set()
-            elif v in nu:
-                continue
-            nv = adj.get(v)
-            if nv is None:
-                nv = adj[v] = set()
-                if bad_name is None and (problem := _name_problem(v)):
-                    bad_name = (problem, lineno)
-            nu.add(v)
-            nv.add(u)
-            edges.append((u, v) if u < v else (v, u))
+            pairs.append((u, v))
+            first_seen.setdefault(u, lineno)
+            first_seen.setdefault(v, lineno)
         elif first == "p":
             if header is not None:
                 raise ParseError("duplicate p header", line=lineno)
@@ -451,25 +415,24 @@ def read_graph(text: str) -> Graph:
         elif first == "v":
             if len(tokens) != 2:
                 raise ParseError("malformed vertex line, expected 'v <name>'", line=lineno)
-            name = tokens[1]
-            if name not in adj:
-                adj[name] = set()
-                if bad_name is None and (problem := _name_problem(name)):
-                    bad_name = (problem, lineno)
+            first_seen.setdefault(tokens[1], lineno)
         else:
             raise ParseError(f"unrecognized line {raw.strip()!r}", line=lineno)
-    if bad_name is not None:
-        problem, lineno = bad_name
-        raise ParseError(problem, line=lineno)
-    if header is not None and header != (len(adj), len(edges)):
+    # Names are checked only now, so that a malformed line anywhere is
+    # reported before a name `Graph` would refuse; the first such name wins.
+    for name, lineno in first_seen.items():
+        try:
+            _check_name(name)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    g = Graph._trusted(first_seen, pairs)
+    if header is not None and header != (len(g.vertices), len(g.edges)):
         raise ParseError(
             f"header says {header[0]} vertices / {header[1]} edges, "
-            f"file has {len(adj)} / {len(edges)}",
+            f"file has {len(g.vertices)} / {len(g.edges)}",
             line=header_line,
         )
-    return Graph._trusted(
-        frozenset(adj), frozenset(edges), {v: frozenset(ns) for v, ns in adj.items()}
-    )
+    return g
 
 
 def write_graph(g: Graph) -> str:

@@ -309,7 +309,7 @@ def chain_report(g: Graph, f: Labeling) -> ChainReport:
     carriers = sorted(v for v in g.vertices if len(diffs[v]) > 0)
     aux_edges = [(u, v) for u, v in combinations(carriers, 2) if diffs[u].isdisjoint(diffs[v])]
     if carriers:
-        aux = Graph(carriers, aux_edges)
+        aux = Graph._trusted(carriers, aux_edges)
         chain = list(graphmod.max_clique(aux))
     else:
         chain = []

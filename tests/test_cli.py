@@ -351,20 +351,38 @@ def test_json_format_keeps_timing_outside_outcome(files, capsys):
 # unreadable inputs and failed writes exit 2 naming the path
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("command", ["construct", "verify", "ops"])
-def test_output_into_missing_directory_exits_two(files, capsys, command):
-    graph_file, labeling_file, _, tmp = files
+def _argv(files, command: str) -> list[str]:
+    """A run of `command` that exits 0, on K2 where it takes a graph."""
+    graph_file, labeling_file, _, _ = files
     g = complete_graph(2, "a")
     gp = graph_file("k2.g", g)
-    argv = {
+    return {
         "construct": ["construct", gp],
         "verify": ["verify", gp, labeling_file("k2.l", construct_strong(g))],
         "ops": ["ops", "complement", gp],
+        "nourish": ["nourish", gp],
+        "lemma": ["oracle", "lemma", "--max", "3"],
+        "minchain": ["oracle", "minchain", gp, "--max", "3"],
+        # K2's complement has isolated vertices; P4's is P4.
+        "concurrent": ["oracle", "concurrent", graph_file("p4.g", path_graph(4))],
     }[command]
-    target = tmp / "missing" / "out.txt"
-    assert main([*argv, "--output", str(target)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command", ["construct", "verify", "ops", "nourish", "lemma", "minchain", "concurrent"]
+)
+def test_output_into_missing_directory_exits_two(files, capsys, command):
+    target = files[3] / "missing" / "out.txt"
+    assert main([*_argv(files, command), "--output", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {target}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "nourish", "lemma", "minchain", "concurrent"])
+def test_output_writes_the_printed_outcome(files, capsys, command):
+    target = files[3] / "report.json"
+    assert main([*_argv(files, command), "--output", str(target)]) == 0
+    assert json.loads(target.read_text(encoding="utf-8")) == outcome_of(capsys)
 
 
 def test_directory_as_input_exits_two(files, capsys):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from iasi import (
     Graph,
+    ParseError,
     cartesian_product,
     clique_number,
     complement,
@@ -32,6 +33,7 @@ from iasi import (
     max_clique,
     path_graph,
     petersen_graph,
+    read_graph,
     star_graph,
     union,
 )
@@ -293,14 +295,37 @@ def _named_graphs(draw, names):
     return Graph(vs, [e for e, k in zip(pairs, keep) if k])
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), op=st.sampled_from([join, cartesian_product, corona]))
+_BINARY = {
+    "union": union,
+    "intersection": intersection,
+    "join": join,
+    "cartesian_product": cartesian_product,
+    "corona": corona,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    op=st.sampled_from([*_BINARY, "complement", "induced", "relabel", "rename"]),
+)
 def test_operations_build_what_the_validating_constructor_would(data, op):
     g1 = data.draw(_named_graphs(_PREFIXED_NAMES))
-    # join needs disjoint names; the other two may share them.
-    rest = [v for v in _PREFIXED_NAMES if op is not join or v not in g1.vertices]
+    # join needs disjoint names; the others may share them.
+    rest = [v for v in _PREFIXED_NAMES if op != "join" or v not in g1.vertices]
     g2 = data.draw(_named_graphs(rest))
-    h = op(g1, g2)
+    if op == "complement":
+        h = complement(g1)
+    elif op == "induced":
+        h = g1.induced(g1.vertices & g2.vertices)
+    elif op == "relabel":
+        # A permutation of the names, so an edge's endpoints may swap order.
+        image = data.draw(st.permutations(_PREFIXED_NAMES))
+        h = g1.relabel(dict(zip(_PREFIXED_NAMES, image)))
+    elif op == "rename":
+        h = g1.rename(data.draw(st.sampled_from(["x", "x1", "1"])))
+    else:
+        h = _BINARY[op](g1, g2)
     checked = Graph(h.vertices, h.edges)
     assert h == checked
     assert all(u < v for u, v in h.edges)
@@ -309,6 +334,13 @@ def test_operations_build_what_the_validating_constructor_would(data, op):
     for v in h.vertices:
         assert isinstance(h.neighbors(v), frozenset)
         assert h.neighbors(v) == checked.neighbors(v)
+
+
+def test_read_graph_reports_a_refused_name_at_the_line_it_first_appears_on():
+    # Names are checked once every line has parsed; "#q" appears on lines 2-4.
+    with pytest.raises(ParseError) as exc:
+        read_graph("a b\nb #q\nc #q\nv #q\n")
+    assert exc.value.line == 2 and "'#q'" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

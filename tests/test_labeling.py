@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from helpers import (
@@ -21,6 +22,8 @@ from iasi import (
     construct_strong,
     ConstructionSpec,
     cycle_graph,
+    diff_set,
+    max_clique,
     nourishing_number,
     path_graph,
     petersen_graph,
@@ -252,6 +255,30 @@ def test_chain_relation_matches_the_sumset_reference(seed, n, p, labels):
     g = random_graph(random.Random(seed), n, p)
     f = Labeling({v: IntSet(labels[i]) for i, v in enumerate(g.sorted_vertices())})
     assert chain_report(g, f).per_edge_relation == reference_verify(g, f)[0].strong_edges
+
+
+def test_chain_disjointness_graph_is_the_one_the_constructor_builds(monkeypatch):
+    rng = random.Random(23)
+    g = random_graph(rng, 12, 0.5)
+    f = Labeling({v: IntSet(rng.sample(range(16), rng.randint(1, 3))) for v in g.sorted_vertices()})
+    built = []
+
+    def spy(aux):
+        built.append(aux)
+        return max_clique(aux)
+
+    monkeypatch.setattr("iasi.graph.max_clique", spy)
+    report = chain_report(g, f)
+    diffs = {v: diff_set(f[v]) for v in g.vertices}
+    carriers = [v for v in g.sorted_vertices() if diffs[v]]
+    pairs = [(u, v) for u, v in combinations(carriers, 2) if diffs[u].isdisjoint(diffs[v])]
+    checked = Graph(carriers, pairs)
+    # Singletons carry no differences; the rest are neither all nor never disjoint.
+    assert 0 < len(carriers) < len(g.vertices) and 0 < len(pairs) < len(carriers) * (len(carriers) - 1) // 2
+    [aux] = built
+    assert aux == checked
+    assert all(aux.neighbors(v) == checked.neighbors(v) for v in carriers)
+    assert report.max_chain == list(max_clique(checked))
 
 
 # ---------------------------------------------------------------------------
