@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="iasi",
         description="Strong integer additive set-indexers: verify, construct, analyze.",
-        epilog=f"Oracle sweeps checkpoint into ${oraclemod.CHECKPOINT_ENV} when set.",
+        epilog=f"oracle minchain checkpoints into ${oraclemod.CHECKPOINT_ENV} when set.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

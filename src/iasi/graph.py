@@ -106,6 +106,9 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):
+        return Graph._trusted, (self.vertices, self.edges)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)

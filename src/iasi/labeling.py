@@ -60,6 +60,9 @@ class Labeling:
     def __setattr__(self, name, value):
         raise AttributeError("Labeling is immutable")
 
+    def __reduce__(self):
+        return Labeling, (self._assignment,)
+
     def __getitem__(self, v: str) -> IntSet:
         return self._assignment[v]
 

@@ -20,7 +20,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .errors import InternalCheckError, to_json
 from .graph import Graph, complement, write_graph
@@ -225,11 +225,6 @@ class _Space:
                     self.partners[j][sid] = bits[i]
 
 
-def _edge_indices(g: Graph, verts: list[str]) -> list[tuple[int, int]]:
-    pos = {v: k for k, v in enumerate(verts)}
-    return sorted((min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in g.edges)
-
-
 def _search_vertices(g: Graph, cfg: OracleConfig) -> list[str]:
     """The sorted vertices of a graph the oracle agrees to search."""
     verts = sorted(g.vertices)
@@ -255,9 +250,9 @@ def _twin_classes(g: Graph, verts: list[str]) -> list[list[int]]:
     Swapping two twins is an automorphism, so it maps strong labelings to
     strong labelings with the same labels.  No open neighbourhood is a
     closed one (N(u) = N[v] puts v in N(u), so u in N(v), but u is not in
-    N(u)), and so no vertex has twins of both kinds.  Vertex 0 is left out;
-    the partition by its label and the mirror pairing of partitions
-    already fix it."""
+    N(u)), and so no vertex has twins of both kinds.  The complement swaps
+    the kinds and keeps the classes.  Vertex 0 is left out; the partition
+    by its label and the mirror pairing of partitions already fix it."""
     groups: dict[frozenset[str], list[int]] = {}
     for k in range(1, len(verts)):
         around = g.neighbors(verts[k])
@@ -266,71 +261,88 @@ def _twin_classes(g: Graph, verts: list[str]) -> list[list[int]]:
     return [members for members in groups.values() if len(members) > 1]
 
 
-def _partials(
+def _sweep(
     space: _Space,
-    n: int,
-    edge_groups: list[list[tuple[int, int]]],
-    first: int,
-    visit: Callable[[list[int], int, int], None],
-    classes: Sequence[list[int]] = (),
-) -> None:
-    """Call `visit(assign, used, mask)` for every injective assignment of
-    label indices to vertices 0..n-2 (n >= 2) with assign[0] = first that
-    some label completes: `used` marks the assigned labels and `mask` the
-    labels vertex n-1 can take so that every edge of every group is a
-    strong pair and the edge sumsets are distinct within each group.
+    verts: list[str],
+    graphs: tuple[Graph, ...],
+    leaf: Callable[[list[int], int, int, int], None],
+    done: Iterable[int] = (),
+) -> Iterator[set[int]]:
+    """Sweep the injective labelings of `verts` (n >= 2) by label index
+    strong on each of `graphs` (a graph, or it and its complement): every
+    edge a strong pair, each graph's edge sumsets distinct.  Partitions in
+    `done` are skipped; after each other one, yield the set counted.
 
-    Both conditions hold level by level.  A vertex's candidates are the
-    unused labels strong with each earlier neighbour, minus the partners
-    whose sum with that neighbour's label is already taken in the group.
-    Two new edges at one vertex never share a sum, by the argument in
-    `_Space` with the roles of the two labels swapped.  Within each of
-    `classes` (lists of vertices 1..n-1 in increasing order), labels must
-    also increase in vertex order: one AND per level with the labels above
-    that of the class's previous vertex.
+    The partitions are by vertex 0's label.  Reflecting every label by
+    x -> universe_max - x keeps strength, distinct edge sumsets and
+    difference sets, so a partition and its mirror are swept once, from the
+    lower, with weight 2 (1 if self-mirrored or the mirror is already
+    counted).  Swapping twins (`_twin_classes` of the first graph, the
+    complement's too) is an automorphism fixing vertex 0, so only labelings
+    whose labels increase along each class are swept, the weight times the
+    product of the class factorials.  Neither symmetry's representative is
+    lexicographically later, so the first labeling with a property both
+    keep is swept.
 
-    Leaves (a partial, then each bit of its mask upward) come in
-    lexicographic order; `assign` is reused, so copy it to keep it."""
+    `leaf(assign, used, mask, weight)` gets, in lexicographic order, each
+    assignment of vertices 0..n-2 (`assign`, reused: copy it to keep it)
+    that some label completes; `used` marks its labels, `mask` those vertex
+    n-1 can take.  A vertex's candidates are the unused labels strong with
+    each earlier neighbour, minus the partners whose sum with it is already
+    taken in that graph, and, in a twin class, above the previous member's
+    label.  Two new edges at one vertex never share a sum, by the argument
+    in `_Space` with the two labels' roles swapped."""
+    n = len(verts)
     last = n - 1
-    # earlier[k]: (group, neighbour) for each edge from vertex k to a lower vertex
+    pos = {v: k for k, v in enumerate(verts)}
+    # earlier[k]: (graph, neighbour) for each edge from vertex k to a lower vertex
     earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for g, edges in enumerate(edge_groups):
-        for a, b in edges:
-            earlier[b].append((g, a))
+    for h, graph in enumerate(graphs):
+        for u, v in sorted(graph.edges):  # u < v, and so pos[u] < pos[v]
+            earlier[pos[v]].append((h, pos[u]))
+    classes = _twin_classes(graphs[0], verts)
+    # labelings per class-sorted one: the product of the class factorials
+    orbit = math.prod(math.factorial(len(members)) for members in classes)
     # above[k]: the vertex before k in its class, whose label k's must exceed
-    above: list[int | None] = [None] * n
-    for members in classes:
-        for a, b in zip(members, members[1:]):
-            above[b] = a
+    above = {b: a for members in classes for a, b in zip(members, members[1:])}
     strong, sum_id, partners = space.strong, space.sum_id, space.partners
     full_mask = (1 << len(space.labels)) - 1
-    sums: list[list[int]] = [[] for _ in edge_groups]  # edge sumset ids taken, per group
-    assign = [first] * n
+    sums: list[list[int]] = [[] for _ in graphs]  # edge sumset ids taken, per graph
+    assign = [0] * n
 
     def search(k: int, used: int) -> None:
         allowed = full_mask & ~used
-        if above[k] is not None:
+        if k in above:
             allowed &= -2 << assign[above[k]]
-        for g, p in earlier[k]:
+        for h, p in earlier[k]:
             row = partners[assign[p]]
             allowed &= strong[assign[p]]
-            for s in sums[g]:
+            for s in sums[h]:
                 allowed &= ~row.get(s, 0)
         if k == last:
             if allowed:
-                visit(assign, used, allowed)
+                leaf(assign, used, allowed, weight)
             return
         while allowed:
             bit = allowed & -allowed
             x = assign[k] = bit.bit_length() - 1
-            for g, p in earlier[k]:
-                sums[g].append(sum_id[assign[p]][x])
+            for h, p in earlier[k]:
+                sums[h].append(sum_id[assign[p]][x])
             search(k + 1, used | bit)
-            for g, _ in earlier[k]:
-                sums[g].pop()
+            for h, _ in earlier[k]:
+                sums[h].pop()
             allowed ^= bit
 
-    search(1, 1 << first)
+    done = set(done)
+    for first in range(len(space.labels)):
+        if first in done:
+            continue
+        mirror = space.mirror[first]
+        weight = orbit if mirror in done or mirror == first else 2 * orbit
+        assign[0] = first
+        search(1, 1 << first)
+        done.update((first, mirror))
+        yield done
 
 
 def _chain_extension(space: _Space, used: int) -> tuple[int, int]:
@@ -446,24 +458,13 @@ def min_max_chain(
     """Enumerate every labeling in the space, keep the strong ones, and take
     the minimum of their longest chains.
 
-    The sweep is partitioned by the first vertex's label.  Reflecting every
-    label by x -> universe_max - x keeps strength, distinct edge sumsets and
-    difference sets, so partition `mirror[first]` has the same count and
-    chains as `first`: a pair is swept once from its lower member and
-    counted twice (a self-mirrored label once).  Its lower member's
-    labelings come first, so the lexicographically first minimiser is still
-    the one found.  With a checkpoint directory (argument or the
+    `_sweep` enumerates them up to mirror pairing and twin swaps, which keep
+    the chains, so the lexicographically first minimiser is still the
+    witness.  With a checkpoint directory (argument or the
     IASI_ORACLE_CHECKPOINT_DIR variable) the partitions counted so far, both
     members of each swept pair, are recorded at most once per
     CHECKPOINT_INTERVAL_S and after the last partition, and skipped on
     re-runs.
-
-    Within a partition, swapping twin vertices (`_twin_classes`) is an
-    automorphism that fixes vertex 0, so only the labelings whose labels
-    increase along each twin class are enumerated, each weighted by the
-    product of the classes' factorials.  Sorting a labeling's labels within
-    each class never makes it lexicographically later, so the first
-    minimiser is class-sorted and is still the witness.
 
     A chain never shrinks as labels join.  So once a minimum is known, a
     partial labeling whose placed labels already hold a chain that long has
@@ -477,22 +478,18 @@ def min_max_chain(
     labels = space.labels
     total = len(labels)
     n = len(verts)
-    edges = _edge_indices(g, verts)
-    classes = _twin_classes(g, verts)
-    # labelings per class-sorted one: the product of the class factorials
-    orbit = math.prod(math.factorial(len(members)) for members in classes)
 
     ckpt_key = hashlib.sha256(
         (write_graph(g) + repr(cfg)).encode("utf-8")
     ).hexdigest()[:16]
     ckpt = _checkpoint_path(checkpoint_dir, ckpt_key)
-    done: set[int] = set()
+    resumed: list[int] = []  # the partitions a checkpoint counted
     best: int | None = None
     best_assign: tuple[int, ...] | None = None
     strong_count = 0
     if ckpt is not None and ckpt.exists():
         state = _read_checkpoint(ckpt, ckpt_key, total, n)
-        done = set(state["done"])
+        resumed = state["done"]
         best = state["best"]
         best_assign = tuple(state["witness"]) if state["witness"] is not None else None
         strong_count = state["strong_count"]
@@ -509,7 +506,7 @@ def min_max_chain(
             known = chains[used] = _chain_extension(space, used)
         return known
 
-    def visit(assign: list[int], used: int, mask: int) -> None:
+    def leaf(assign: list[int], used: int, mask: int, weight: int) -> None:
         nonlocal best, best_assign, strong_count
         strong_count += weight * mask.bit_count()
         if best is not None and best <= last:
@@ -539,14 +536,7 @@ def min_max_chain(
 
     unsaved = False
     saved_at = time.monotonic()
-    for first in range(total):
-        if first in done:
-            continue
-        mirror = space.mirror[first]
-        # A mirror already counted (a resumed checkpoint may list it alone) counts once.
-        weight = orbit if mirror in done or mirror == first else 2 * orbit
-        _partials(space, n, [edges], first, visit, classes)
-        done.update((first, mirror))
+    for done in _sweep(space, verts, (g,), leaf, resumed):
         unsaved = True
         if ckpt is not None and time.monotonic() - saved_at >= CHECKPOINT_INTERVAL_S:
             save()
@@ -598,26 +588,26 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
     Pruning uses the per-edge sumset-cardinality condition on the two edge
     sets (the definition); every witness is then audited for pairwise
     difference-set disjointness, the chain-style restatement, so the two
-    routes stay independent.  A sample of witnesses is re-checked with
-    verify_concurrent_strong.
-    """
+    routes stay independent.  `_sweep` enumerates witnesses up to mirror
+    pairing and twin swaps, which keep both routes, so the first witness and
+    the first non-disjoint one are swept; a sample of the swept ones is
+    re-checked with verify_concurrent_strong."""
     verts = _search_vertices(g, cfg)
     gbar = complement(g)
     _check_no_isolated(gbar, "complement")
 
     space = _Space(cfg)
-    groups = [_edge_indices(g, verts), _edge_indices(gbar, verts)]
     # Witnesses stream past, a partial labeling and its mask of last labels
-    # at a time: keep their count, the first non-disjoint one and an audit
-    # sample (witnesses 1-8, then each power-of-two-numbered one).
+    # at a time: keep their weighted count, the first non-disjoint one and an
+    # audit sample (enumerated witnesses 1-8, then each power-of-two one).
     last = len(verts) - 1
-    count = 0
-    audit = 1  # the number of the next witness to sample
+    count = seen = 0  # witnesses, and those enumerated
+    audit = 1  # the number of the next enumerated witness to sample
     bad: tuple[int, ...] | None = None
     sample: list[tuple[int, ...]] = []
 
-    def visit(assign: list[int], used: int, mask: int) -> None:
-        nonlocal count, audit, bad
+    def leaf(assign: list[int], used: int, mask: int, weight: int) -> None:
+        nonlocal count, seen, audit, bad
         if bad is None:
             reach = -1  # labels difference-disjoint from every assigned one
             for a in assign[:last]:
@@ -626,16 +616,17 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
             if flawed:
                 bad = (*assign[:last], _lowest(flawed))
         found = mask.bit_count()
-        while audit <= count + found:
+        while audit <= seen + found:
             rest = mask
-            for _ in range(audit - count - 1):
+            for _ in range(audit - seen - 1):
                 rest &= rest - 1
             sample.append((*assign[:last], _lowest(rest)))
             audit = audit + 1 if audit < 8 else audit << 1
-        count += found
+        seen += found
+        count += weight * found
 
-    for label in range(len(space.labels)):
-        _partials(space, len(verts), groups, label, visit)
+    for _ in _sweep(space, verts, (g, gbar), leaf):
+        pass
 
     def to_labeling(w: tuple[int, ...]) -> Labeling:
         return Labeling({v: space.labels[w[k]] for k, v in enumerate(verts)})

@@ -56,6 +56,9 @@ class IntSet:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def __reduce__(self):
+        return type(self)._trusted, (self.elements,)
+
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 

@@ -1,0 +1,87 @@
+"""Stdlib-only smoke run of the CLI, with no install and no site-packages.
+
+Run from anywhere with `python -S tests/smoke_stdlib.py`; it exits non-zero
+on the first failed check.  Pytest does not collect it (its name does not
+match test_*.py), so the suite and this script stay independent.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from iasi.cli import main  # noqa: E402
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """(exit code, stdout) of one in-process CLI call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def outcome(argv: list[str]) -> dict:
+    """The `outcome` block of a `--format json` call that exits 0."""
+    code, out = run([*argv, "--format", "json"])
+    assert code == 0, (argv, code)
+    return json.JSONDecoder().raw_decode(out)[0]["outcome"]
+
+
+def write(directory: Path, name: str, text: str) -> str:
+    path = directory / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def smoke(directory: Path) -> None:
+    assert run(["oracle", "lemma", "--max", "10"])[0] == 0
+
+    # A strong labeling of K2 through the graph parser, the edge-row writer
+    # and the GC pause, and κ of K2 through the clique search.  Every call
+    # here shares one parser; each keeps its own exit code.
+    k2 = write(directory, "k2.graph", "p 2 1\na b\n")
+    k2_labeling = write(directory, "k2.labeling", "a: {0,1}\nb: {0,2}\n")
+    assert run(["verify", k2, k2_labeling, "--strong"])[0] == 0
+    assert run(["nourish", k2])[0] == 0
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["nourish", k2, "--no-such-option"])
+    except SystemExit as exc:
+        assert exc.code == 2, exc.code
+    else:
+        raise AssertionError("an unknown option did not exit")
+    assert run(["oracle", "lemma", "--max", "3"])[0] == 0
+
+    # κ by exhaustive search on two graphs rich in twins (K4 and K1,3 with a
+    # leaf as vertex 0), against the value and count of the full sweep.
+    write(directory, "k4.graph", "p 4 6\na b\na c\na d\nb c\nb d\nc d\n")
+    write(directory, "k13.graph", "p 4 3\nc a\nc b\nc d\n")
+    for name, value, count in [("k4", 4, 6576), ("k13", 2, 17136)]:
+        got = outcome(["oracle", "minchain", str(directory / f"{name}.graph"), "--max", "5"])
+        assert (got["value"], got["strong_labelings"]) == (value, count), (name, got)
+
+    # The concurrent search on C4, whose twins and mirror pairs it sweeps
+    # once, against the count of the full sweep.
+    c4 = write(directory, "c4.graph", "p 4 4\na b\nb c\nc d\na d\n")
+    got = outcome(["oracle", "concurrent", c4, "--max", "6"])
+    assert (got["witnesses_found"], got["all_witnesses_pairwise_disjoint"]) == (38976, True), got
+
+    # K2 x K2 and K2 corona K2 through `Graph._trusted`, and
+    # nourish --output against the outcome it prints.
+    for op in ("product", "corona"):
+        assert run(["ops", op, k2, k2])[0] == 0, op
+    report = directory / "nourish.json"
+    printed = outcome(["nourish", k2, "--output", str(report)])
+    written = json.loads(report.read_text(encoding="utf-8"))
+    assert written == printed, (written, printed)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        smoke(Path(tmp))
+    print("stdlib smoke: ok")

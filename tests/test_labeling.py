@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
@@ -38,6 +40,20 @@ def lab(**kv) -> Labeling:
 
 
 K2 = Graph(["a", "b"], [("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [complete_graph(3), IntSet([0, 2, 5]), lab(a=[0, 1], b=[0, 2])],
+    ids=["graph", "intset", "labeling"],
+)
+def test_copies_and_pickles_are_equal_and_stay_immutable(value):
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert hash(twin) == hash(value)
+        with pytest.raises(AttributeError, match="immutable"):
+            twin.elements = ()
 P3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
 

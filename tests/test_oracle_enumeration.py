@@ -155,11 +155,47 @@ def test_concurrent_matches_the_naive_scan(g, universe_max, cards):
     assert result.exists == (result.witness is not None)
 
 
-def test_concurrent_names_the_first_non_disjoint_witness(monkeypatch):
+def _first(g: Graph, v: str) -> Graph:
+    """g with `v` renamed so that it is vertex 0."""
+    return g.relabel(lambda u: "a" if u == v else u)
+
+
+# Graphs whose complements have no isolated vertex, beside P4 and C4 as
+# path_graph and cycle_graph name them: C4 and K2,3 are rich in twins (of the
+# complement too), and P4, which has none, comes with each other vertex as
+# vertex 0.
+CONCURRENT_GRAPHS = {
+    **{n: TWIN_GRAPHS[n][0] for n in ("c4-reversed", "k23-pair-first", "k23-triple-first")},
+    **{f"p4-v{k}-first": _first(path_graph(4), f"v{k}") for k in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize(
+    "name, universe_max, cards",
+    [
+        (name, universe_max, cards)
+        for name, g in CONCURRENT_GRAPHS.items()
+        # The permutation scan of 5 vertices over the 15 labels of U 0..5 is slow.
+        for universe_max, cards in (
+            [(4, 1), (5, 2)] if len(g.vertices) == 4 else [(5, 1), (6, 1)]
+        )
+    ],
+)
+def test_concurrent_matches_the_naive_scan_whichever_vertex_comes_first(name, universe_max, cards):
+    g = CONCURRENT_GRAPHS[name]
+    cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
+    result = exists_concurrent(g, cfg)
+    assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg)
+    assert result.witnesses_found > 0
+
+
+@pytest.mark.parametrize("g", [path_graph(4), cycle_graph(4)], ids=["p4", "c4"])
+def test_concurrent_names_the_first_non_disjoint_witness(monkeypatch, g):
     # Make the disjointness rows say that the first witness's first two
     # labels share a difference.  Both sit in the partial labeling, not in
     # the last vertex's mask, and the first witness itself is reported.
-    g, cfg = path_graph(4), OracleConfig(universe_max=5)
+    # In C4, vertices 1 and 3 are twins.
+    cfg = OracleConfig(universe_max=5)
     labels = cfg.candidate_labels()
     naive = list(strong_labelings(g, labels, (g, oraclemod.complement(g))))
     pair = {naive[0]["v0"], naive[0]["v1"]}

@@ -4,12 +4,13 @@ and the audit sample of the concurrent search."""
 from itertools import combinations_with_replacement
 
 import pytest
-from helpers import reference_pair_table
+from helpers import reference_pair_table, strong_labelings
 
 import iasi.oracle as oraclemod
 from iasi import (
     IntSet,
     OracleConfig,
+    complement,
     cycle_graph,
     diff_set,
     exists_concurrent,
@@ -121,17 +122,38 @@ def _audited(witnesses: int) -> int:
     return sum(1 for k in range(1, witnesses + 1) if k <= 8 or k & (k - 1) == 0)
 
 
+def _enumerated(g, cfg, classes) -> int:
+    """The witnesses the sweep enumerates, by a permutation scan: those whose
+    first vertex's label ranks at or below its reflection x -> universe_max - x,
+    and whose labels rank in increasing order along each twin class (lists
+    of sorted-vertex positions)."""
+    labels = cfg.candidate_labels()
+    verts = g.sorted_vertices()
+    count = 0
+    for f in strong_labelings(g, labels, (g, complement(g))):
+        first = f[verts[0]]
+        ranks = [labels.index(f[v]) for v in verts]
+        count += labels.index(first) <= labels.index(
+            IntSet(cfg.universe_max - x for x in first)
+        ) and all(ranks[a] < ranks[b] for c in classes for a, b in zip(c, c[1:]))
+    return count
+
+
 @pytest.mark.parametrize(
-    "g, cfg",
+    "g, cfg, classes",
     [
-        (path_graph(4), OracleConfig(universe_max=3)),  # no witness
-        (path_graph(4), OracleConfig(universe_max=3, min_card=1, max_card=1)),  # 8
-        (path_graph(4), OracleConfig(universe_max=4, min_card=1, max_card=1)),  # 72
-        (cycle_graph(5), OracleConfig(universe_max=5)),  # 14,400
+        (path_graph(4), OracleConfig(universe_max=3), []),  # no witness
+        (path_graph(4), OracleConfig(universe_max=3, min_card=1, max_card=1), []),  # 8, 4 swept
+        (path_graph(4), OracleConfig(universe_max=4, min_card=1, max_card=1), []),  # 72, 44 swept
+        (cycle_graph(4), OracleConfig(universe_max=5), [[1, 3]]),  # 6,576, 2,067 swept
+        (cycle_graph(5), OracleConfig(universe_max=5), []),  # 14,400, 9,408 swept
     ],
-    ids=["p4-none", "p4-eight", "p4-singletons", "c5"],
+    ids=["p4-none", "p4-eight", "p4-singletons", "c4", "c5"],
 )
-def test_concurrent_audits_a_sample_spanning_the_sweep(monkeypatch, g, cfg):
+def test_concurrent_audits_a_sample_spanning_the_sweep(monkeypatch, g, cfg, classes):
+    # The sample is numbered over the witnesses the sweep enumerates (one
+    # per mirror pair of partitions and per twin orbit), not over the
+    # weighted count it reports.
     calls = []
     real = oraclemod.verify_concurrent_strong
 
@@ -141,10 +163,10 @@ def test_concurrent_audits_a_sample_spanning_the_sweep(monkeypatch, g, cfg):
 
     monkeypatch.setattr(oraclemod, "verify_concurrent_strong", counting)
     result = exists_concurrent(g, cfg)
-    found = result.witnesses_found
-    assert len(calls) >= min(8, found)
-    assert len(calls) == _audited(found)
-    if found:
+    swept = _enumerated(g, cfg, classes)
+    assert len(calls) >= min(8, swept)
+    assert len(calls) == _audited(swept)
+    if swept:
         assert calls[0] == result.witness
 
 
