@@ -27,7 +27,6 @@ from .graph import (
     corona,
     cycle_graph,
     intersection,
-    is_triangle_free,
     join,
     max_clique,
     path_graph,

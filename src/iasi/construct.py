@@ -256,7 +256,7 @@ def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
     """
     if not g1.vertices or not g2.vertices:
         raise ValueError("product factors must both be nonempty")
-    if not _verify(g1, f1, isolated_ok=True)[0].is_strong:
+    if not _verify(g1, f1)[0].is_strong:
         raise ValueError("f1 is not a strong labeling of g1")
 
     copies = g2.sorted_vertices()
@@ -271,7 +271,7 @@ def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
             assignment[f"{v}{PRODUCT_SEP}{c}"] = scale(multipliers[i], f1[v]).translated(offsets[i])
     out = Labeling(assignment)
 
-    if not _verify(cartesian_product(g1, g2), out, isolated_ok=True)[0].is_strong:
+    if not _verify(cartesian_product(g1, g2), out)[0].is_strong:
         raise InternalCheckError("product labeling failed self-verification")
     return out
 
@@ -288,9 +288,9 @@ def construct_for_corona(g1: Graph, f1: Labeling, g2: Graph, f2: Labeling) -> La
     """
     if not g1.vertices or not g2.vertices:
         raise ValueError("corona factors must both be nonempty")
-    if not _verify(g1, f1, isolated_ok=True)[0].is_strong:
+    if not _verify(g1, f1)[0].is_strong:
         raise ValueError("f1 is not a strong labeling of g1")
-    if not _verify(g2, f2, isolated_ok=True)[0].is_strong:
+    if not _verify(g2, f2)[0].is_strong:
         raise ValueError("f2 is not a strong labeling of g2")
 
     roots = g1.sorted_vertices()
@@ -305,6 +305,6 @@ def construct_for_corona(g1: Graph, f1: Labeling, g2: Graph, f2: Labeling) -> La
             assignment[f"{u}{CORONA_SEP}{i}:{w}"] = scale(multipliers[i], f2[w]).translated(offset)
     out = Labeling(assignment)
 
-    if not _verify(corona(g1, g2), out, isolated_ok=True)[0].is_strong:
+    if not _verify(corona(g1, g2), out)[0].is_strong:
         raise InternalCheckError("corona labeling failed self-verification")
     return out

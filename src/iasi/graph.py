@@ -9,11 +9,11 @@ Besides the five binary operations (union, intersection, join,
 Cartesian product, corona) and complement, the module houses the clique
 machinery: `clique_number`, Tomita & Seki's colour-sort branch-and-bound
 (MCQ) over int bitsets; `max_clique`, which finds ω that way and then grows
-the lexicographically least maximum clique one vertex name at a time; and a
-triangle test.  Their slow references, pivoted Bron-Kerbosch enumeration of
-all maximal cliques and the former search in name order, live with the
-tests.  Worst-case exponential clique search is accepted; the intended
-inputs are desk scale.
+the lexicographically least maximum clique one vertex name at a time.
+Their slow references, pivoted Bron-Kerbosch enumeration of all maximal
+cliques and the former search in name order, live with the tests.
+Worst-case exponential clique search is accepted; the intended inputs are
+desk scale.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "corona",
     "clique_number",
     "max_clique",
-    "is_triangle_free",
     "read_graph",
     "write_graph",
     "complete_graph",
@@ -124,12 +123,6 @@ class Graph:
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self._adj[v]
-
-    def degree(self, v: str) -> int:
-        return len(self._adj[v])
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return v in self._adj.get(u, ())
 
     def sorted_vertices(self) -> list[str]:
         return sorted(self.vertices)
@@ -372,10 +365,6 @@ def max_clique(g: Graph) -> tuple[str, ...]:
             break
         cand &= row
     return tuple(clique)
-
-
-def is_triangle_free(g: Graph) -> bool:
-    return all(not (g._adj[u] & g._adj[v]) for u, v in g.edges)
 
 
 # ---------------------------------------------------------------------------

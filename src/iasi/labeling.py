@@ -103,12 +103,6 @@ class Labeling:
             raise ValueError("scale factor must be at least 1")
         return Labeling({v: scale(r, s) for v, s in self._assignment.items()})
 
-    def relabeled(self, mapping: Mapping[str, str]) -> "Labeling":
-        new = {mapping[v]: s for v, s in self._assignment.items()}
-        if len(new) != len(self._assignment):
-            raise ValueError("relabeling is not injective")
-        return Labeling(new)
-
     def max_element(self) -> int:
         return max(s.max for s in self._assignment.values())
 
@@ -177,13 +171,14 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
     violations are collected, not just the first.  Graphs with isolated
     vertices are refused.
     """
+    _check_no_isolated(g)
     return _verify(g, f)[0]
 
 
-def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[VerificationReport, list[int]]:
-    """`verify` plus the sumset cardinality of each edge in sorted order,
-    optionally accepting isolated vertices (an edgeless operand of a product
-    or corona is still a valid input there).
+def _verify(g: Graph, f: Labeling) -> tuple[VerificationReport, list[int]]:
+    """`verify`, isolated vertices accepted (an edgeless operand of a
+    product or corona is still a valid input there), plus the sumset
+    cardinality of each edge in sorted order.
 
     An edge is strong iff the difference sets of its ends are disjoint.
     Edge injectivity groups the edges by the fingerprint (min, max, size,
@@ -191,8 +186,6 @@ def _verify(g: Graph, f: Labeling, isolated_ok: bool = False) -> tuple[Verificat
     building the set; sumsets are built only for weak edges and for edges
     whose fingerprint is shared, and only equal sets are reported."""
     _check_total(g, f)
-    if not isolated_ok:
-        _check_no_isolated(g)
 
     witnesses: list[str] = []
     verts = g.sorted_vertices()
@@ -289,6 +282,7 @@ def verify_uniform(g: Graph, f: Labeling) -> tuple[int | None, int | None]:
     """(k, l) uniformity of a valid IASI: k is the common edge-sumset
     cardinality if the edges agree on one, l the common vertex cardinality;
     None where they disagree."""
+    _check_no_isolated(g)
     report, cards = _verify(g, f)
     if not report.is_iasi:
         raise ValueError("labeling is not an IASI: " + "; ".join(report.witnesses))

@@ -391,8 +391,8 @@ class MinChainResult:
         }
 
 
-def _checkpoint_path(checkpoint_dir: str | None, key: str) -> Path | None:
-    directory = checkpoint_dir if checkpoint_dir is not None else os.environ.get(CHECKPOINT_ENV)
+def _checkpoint_path(key: str) -> Path | None:
+    directory = os.environ.get(CHECKPOINT_ENV)
     if not directory:
         return None
     path = Path(directory)
@@ -403,10 +403,11 @@ def _checkpoint_path(checkpoint_dir: str | None, key: str) -> Path | None:
     return path / f"minchain-{key}.json"
 
 
-def _read_checkpoint(path: Path, key: str, total: int, n: int) -> dict:
+def _read_checkpoint(path: Path, key: str, g: Graph, labels: list[IntSet]) -> dict:
     """Load a minchain checkpoint, refusing (ValueError naming the file) one
     that is unreadable, of another schema version, written for another
-    graph or configuration, or holding out-of-range fields."""
+    graph or configuration, holding out-of-range or inconsistent fields, or
+    whose witness is not a strong labeling of g with the chain it records."""
 
     def bad(why: str) -> ValueError:
         return ValueError(f"oracle checkpoint {path} is unusable ({why}); delete it to start over")
@@ -421,19 +422,25 @@ def _read_checkpoint(path: Path, key: str, total: int, n: int) -> dict:
         raise bad("written for another graph or configuration")
 
     def indices(x) -> bool:
-        return isinstance(x, list) and all(type(i) is int and 0 <= i < total for i in x)
+        return isinstance(x, list) and all(type(i) is int and 0 <= i < len(labels) for i in x)
 
+    verts = g.sorted_vertices()
     best, witness, count = state.get("best"), state.get("witness"), state.get("strong_count")
     if not (
         indices(state.get("done"))
         and type(count) is int
         and count >= 0
         and (
-            (best is None and witness is None)
-            or (type(best) is int and indices(witness) and len(witness) == n)
+            (best is None and witness is None and count == 0)
+            or (type(best) is int and count > 0 and indices(witness) and len(witness) == len(verts))
         )
     ):
         raise bad("malformed fields")
+    # A best chain outside 0..n or a witness repeating a label fails here too.
+    if witness is not None:
+        f = Labeling({v: labels[i] for v, i in zip(verts, witness)})
+        if not verify(g, f).is_strong or chain_report(g, f).max_chain_length != best:
+            raise bad("the witness is not a strong labeling with the recorded chain")
     return state
 
 
@@ -452,19 +459,16 @@ def _write_checkpoint(path: Path, state: dict) -> None:
         raise
 
 
-def min_max_chain(
-    g: Graph, cfg: OracleConfig, checkpoint_dir: str | None = None
-) -> MinChainResult:
+def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     """Enumerate every labeling in the space, keep the strong ones, and take
     the minimum of their longest chains.
 
     `_sweep` enumerates them up to mirror pairing and twin swaps, which keep
     the chains, so the lexicographically first minimiser is still the
-    witness.  With a checkpoint directory (argument or the
-    IASI_ORACLE_CHECKPOINT_DIR variable) the partitions counted so far, both
-    members of each swept pair, are recorded at most once per
-    CHECKPOINT_INTERVAL_S and after the last partition, and skipped on
-    re-runs.
+    witness.  With a checkpoint directory in IASI_ORACLE_CHECKPOINT_DIR the
+    partitions counted so far, both members of each swept pair, are
+    recorded at most once per CHECKPOINT_INTERVAL_S and after the last
+    partition, and skipped on re-runs.
 
     A chain never shrinks as labels join.  So once a minimum is known, a
     partial labeling whose placed labels already hold a chain that long has
@@ -482,13 +486,13 @@ def min_max_chain(
     ckpt_key = hashlib.sha256(
         (write_graph(g) + repr(cfg)).encode("utf-8")
     ).hexdigest()[:16]
-    ckpt = _checkpoint_path(checkpoint_dir, ckpt_key)
+    ckpt = _checkpoint_path(ckpt_key)
     resumed: list[int] = []  # the partitions a checkpoint counted
     best: int | None = None
     best_assign: tuple[int, ...] | None = None
     strong_count = 0
     if ckpt is not None and ckpt.exists():
-        state = _read_checkpoint(ckpt, ckpt_key, total, n)
+        state = _read_checkpoint(ckpt, ckpt_key, g, labels)
         resumed = state["done"]
         best = state["best"]
         best_assign = tuple(state["witness"]) if state["witness"] is not None else None

@@ -102,7 +102,7 @@ def brute_maximal_cliques(g: Graph) -> set[frozenset[str]]:
         frozenset(sub)
         for size in range(1, len(verts) + 1)
         for sub in combinations(verts, size)
-        if all(g.has_edge(u, v) for u, v in combinations(sub, 2))
+        if all(v in g.neighbors(u) for u, v in combinations(sub, 2))
     ]
     return {c for c in cliques if not any(c < d for d in cliques)}
 
@@ -113,7 +113,7 @@ def is_isomorphic_brute(g1: Graph, g2: Graph) -> bool:
         return False
     for perm in permutations(v2):
         mapping = dict(zip(v1, perm))
-        if all(g2.has_edge(mapping[u], mapping[v]) for u, v in g1.edges):
+        if all(mapping[v] in g2.neighbors(mapping[u]) for u, v in g1.edges):
             return True
     return False
 
@@ -123,12 +123,18 @@ def automorphisms(g: Graph) -> list[dict[str, str]]:
     out = []
     for perm in permutations(verts):
         mapping = dict(zip(verts, perm))
-        if all(g.has_edge(mapping[u], mapping[v]) for u, v in g.edges) and all(
-            g.has_edge(u, v) == g.has_edge(mapping[u], mapping[v])
+        if all(
+            (v in g.neighbors(u)) == (mapping[v] in g.neighbors(mapping[u]))
             for u, v in combinations(verts, 2)
         ):
             out.append(mapping)
     return out
+
+
+def is_triangle_free(g: Graph) -> bool:
+    """Whether no edge's ends share a neighbour: the intersection condition
+    of the union-bound audit in `test_union_bound.py`."""
+    return all(not (g.neighbors(u) & g.neighbors(v)) for u, v in g.edges)
 
 
 def random_induced_subgraph(rng: random.Random, g: Graph, tries: int = 50) -> Graph | None:
@@ -138,7 +144,7 @@ def random_induced_subgraph(rng: random.Random, g: Graph, tries: int = 50) -> Gr
     for _ in range(tries):
         k = rng.randint(2, len(verts))
         sub = g.induced(rng.sample(verts, k))
-        live = [v for v in sub.vertices if sub.degree(v) > 0]
+        live = [v for v in sub.vertices if sub.neighbors(v)]
         if len(live) >= 2:
             trimmed = sub.induced(live)
             if trimmed.edges:

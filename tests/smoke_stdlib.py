@@ -8,6 +8,7 @@ match test_*.py), so the suite and this script stay independent.
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -64,6 +65,28 @@ def smoke(directory: Path) -> None:
     for name, value, count in [("k4", 4, 6576), ("k13", 2, 17136)]:
         got = outcome(["oracle", "minchain", str(directory / f"{name}.graph"), "--max", "5"])
         assert (got["value"], got["strong_labelings"]) == (value, count), (name, got)
+
+    # A minchain checkpoint round trip through $IASI_ORACLE_CHECKPOINT_DIR,
+    # the one switch: a sweep writes one file, a second run resumes from it
+    # to the same outcome, and the file with its best chain out of range
+    # exits 2 naming it.
+    k4 = ["oracle", "minchain", str(directory / "k4.graph"), "--max", "5"]
+    plain = outcome(k4)
+    checkpoints = directory / "checkpoints"
+    os.environ["IASI_ORACLE_CHECKPOINT_DIR"] = str(checkpoints)
+    try:
+        swept = outcome(k4)
+        (path,) = checkpoints.glob("minchain-*.json")
+        resumed = outcome(k4)
+        assert plain == swept == resumed, (plain, swept, resumed)
+        state = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**state, "best": -1}), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(k4)[0] == 2
+        assert str(path) in err.getvalue(), err.getvalue()
+    finally:
+        del os.environ["IASI_ORACLE_CHECKPOINT_DIR"]
 
     # The concurrent search on C4, whose twins and mirror pairs it sweeps
     # once, against the count of the full sweep.

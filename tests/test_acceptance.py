@@ -16,6 +16,7 @@ from helpers import connected_atlas, random_graph_corpus, random_induced_subgrap
 from iasi import (
     ConstructionSpec,
     Graph,
+    Labeling,
     OracleConfig,
     cartesian_product,
     chain_report,
@@ -202,9 +203,8 @@ def test_criterion_08_concurrent_labelings():
     # constructive side: all-pairwise-disjoint labelings from the complete graph
     for g in (path_graph(4), cycle_graph(5)):
         full = complete_graph(len(g.vertices))
-        f = construct_strong(full, ConstructionSpec(cardinalities=2)).relabeled(
-            dict(zip(full.sorted_vertices(), g.sorted_vertices()))
-        )
+        k = construct_strong(full, ConstructionSpec(cardinalities=2))
+        f = Labeling({v: k[u] for u, v in zip(full.sorted_vertices(), g.sorted_vertices())})
         assert verify_concurrent_strong(g, f)
     # oracle side: every witness over the whole space is a full chain
     result = exists_concurrent(
@@ -246,9 +246,8 @@ def test_criterion_10_pentagon_discrepancy_is_pinned():
     assert clique_number(c5) == 2  # the invariant stays the clique number
 
     full = complete_graph(5)
-    f = construct_strong(full, ConstructionSpec(cardinalities=2)).relabeled(
-        dict(zip(full.sorted_vertices(), c5.sorted_vertices()))
-    )
+    k5 = construct_strong(full, ConstructionSpec(cardinalities=2))
+    f = Labeling({v: k5[u] for u, v in zip(full.sorted_vertices(), c5.sorted_vertices())})
     assert verify_concurrent_strong(c5, f)
     assert chain_report(c5, f).max_chain_length == 5  # concurrency costs a full chain
 

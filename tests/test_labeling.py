@@ -383,7 +383,7 @@ def test_strong_heredity_on_spanning_subgraphs():
         for _ in range(5):
             keep = rng.sample(edges, rng.randint(1, len(edges)))
             sub = Graph(g.vertices, keep)
-            live = [v for v in sub.vertices if sub.degree(v) > 0]
+            live = [v for v in sub.vertices if sub.neighbors(v)]
             sub = sub.induced(live)
             assert verify(sub, f.restricted(sub.vertices)).is_strong
 

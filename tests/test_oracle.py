@@ -129,16 +129,17 @@ def test_minchain_invariant_under_relabeling():
     assert min_max_chain(g, cfg).value == min_max_chain(renamed, cfg).value
 
 
-def test_minchain_checkpoint_resume(tmp_path):
+def test_minchain_checkpoint_resume(tmp_path, monkeypatch):
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
     g = path_graph(3)
     cfg = OracleConfig(universe_max=5)
-    first = min_max_chain(g, cfg, checkpoint_dir=str(tmp_path))
+    first = min_max_chain(g, cfg)
     files = list(tmp_path.glob("minchain-*.json"))
     assert len(files) == 1
     state = json.loads(files[0].read_text())
     assert len(state["done"]) == first.partitions
     # a resumed run skips every partition and reproduces the result
-    again = min_max_chain(g, cfg, checkpoint_dir=str(tmp_path))
+    again = min_max_chain(g, cfg)
     assert again.value == first.value
     assert again.strong_count == first.strong_count
 
@@ -155,8 +156,35 @@ def _corrupt_wrong_key(path, other):
     path.write_text(other.read_text())
 
 
+def _corrupt_fields(**fields):
+    """Fields in range by type but wrong by value for P3 at --max 4, whose
+    sweep ends with best 2 and witness [0, 1, 2]: labels {0,1}, {0,2}, {1,2}."""
+
+    def corrupt(path, other):
+        state = json.loads(path.read_text())
+        assert (state["best"], state["witness"]) == (2, [0, 1, 2])
+        path.write_text(json.dumps({**state, **fields}))
+
+    return corrupt
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_corrupt_truncated, _corrupt_empty_object, _corrupt_wrong_key]
+    "corrupt",
+    [
+        _corrupt_truncated,
+        _corrupt_empty_object,
+        _corrupt_wrong_key,
+        pytest.param(_corrupt_fields(best=-1), id="best-below-0"),
+        pytest.param(_corrupt_fields(best=4), id="best-above-n"),
+        # in range, but the witness's chain is 2
+        pytest.param(_corrupt_fields(best=3), id="best-not-the-witness-chain"),
+        pytest.param(_corrupt_fields(witness=[0, 0, 0]), id="witness-repeats-a-label"),
+        # {0,1} and {1,2} share the difference 1
+        pytest.param(_corrupt_fields(witness=[0, 2, 1]), id="witness-not-strong"),
+        # strong labelings counted with no best, and a best with none counted
+        pytest.param(_corrupt_fields(best=None, witness=None), id="count-without-witness"),
+        pytest.param(_corrupt_fields(strong_count=0), id="witness-without-count"),
+    ],
 )
 def test_minchain_bad_checkpoint_exits_two_naming_the_file(tmp_path, monkeypatch, capsys, corrupt):
     monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
@@ -181,12 +209,6 @@ def test_minchain_checkpoint_dir_that_is_a_file_exits_two(tmp_path, monkeypatch,
     monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
     assert main(["oracle", "minchain", "--max", "4", str(tmp_path / "k2.g")]) == 2
     assert str(tmp_path / "ckpt") in capsys.readouterr().err
-
-
-def test_minchain_checkpoint_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
-    min_max_chain(K2, OracleConfig(universe_max=4))
-    assert list(tmp_path.glob("minchain-*.json"))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ from iasi import (
 from iasi.cli import main
 
 
-def _minchain(g, cfg, **kw):
-    result = min_max_chain(g, cfg, **kw)
+def _minchain(g, cfg):
+    result = min_max_chain(g, cfg)
     return result.value, result.strong_count, result.witness
 
 
@@ -233,6 +233,7 @@ def _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch):
     the file holds the last of them, and return the resumed result."""
     real = oraclemod._write_checkpoint
     written = []
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
     monkeypatch.setattr(oraclemod, "CHECKPOINT_INTERVAL_S", 0)
 
     def dying(path, state):
@@ -243,13 +244,13 @@ def _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch):
 
     monkeypatch.setattr(oraclemod, "_write_checkpoint", dying)
     with pytest.raises(RuntimeError, match="killed"):
-        min_max_chain(g, cfg, checkpoint_dir=str(tmp_path))
+        min_max_chain(g, cfg)
     monkeypatch.setattr(oraclemod, "_write_checkpoint", real)
     (path,) = tmp_path.iterdir()
     state = json.loads(path.read_text())
     assert state == written[-1]
     assert 0 < len(state["done"]) < len(cfg.candidate_labels())
-    return _minchain(g, cfg, checkpoint_dir=str(tmp_path))
+    return _minchain(g, cfg)
 
 
 @pytest.mark.parametrize("killed_after", [1, 3, 6])
@@ -281,20 +282,22 @@ def test_minchain_checkpoints_at_most_once_a_second_and_at_the_end(tmp_path, mon
         real(path, state)
 
     monkeypatch.setattr(oraclemod, "_write_checkpoint", counting)
-    assert _minchain(g, cfg, checkpoint_dir=str(tmp_path)) == clean
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
+    assert _minchain(g, cfg) == clean
     assert 1 <= len(written) <= 2
     assert len(written[-1]["done"]) == len(cfg.candidate_labels())
-    assert _minchain(g, cfg, checkpoint_dir=str(tmp_path)) == clean
+    assert _minchain(g, cfg) == clean
     assert len(written) <= 2
 
 
-def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path):
+def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path, monkeypatch):
     # A sweep that counts each partition on its own records the same facts
     # (the partitions counted, their strong labelings, the best so far), so
     # resuming from one, some of whose partitions' mirrors are not yet
     # counted, gives the same answer.
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
     g, cfg = path_graph(3), OracleConfig(universe_max=5)
-    clean = _minchain(g, cfg, checkpoint_dir=str(tmp_path))
+    clean = _minchain(g, cfg)
     (path,) = tmp_path.iterdir()
     labels = cfg.candidate_labels()
     verts = g.sorted_vertices()
@@ -312,7 +315,7 @@ def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path):
         strong_count=len(counted),
     )
     path.write_text(json.dumps(state))
-    assert _minchain(g, cfg, checkpoint_dir=str(tmp_path)) == clean
+    assert _minchain(g, cfg) == clean
 
 
 def test_checkpoint_of_another_version_exits_two_naming_the_file(tmp_path, monkeypatch, capsys):

@@ -13,8 +13,8 @@ from itertools import combinations
 
 import pytest
 
-from iasi import Graph, clique_number, complement, intersection, is_triangle_free, union
-from helpers import connected_atlas, random_graph
+from iasi import Graph, clique_number, intersection, union
+from helpers import is_triangle_free, random_graph
 
 import random
 
@@ -49,7 +49,8 @@ def test_overlapping_union_kappa_lower_bound_exhaustive():
 
 def test_union_equality_under_triangle_free_intersection():
     """The claimed equality, exercised exhaustively over all graph pairs on
-    four shared vertices.  Counterexamples are reported via xfail."""
+    four shared vertices.  Counterexamples are reported via xfail, and
+    their number is pinned, so the record cannot vanish unnoticed."""
     counterexamples = []
     for g1, g2 in _overlapping_pairs_on(("q0", "q1", "q2", "q3")):
         if not is_triangle_free(intersection(g1, g2)):
@@ -58,13 +59,13 @@ def test_union_equality_under_triangle_free_intersection():
         bound = max(clique_number(g1), clique_number(g2))
         if merged != bound:
             counterexamples.append((g1, g2, merged, bound))
-    if counterexamples:
-        g1, g2, merged, bound = counterexamples[0]
-        pytest.xfail(
-            f"equality fails on {len(counterexamples)} of the scanned pairs; first: "
-            f"E1={sorted(g1.edges)} E2={sorted(g2.edges)} give union clique {merged} > {bound} "
-            f"with a triangle-free (here even edgeless) intersection"
-        )
+    assert len(counterexamples) == 1358
+    g1, g2, merged, bound = counterexamples[0]
+    pytest.xfail(
+        f"equality fails on {len(counterexamples)} of the scanned pairs; first: "
+        f"E1={sorted(g1.edges)} E2={sorted(g2.edges)} give union clique {merged} > {bound} "
+        f"with a triangle-free (here even edgeless) intersection"
+    )
 
 
 def test_union_equality_claim_pinned_counterexample():
