@@ -403,7 +403,14 @@ def _checkpoint_path(key: str) -> Path | None:
     return path / f"minchain-{key}.json"
 
 
-def _read_checkpoint(path: Path, key: str, g: Graph, labels: list[IntSet]) -> dict:
+def _labeling(labels: list[IntSet], verts: list[str], assign) -> Labeling:
+    """The labeling giving verts[k] the label of index assign[k]."""
+    return Labeling({v: labels[i] for v, i in zip(verts, assign)})
+
+
+def _read_checkpoint(
+    path: Path, key: str, g: Graph, verts: list[str], labels: list[IntSet]
+) -> dict:
     """Load a minchain checkpoint, refusing (ValueError naming the file) one
     that is unreadable, of another schema version, written for another
     graph or configuration, holding out-of-range or inconsistent fields, or
@@ -424,7 +431,6 @@ def _read_checkpoint(path: Path, key: str, g: Graph, labels: list[IntSet]) -> di
     def indices(x) -> bool:
         return isinstance(x, list) and all(type(i) is int and 0 <= i < len(labels) for i in x)
 
-    verts = g.sorted_vertices()
     best, witness, count = state.get("best"), state.get("witness"), state.get("strong_count")
     if not (
         indices(state.get("done"))
@@ -438,7 +444,7 @@ def _read_checkpoint(path: Path, key: str, g: Graph, labels: list[IntSet]) -> di
         raise bad("malformed fields")
     # A best chain outside 0..n or a witness repeating a label fails here too.
     if witness is not None:
-        f = Labeling({v: labels[i] for v, i in zip(verts, witness)})
+        f = _labeling(labels, verts, witness)
         if not verify(g, f).is_strong or chain_report(g, f).max_chain_length != best:
             raise bad("the witness is not a strong labeling with the recorded chain")
     return state
@@ -483,16 +489,14 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     total = len(labels)
     n = len(verts)
 
-    ckpt_key = hashlib.sha256(
-        (write_graph(g) + repr(cfg)).encode("utf-8")
-    ).hexdigest()[:16]
+    ckpt_key = hashlib.sha256((write_graph(g) + repr(cfg)).encode("utf-8")).hexdigest()[:16]
     ckpt = _checkpoint_path(ckpt_key)
     resumed: list[int] = []  # the partitions a checkpoint counted
     best: int | None = None
     best_assign: tuple[int, ...] | None = None
     strong_count = 0
     if ckpt is not None and ckpt.exists():
-        state = _read_checkpoint(ckpt, ckpt_key, g, labels)
+        state = _read_checkpoint(ckpt, ckpt_key, g, verts, labels)
         resumed = state["done"]
         best = state["best"]
         best_assign = tuple(state["witness"]) if state["witness"] is not None else None
@@ -553,7 +557,7 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
             exhausted=True, value=None, witness=None, strong_count=0, partitions=total
         )
 
-    witness = Labeling({v: labels[best_assign[k]] for k, v in enumerate(verts)})
+    witness = _labeling(labels, verts, best_assign)
     # Re-anchor the fast enumeration to the reference verifier.
     if not verify(g, witness).is_strong:
         raise InternalCheckError("oracle accepted a labeling the verifier rejects")
@@ -632,19 +636,16 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
     for _ in _sweep(space, verts, (g, gbar), leaf):
         pass
 
-    def to_labeling(w: tuple[int, ...]) -> Labeling:
-        return Labeling({v: space.labels[w[k]] for k, v in enumerate(verts)})
-
     for w in sample:  # the reference checker on every witness would be slow
-        if not verify_concurrent_strong(g, to_labeling(w)):
+        if not verify_concurrent_strong(g, _labeling(space.labels, verts, w)):
             raise InternalCheckError("oracle witness rejected by verify_concurrent_strong")
 
     return ConcurrentSearch(
         exists=bool(sample),
-        witness=to_labeling(sample[0]) if sample else None,
+        witness=_labeling(space.labels, verts, sample[0]) if sample else None,
         witnesses_found=count,
         all_witnesses_pairwise_disjoint=bad is None,
-        disjointness_counterexample=to_labeling(bad) if bad is not None else None,
+        disjointness_counterexample=None if bad is None else _labeling(space.labels, verts, bad),
     )
 
 

@@ -211,6 +211,12 @@ def test_minchain_checkpoint_dir_that_is_a_file_exits_two(tmp_path, monkeypatch,
     assert str(tmp_path / "ckpt") in capsys.readouterr().err
 
 
+def test_minchain_checkpoint_env(tmp_path, monkeypatch):
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
+    min_max_chain(K2, OracleConfig(universe_max=4))
+    assert list(tmp_path.glob("minchain-*.json"))
+
+
 # ---------------------------------------------------------------------------
 # concurrent search
 # ---------------------------------------------------------------------------
