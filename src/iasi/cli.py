@@ -53,11 +53,16 @@ OPS = {
 def _load(path: str, reader) -> tuple:
     """The parsed file and its input record (path and SHA-256)."""
     data = Path(path).read_bytes()
-    parsed = reader(data.decode("utf-8"))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = f"{path}: can't decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})"
+        raise ParseError(bad, line=data.count(b"\n", 0, exc.start) + 1) from None
+    parsed = reader(text)
     return parsed, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: float) -> None:
+def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: float, block=None) -> None:
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if fmt == "json":
         doc = {"command": command, "inputs": inputs, "outcome": outcome}
@@ -68,16 +73,19 @@ def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: fl
         for item in inputs:
             print(f"input: {item['path']} sha256={item['sha256']}")
         print("outcome:")
-        print(to_json(outcome))
+        print(to_json(outcome) if block is None else block)
         print(f"timing: {elapsed_ms:.1f} ms")
 
 
 def _report(args, command: str, inputs: list[dict], outcome: dict, started: float) -> None:
     """`_emit`, after writing the outcome block to `--output` when given: the
-    artifact of the commands whose report is their only product."""
+    artifact of the commands whose report is their only product.  The text
+    format prints that same block, serialised once."""
+    block = None
     if args.output:
-        Path(args.output).write_text(to_json(outcome) + "\n", encoding="utf-8")
-    _emit(command, inputs, outcome, args.format, started)
+        block = to_json(outcome)
+        Path(args.output).write_text(block + "\n", encoding="utf-8")
+    _emit(command, inputs, outcome, args.format, started, block)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +96,7 @@ def _cmd_verify(args) -> int:
     started = time.perf_counter()
     g, gin = _load(args.graph, read_graph)
     if not g.vertices:
-        raise ParseError("graph is empty; nothing to verify")
+        raise ValueError(f"{args.graph}: graph is empty; nothing to verify")
     f, fin = _load(args.labeling, read_labeling)
     extra = set(f.vertices()) - g.vertices
     if extra:
@@ -166,7 +174,7 @@ def _cmd_nourish(args) -> int:
     started = time.perf_counter()
     g, gin = _load(args.graph, read_graph)
     if not g.vertices:
-        raise ParseError("graph is empty; nourishing number undefined")
+        raise ValueError(f"{args.graph}: graph is empty; nourishing number undefined")
     # κ is ω (labeling.nourishing_number), so one search gives both and a witness.
     clique = max_clique(g)
     outcome = {
@@ -203,7 +211,7 @@ def _cmd_ops(args) -> int:
     op = args.op
     arity, operation = OPS[op]
     if len(args.graphs) != arity:
-        raise ParseError(f"{op} takes {arity} graph file(s), got {len(args.graphs)}")
+        raise ValueError(f"{op} takes {arity} graph file(s), got {len(args.graphs)}")
     loaded = [_load(p, read_graph) for p in args.graphs]
     graphs = [g for g, _ in loaded]
     inputs = [meta for _, meta in loaded]

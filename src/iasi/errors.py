@@ -33,63 +33,74 @@ def parse_natural(token: str) -> int | None:
     return None
 
 
-def to_json(obj, newline: str = "\n") -> str:
+def to_json(obj) -> str:
     """The text of `json.dumps(obj, indent=2, sort_keys=True)`, written
     directly: with an indent the standard library falls back to its
-    pure-Python encoder.  Takes dicts with str keys, lists, tuples, str,
-    bool, None and int; anything else raises TypeError."""
+    pure-Python encoder.  Every fragment goes into one list, joined once.
+    Takes dicts with str keys, lists, tuples, str, bool, None and int;
+    anything else raises TypeError."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+def _is_edge_row(x) -> bool:
+    """Whether `x` is a ((u, v), ok) row of a report: str names, bool flag."""
+    return (
+        type(x) is tuple and len(x) == 2 and type(x[1]) is bool
+        and type(e := x[0]) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is str
+    )
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    """Append the text of `obj`, its nested lines indented after `newline`."""
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, (list, tuple)):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
-        parts = []
-        row = None
-        for x in obj:
-            # Strings, bools and edge rows, most items of a report, skip the call.
-            if type(x) is str:
-                parts.append(encode_basestring_ascii(x))
-            elif x is True:
-                parts.append("true")
-            elif x is False:
-                parts.append("false")
-            elif (
-                type(x) is tuple
-                and len(x) == 2
-                and (x[1] is True or x[1] is False)
-                and type(x[0]) is tuple
-                and len(x[0]) == 2
-                and type(x[0][0]) is str
-                and type(x[0][1]) is str
-            ):
-                # A ((u, v), ok) row, formatted from one template per list.
-                if row is None:
-                    i1 = inner + "  "
-                    i2 = i1 + "  "
-                    row = f"[{i1}[{i2}%s,{i2}%s{i1}],{i1}%s{inner}]"
-                u, v = x[0]
-                ok = "true" if x[1] else "false"
-                parts.append(row % (encode_basestring_ascii(u), encode_basestring_ascii(v), ok))
-            else:
-                parts.append(to_json(x, inner))
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, dict):
+        if all(map(_is_edge_row, obj)):
+            # One f-string per row from templates of this list; each row
+            # carries the separator before it, the first row's comma dropped.
+            i1, i2 = inner + "  ", inner + "    "
+            head, mid = f",{inner}[{i1}[{i2}", f",{i2}"
+            tails = (f"{i1}],{i1}false{inner}]", f"{i1}],{i1}true{inner}]")
+            rows = [
+                f"{head}{encode_basestring_ascii(u)}{mid}{encode_basestring_ascii(v)}{tails[ok]}"
+                for (u, v), ok in obj
+            ]
+            rows[0] = rows[0][1:]
+            out.append("[")
+            out += rows
+        else:
+            sep = "[" + inner
+            for x in obj:
+                out.append(sep)
+                sep = "," + inner
+                # Strings, most items of a report's other lists, skip the call.
+                if type(x) is str:
+                    out.append(encode_basestring_ascii(x))
+                else:
+                    _write(x, inner, out)
+        out.append(newline + "]")
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         inner = newline + "  "
-        items = []
+        sep = "{" + inner
         for key, value in sorted(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(encode_basestring_ascii(key) + ": " + to_json(value, inner))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep = "," + inner
+            _write(value, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -69,6 +69,18 @@ def checks(directory: Path) -> None:
         raise AssertionError("an unknown option did not exit")
     assert run(["oracle", "lemma", "--max", "3"])[0] == 0
 
+    # The JSON writer's bytes against the standard library's: a path a-é-c
+    # whose edge é-c is weak, so the report holds both row flags and a
+    # witness, and a name that is escaped as \u00e9.
+    p3 = write(directory, "p3.graph", "p 3 2\na é\né c\n")
+    p3_labeling = write(directory, "p3.labeling", "a: {0,1}\né: {0,2}\nc: {0,1,2}\n")
+    code, out = run(["verify", p3, p3_labeling, "--strong", "--format", "json"])
+    doc, end = json.JSONDecoder().raw_decode(out)
+    report = doc["outcome"]["report"]
+    assert code == 1 and report["witnesses"], (code, doc)
+    assert report["strong_edges"] == [[["a", "é"], True], [["c", "é"], False]], report
+    assert out[:end] == json.dumps(doc, indent=2, sort_keys=True), out
+
     # κ by exhaustive search on two graphs rich in twins (K4 and K1,3 with a
     # leaf as vertex 0), against the value and count of the full sweep.
     write(directory, "k4.graph", "p 4 6\na b\na c\na d\nb c\nb d\nc d\n")

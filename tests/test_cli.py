@@ -113,6 +113,15 @@ def test_verify_empty_graph_exits_two(files, capsys, flag):
     assert main(["verify", gp, fp, *flag]) == 2
     captured = capsys.readouterr()
     assert "graph is empty" in captured.err and "outcome:" not in captured.out
+    # The refusal is about the file, not a line of it.
+    assert captured.err.startswith(f"error: {gp}: ") and "line 1" not in captured.err
+
+
+def test_nourish_empty_graph_names_the_file(files, capsys):
+    gp = files[2]("empty.g", "")
+    assert main(["nourish", gp]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {gp}: graph is empty; nourishing number undefined\n"
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +277,7 @@ def test_ops_complement_arity(files, capsys):
     a = graph_file("a.g", cycle_graph(5, "a"))
     b = graph_file("b.g", cycle_graph(5, "b"))
     assert main(["ops", "complement", a, b]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: complement takes 1 graph file(s), got 2\n"
     assert main(["ops", "complement", a]) == 0
 
 
@@ -382,7 +391,10 @@ def test_output_into_missing_directory_exits_two(files, capsys, command):
 def test_output_writes_the_printed_outcome(files, capsys, command):
     target = files[3] / "report.json"
     assert main([*_argv(files, command), "--output", str(target)]) == 0
-    assert json.loads(target.read_text(encoding="utf-8")) == outcome_of(capsys)
+    block = capsys.readouterr().out.split("outcome:\n", 1)[1].rsplit("timing:", 1)[0]
+    assert json.loads(target.read_text(encoding="utf-8")) == json.loads(block)
+    # In text mode the file holds the printed block byte for byte.
+    assert target.read_bytes() == block.encode("utf-8")
 
 
 def test_directory_as_input_exits_two(files, capsys):
@@ -396,7 +408,10 @@ def test_non_utf8_input_exits_two(files, capsys):
     gp = tmp / "latin1.g"
     gp.write_bytes(b"a b\n\xe9 c\n")
     assert main(["nourish", str(gp)]) == 2
-    assert "can't decode byte 0xe9" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "can't decode byte 0xe9" in err
+    # The first bad byte is on line 2 of the named file.
+    assert err.startswith(f"error: line 2: {gp}: ")
 
 
 def test_missing_input_names_the_path(files, capsys):

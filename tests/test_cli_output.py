@@ -4,14 +4,16 @@ anything."""
 
 import gc
 import json
+import random
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from iasi import Graph, write_graph
+from iasi import Graph, Labeling, verify, write_graph
 from iasi.cli import main
 from iasi.errors import to_json
+from iasi.setalg import IntSet
 
 strings = st.text(
     alphabet=st.one_of(st.sampled_from('"\\/\x00\x08\x1f\n\t\x7fé€λ😀'), st.characters())
@@ -51,6 +53,36 @@ def test_dumps_writes_the_bytes_of_json_dumps(doc):
 def test_dumps_refuses_other_types(doc):
     with pytest.raises(TypeError):
         to_json(doc)
+
+
+def test_dumps_writes_a_large_verify_report_as_json_dumps():
+    # Sizes the property never draws: a seeded report of 10,000 edges with
+    # weak edges and witnesses, the shape `iasi verify` prints.
+    rng = random.Random(18)
+    names = [f"v{i}" if i % 7 else f"λ{i}" for i in range(400)]
+    edges = set()
+    while len(edges) < 10_000:
+        edges.add(tuple(sorted(rng.sample(names, 2))))
+    labels = {v: IntSet(rng.sample(range(60), rng.randint(1, 3))) for v in names}
+    report = verify(Graph(names, sorted(edges)), Labeling(labels))
+    doc = {"property": "strong", "holds": report.is_strong, "report": report.to_dict()}
+    rows = doc["report"]["strong_edges"]
+    assert len(rows) == 10_000 and not all(ok for _, ok in rows) and doc["report"]["witnesses"]
+    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+ROWS = [((f"u{i}", f"é{i}"), i % 3 == 0) for i in range(9_999)]
+
+
+@pytest.mark.parametrize("last", [(("a", "b"), 1), (["a", "b"], True), ("ab", True)])
+def test_dumps_leaves_a_long_list_ending_in_a_near_row_to_the_general_path(last):
+    doc = {"strong_edges": [*ROWS, last]}
+    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_dumps_refuses_a_long_row_list_ending_in_a_float():
+    with pytest.raises(TypeError):
+        to_json([*ROWS, 1.5])
 
 
 @pytest.mark.parametrize("mode", [[], ["--strong"], ["--concurrent"]])
