@@ -58,7 +58,10 @@ def _load(path: str, reader) -> tuple:
     except UnicodeDecodeError as exc:
         bad = f"{path}: can't decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})"
         raise ParseError(bad, line=data.count(b"\n", 0, exc.start) + 1) from None
-    parsed = reader(text)
+    try:
+        parsed = reader(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc.message}", exc.line, exc.column) from None
     return parsed, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 

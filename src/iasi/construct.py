@@ -25,10 +25,9 @@ difference sets disjoint from each other and from the host's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InternalCheckError
+from .errors import InternalCheckError, _Record
 from .graph import CORONA_SEP, PRODUCT_SEP, Graph, cartesian_product, corona, max_clique
 from .labeling import Labeling, _check_no_isolated, _verify, verify
 from .setalg import IntSet, scale
@@ -46,8 +45,7 @@ __all__ = [
 MODES = ("coloring", "clique-cover")
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(_Record):
     """What to build: per-vertex label sizes, a seed, and a strategy.
 
     `cardinalities` is either a single size applied uniformly or a
@@ -56,11 +54,10 @@ class ConstructionSpec:
     while equal seeds reproduce byte-identical output.
     """
 
-    cardinalities: int | Mapping[str, int] = 2
-    seed: int = 0
-    mode: str = "coloring"
+    __slots__ = ("cardinalities", "seed", "mode")
 
-    def __post_init__(self):
+    def __init__(self, cardinalities: int | Mapping[str, int] = 2, seed: int = 0, mode: str = "coloring"):
+        self._set(cardinalities, seed, mode)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if isinstance(self.cardinalities, int):
@@ -70,6 +67,12 @@ class ConstructionSpec:
             for v, c in self.cardinalities.items():
                 if c < 1:
                     raise ValueError(f"cardinality of {v!r} must be at least 1")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ConstructionSpec is immutable")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def resolve(self, g: Graph) -> dict[str, int]:
         if isinstance(self.cardinalities, int):

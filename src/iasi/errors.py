@@ -1,5 +1,5 @@
-"""Shared exception types, the number-token check every parser uses, and the
-JSON writer every document goes through."""
+"""Shared exception types, the number-token check every parser uses, the
+result-record base, and the JSON writer every document goes through."""
 
 from json.encoder import encode_basestring_ascii
 
@@ -8,6 +8,7 @@ class ParseError(ValueError):
     """Malformed textual input, with a 1-based line/column position."""
 
     def __init__(self, message: str, line: int = 1, column: int | None = None):
+        self.message = message
         self.line = line
         self.column = column
         where = f"line {line}" if column is None else f"line {line}, column {column}"
@@ -16,6 +17,33 @@ class ParseError(ValueError):
 
 class InternalCheckError(RuntimeError):
     """A self-verification that can never legitimately fail did fail."""
+
+
+class _Record:
+    """Field-wise `==`, `Name(field=value, ...)` repr and `__reduce__` over the
+    `__slots__` of a record whose `__init__` takes its fields in slot order.
+    Records are unhashable unless they define `__hash__`."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def parse_natural(token: str) -> int | None:

@@ -17,12 +17,11 @@ lengths would stop measuring anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from . import graph as graphmod
-from .errors import InternalCheckError, ParseError
+from .errors import InternalCheckError, ParseError, _Record
 from .graph import Graph, clique_number, complement
 from .setalg import IntSet, diff_set, parse_int_set, scale, sumset
 
@@ -107,8 +106,7 @@ class Labeling:
         return max(s.max for s in self._assignment.values())
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(_Record):
     """Outcome of checking one labeling against one graph.
 
     `strong_edges` lists, per edge, whether the sumset cardinality is the
@@ -116,12 +114,15 @@ class VerificationReport:
     string naming the offending vertices or edges.
     """
 
-    vertex_injective: bool
-    edge_injective: bool
-    strong_edges: list[tuple[Edge, bool]]
-    is_iasi: bool
-    is_strong: bool
-    witnesses: list[str] = field(default_factory=list)
+    __slots__ = ("vertex_injective", "edge_injective", "strong_edges", "is_iasi", "is_strong",
+                 "witnesses")
+
+    def __init__(
+        self, vertex_injective: bool, edge_injective: bool, strong_edges: list[tuple[Edge, bool]],
+        is_iasi: bool, is_strong: bool, witnesses: list[str] | None = None,
+    ):
+        self._set(vertex_injective, edge_injective, strong_edges, is_iasi, is_strong,
+                  [] if witnesses is None else witnesses)
 
     def to_dict(self) -> dict:
         return {
@@ -134,14 +135,15 @@ class VerificationReport:
         }
 
 
-@dataclass
-class ChainReport:
+class ChainReport(_Record):
     """Longest family of vertices with pairwise disjoint nonempty difference
     sets, plus the per-edge disjointness relation."""
 
-    max_chain: list[str]
-    max_chain_length: int
-    per_edge_relation: list[tuple[Edge, bool]]
+    __slots__ = ("max_chain", "max_chain_length", "per_edge_relation")
+
+    def __init__(self, max_chain: list[str], max_chain_length: int,
+                 per_edge_relation: list[tuple[Edge, bool]]):
+        self._set(max_chain, max_chain_length, per_edge_relation)
 
     def to_dict(self) -> dict:
         return {

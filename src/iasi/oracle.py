@@ -18,11 +18,10 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import InternalCheckError, to_json
+from .errors import InternalCheckError, _Record, to_json
 from .graph import Graph, complement, write_graph
 from .labeling import (
     Labeling,
@@ -57,18 +56,15 @@ UNIVERSE_LIMIT = 10
 CHAIN_CACHE_LIMIT = 1 << 16
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(_Record):
     """Search-space bounds: labels are subsets of {0..universe_max} with
     cardinality in [min_card, max_card]; universes above UNIVERSE_LIMIT and
     graphs above vertex_limit are refused outright."""
 
-    universe_max: int = 6
-    min_card: int = 2
-    max_card: int = 2
-    vertex_limit: int = 5
+    __slots__ = ("universe_max", "min_card", "max_card", "vertex_limit")
 
-    def __post_init__(self):
+    def __init__(self, universe_max: int = 6, min_card: int = 2, max_card: int = 2, vertex_limit: int = 5):
+        self._set(universe_max, min_card, max_card, vertex_limit)
         # Every oracle refuses a negative universe or one it could not finish.
         if self.universe_max < 0:
             raise ValueError("universe_max must be non-negative")
@@ -85,6 +81,12 @@ class OracleConfig:
         if self.vertex_limit < 1:
             raise ValueError("vertex_limit must be positive")
 
+    def __setattr__(self, name, value):
+        raise AttributeError("OracleConfig is immutable")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def candidate_labels(self) -> list[IntSet]:
         """Every admissible label, ordered by subset rank (binary counting
         over the universe), so enumeration order is canonical."""
@@ -96,13 +98,13 @@ class OracleConfig:
         return out
 
 
-@dataclass
-class LemmaCheck:
+class LemmaCheck(_Record):
     """Verdict of the sumset-cardinality vs difference-set-disjointness sweep."""
 
-    ok: bool
-    pairs_checked: int
-    counterexample: tuple[IntSet, IntSet] | None = None
+    __slots__ = ("ok", "pairs_checked", "counterexample")
+
+    def __init__(self, ok: bool, pairs_checked: int, counterexample: tuple[IntSet, IntSet] | None = None):
+        self._set(ok, pairs_checked, counterexample)
 
     def to_dict(self) -> dict:
         pair = self.counterexample
@@ -371,16 +373,15 @@ def _chain_extension(space: _Space, used: int) -> tuple[int, int]:
     return best, up & space.carriers & ~used
 
 
-@dataclass
-class MinChainResult:
+class MinChainResult(_Record):
     """Definitional nourishing-number search: the minimum, over every strong
     labeling in the space, of the longest difference-set chain."""
 
-    exhausted: bool
-    value: int | None
-    witness: Labeling | None
-    strong_count: int
-    partitions: int
+    __slots__ = ("exhausted", "value", "witness", "strong_count", "partitions")
+
+    def __init__(self, exhausted: bool, value: int | None, witness: Labeling | None,
+                 strong_count: int, partitions: int):
+        self._set(exhausted, value, witness, strong_count, partitions)
 
     def to_dict(self) -> dict:
         return {
@@ -572,15 +573,16 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     )
 
 
-@dataclass
-class ConcurrentSearch:
+class ConcurrentSearch(_Record):
     """Search for a labeling that is strong on a graph and its complement."""
 
-    exists: bool
-    witness: Labeling | None
-    witnesses_found: int
-    all_witnesses_pairwise_disjoint: bool
-    disjointness_counterexample: Labeling | None
+    __slots__ = ("exists", "witness", "witnesses_found", "all_witnesses_pairwise_disjoint",
+                 "disjointness_counterexample")
+
+    def __init__(self, exists: bool, witness: Labeling | None, witnesses_found: int,
+                 all_witnesses_pairwise_disjoint: bool, disjointness_counterexample: Labeling | None):
+        self._set(exists, witness, witnesses_found, all_witnesses_pairwise_disjoint,
+                  disjointness_counterexample)
 
     def to_dict(self) -> dict:
         return {

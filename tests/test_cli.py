@@ -414,6 +414,31 @@ def test_non_utf8_input_exits_two(files, capsys):
     assert err.startswith(f"error: line 2: {gp}: ")
 
 
+@pytest.mark.parametrize(
+    "bad, text, message",
+    [
+        ("graph", "a b\na a\n", "line 2: {}: self-loop at 'a'"),
+        ("labeling", "a: {0,1\n", "line 1, column 7: {}: unterminated set: expected '}}'"),
+        ("cards", "a: 2\nb: x\n", "line 2: {}: expected 'name: <cardinality>'"),
+    ],
+    ids=["graph", "labeling", "cards"],
+)
+def test_parse_error_names_its_file(files, capsys, bad, text, message):
+    graph_file, _, raw, _ = files
+    inputs = {
+        "graph": graph_file("k2.g", complete_graph(2, "a")),
+        "labeling": raw("k2.l", "a0: {0,1}\na1: {0,2}\n"),
+        "cards": raw("k2.cards", "a0: 2\na1: 2\n"),
+    }
+    inputs[bad] = raw("bad", text)
+    argv = (
+        ["construct", inputs["graph"], "--cards", inputs["cards"]] if bad == "cards"
+        else ["verify", inputs["graph"], inputs["labeling"]]
+    )
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: " + message.format(inputs[bad]) + "\n"
+
+
 def test_missing_input_names_the_path(files, capsys):
     graph_file, _, _, tmp = files
     gp = graph_file("c4.g", cycle_graph(4))

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 import random
 from itertools import combinations
@@ -15,9 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iasi import (
+    ChainReport,
+    ConcurrentSearch,
     Graph,
     IntSet,
     Labeling,
+    LemmaCheck,
+    MinChainResult,
+    OracleConfig,
+    VerificationReport,
     chain_report,
     complete_bipartite_graph,
     complete_graph,
@@ -42,18 +49,55 @@ def lab(**kv) -> Labeling:
 K2 = Graph(["a", "b"], [("a", "b")])
 
 
+def _twins(value) -> tuple:
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
 @pytest.mark.parametrize(
     "value",
-    [complete_graph(3), IntSet([0, 2, 5]), lab(a=[0, 1], b=[0, 2])],
-    ids=["graph", "intset", "labeling"],
+    [
+        complete_graph(3), IntSet([0, 2, 5]), lab(a=[0, 1], b=[0, 2]),
+        OracleConfig(universe_max=4), ConstructionSpec(3),
+    ],
+    ids=["graph", "intset", "labeling", "oracle-config", "construction-spec"],
 )
 def test_copies_and_pickles_are_equal_and_stay_immutable(value):
-    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+    for twin in _twins(value):
         assert type(twin) is type(value)
         assert twin == value
         assert hash(twin) == hash(value)
         with pytest.raises(AttributeError, match="immutable"):
             twin.elements = ()
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        VerificationReport(True, False, [(("a", "b"), True)], False, True, ["edge map not injective"]),
+        ChainReport(["a", "b"], 2, [(("a", "b"), True)]),
+        LemmaCheck(False, 9, (IntSet([0, 1]), IntSet([0, 2]))),
+        MinChainResult(False, 2, lab(a=[0, 1], b=[0, 2]), 12, 3),
+        ConcurrentSearch(True, lab(a=[0, 1], b=[0, 2]), 4, False, lab(a=[0, 1], b=[1, 2])),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_result_records_copy_compare_field_by_field_and_stay_unhashable(record):
+    for twin in _twins(record):
+        assert type(twin) is type(record)
+        assert twin == record and not twin != record
+    for name in inspect.signature(type(record)).parameters:
+        changed = copy.copy(record)
+        setattr(changed, name, "changed")
+        assert changed != record
+    assert record.__eq__(repr(record)) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+
+
+def test_each_report_gets_its_own_witness_list():
+    first, second = (VerificationReport(True, True, [], True, True) for _ in range(2))
+    first.witnesses.append("(a,b) weak")
+    assert second.witnesses == []
 P3 = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
 
 

@@ -211,6 +211,28 @@ def test_minchain_checkpoint_dir_that_is_a_file_exits_two(tmp_path, monkeypatch,
     assert str(tmp_path / "ckpt") in capsys.readouterr().err
 
 
+def test_minchain_checkpoint_key_is_stable_and_an_older_checkpoint_resumes(
+    tmp_path, monkeypatch, capsys
+):
+    # The key hashes write_graph(g) + repr(cfg): a drifting OracleConfig repr
+    # would silently orphan every checkpoint already on disk.
+    (tmp_path / "p3.g").write_text(write_graph(Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])))
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+    argv = ["oracle", "minchain", "--max", "4", "--cards", "2", str(tmp_path / "p3.g")]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out.rsplit("timing:", 1)[0]
+    path = tmp_path / "ckpt" / "minchain-72268ec20f39bd84.json"
+    assert list((tmp_path / "ckpt").iterdir()) == [path]
+    # What an earlier release wrote after 6 of the 10 partitions.
+    path.write_text(
+        '{"version": 1, "key": "72268ec20f39bd84", "done": [0, 1, 2, 5, 8, 9], "best": 2, '
+        '"witness": [0, 1, 2], "strong_count": 244}'
+    )
+    assert main(argv) == 0
+    assert capsys.readouterr().out.rsplit("timing:", 1)[0] == clean
+    assert sorted(json.loads(path.read_text())["done"]) == list(range(10))
+
+
 def test_minchain_checkpoint_env(tmp_path, monkeypatch):
     monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
     min_max_chain(K2, OracleConfig(universe_max=4))

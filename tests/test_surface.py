@@ -1,17 +1,35 @@
 """The library's public surface, pinned: each module's `__all__` (or, where
 a module has none, the public functions and classes it defines), the names
 the `iasi` package exports, the public attributes of `Graph` and
-`Labeling`, and the parameters of `min_max_chain`.  Adding or removing a
-public name is a deliberate edit here and in the README's library layout."""
+`Labeling`, the parameters of `min_max_chain`, the reprs of the result
+types and what importing `iasi` loads.  Adding or removing a public name is
+a deliberate edit here and in the README's library layout."""
 
 import importlib
 import inspect
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import pytest
 
 import iasi
-from iasi import Graph, Labeling, min_max_chain
+from iasi import (
+    ChainReport,
+    ConcurrentSearch,
+    ConstructionSpec,
+    Graph,
+    IntSet,
+    Labeling,
+    LemmaCheck,
+    MinChainResult,
+    OracleConfig,
+    VerificationReport,
+    min_max_chain,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ALL = {
     "setalg": ["IntSet", "sumset", "scale", "diff_set", "is_strong_pair", "parse_int_set"],
@@ -109,3 +127,66 @@ def test_min_max_chain_takes_only_a_graph_and_a_config():
     # The checkpoint directory is a deployment path, read from
     # $IASI_ORACLE_CHECKPOINT_DIR alone.
     assert list(inspect.signature(min_max_chain).parameters) == ["g", "cfg"]
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (OracleConfig(universe_max=4), "OracleConfig(universe_max=4, min_card=2, max_card=2, vertex_limit=5)"),
+        (ConstructionSpec(2), "ConstructionSpec(cardinalities=2, seed=0, mode='coloring')"),
+        (
+            ConstructionSpec({"a": 2}, 5, "clique-cover"),
+            "ConstructionSpec(cardinalities={'a': 2}, seed=5, mode='clique-cover')",
+        ),
+        (
+            VerificationReport(True, False, [(("a", "b"), True)], True, False),
+            "VerificationReport(vertex_injective=True, edge_injective=False, "
+            "strong_edges=[(('a', 'b'), True)], is_iasi=True, is_strong=False, witnesses=[])",
+        ),
+        (
+            ChainReport(["a"], 1, [(("a", "b"), False)]),
+            "ChainReport(max_chain=['a'], max_chain_length=1, per_edge_relation=[(('a', 'b'), False)])",
+        ),
+        (
+            LemmaCheck(False, 4, (IntSet([0, 1]), IntSet([0, 2]))),
+            "LemmaCheck(ok=False, pairs_checked=4, counterexample=(IntSet([0, 1]), IntSet([0, 2])))",
+        ),
+        (
+            MinChainResult(False, 2, None, 3, 4),
+            "MinChainResult(exhausted=False, value=2, witness=None, strong_count=3, partitions=4)",
+        ),
+        (
+            ConcurrentSearch(True, None, 3, True, None),
+            "ConcurrentSearch(exists=True, witness=None, witnesses_found=3, "
+            "all_witnesses_pairwise_disjoint=True, disjointness_counterexample=None)",
+        ),
+    ],
+    ids=[
+        "oracle-config", "construction-spec", "construction-spec-map", "verification-report",
+        "chain-report", "lemma-check", "min-chain-result", "concurrent-search",
+    ],
+)
+def test_result_types_keep_their_reprs(value, text):
+    # `oracle.min_max_chain` hashes repr(cfg) into its checkpoint file name.
+    assert repr(value) == text
+
+
+def test_importing_iasi_loads_neither_dataclasses_nor_inspect():
+    """Every CLI answer pays for importing iasi; these two stdlib modules
+    and what they import cost about as much as the rest of it."""
+    probe = (
+        "import os, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import iasi\n"
+        "package = os.path.dirname(iasi.__file__)\n"
+        "assert os.path.samefile(package, os.path.join(sys.argv[1], 'iasi')), package\n"
+        "for name in sorted(os.listdir(package)):\n"
+        "    if name.endswith('.py') and name != '__init__.py':\n"
+        "        __import__('iasi.' + name[:-3])\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(SRC)], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
