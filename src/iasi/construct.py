@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import InternalCheckError, _Record
+from .errors import InternalCheckError, _immutable, _Record
 from .graph import CORONA_SEP, PRODUCT_SEP, Graph, cartesian_product, corona, max_clique
 from .labeling import Labeling, _check_no_isolated, _verify, verify
 from .setalg import IntSet, scale
@@ -68,8 +68,7 @@ class ConstructionSpec(_Record):
                 if c < 1:
                     raise ValueError(f"cardinality of {v!r} must be at least 1")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ConstructionSpec is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __hash__(self) -> int:
         return hash(self._values())

@@ -1,5 +1,6 @@
 """Shared exception types, the number-token check every parser uses, the
-result-record base, and the JSON writer every document goes through."""
+result-record base, the attribute guard of the immutable types, and the JSON
+writer every document goes through."""
 
 from json.encoder import encode_basestring_ascii
 
@@ -17,6 +18,11 @@ class ParseError(ValueError):
 
 class InternalCheckError(RuntimeError):
     """A self-verification that can never legitimately fail did fail."""
+
+
+def _immutable(self, name, value=None):
+    """`__setattr__` and `__delattr__` of the immutable types: both refuse."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class _Record:

@@ -5,6 +5,8 @@ pair.  Every graph, checked by the constructor or not, is built by one
 private builder, `Graph._trusted`, the only code that stores each edge as
 (u, v) with u < v, drops repeats and fills each vertex's neighbours; the
 constructor, `read_graph` and every derivation of valid graphs call it.
+The constructor and `read_graph` keep one string object per name, so the
+per-edge lookups of verification and clique search match by identity.
 Besides the five binary operations (union, intersection, join,
 Cartesian product, corona) and complement, the module houses the clique
 machinery: `clique_number`, Tomita & Seki's colour-sort branch-and-bound
@@ -21,7 +23,7 @@ from __future__ import annotations
 from itertools import chain, combinations
 from typing import Callable, Iterable, Mapping
 
-from .errors import ParseError, parse_natural
+from .errors import ParseError, _immutable, parse_natural
 
 __all__ = [
     "Graph",
@@ -68,14 +70,16 @@ class Graph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         vs = frozenset(_check_name(v) for v in vertices)
+        own = dict(zip(vs, vs))  # each name to the declared object, kept in the edges
         pairs = []
         for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u!r}")
-            if u not in vs or v not in vs:
-                missing = min(x for x in (u, v) if x not in vs)
+            pair = own.get(u), own.get(v)
+            if None in pair:
+                missing = min(x for x in (u, v) if x not in own)
                 raise ValueError(f"edge endpoint {missing!r} is not a declared vertex")
-            pairs.append((u, v))
+            pairs.append(pair)
         built = Graph._trusted(vs, pairs)
         for slot in Graph.__slots__:
             object.__setattr__(self, slot, getattr(built, slot))
@@ -102,8 +106,7 @@ class Graph:
         object.__setattr__(g, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
         return g
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return Graph._trusted, (self.vertices, self.edges)
@@ -380,8 +383,11 @@ def read_graph(text: str) -> Graph:
     parsed, from the names and the edges as read, so an edge listed twice,
     in either orientation, counts once.  Each name is checked once, and one
     `Graph` would refuse is reported at the line it first appears on.
+
+    Each later occurrence of a name is replaced by its first, so the graph
+    holds one string object per name and lookups match it by identity.
     """
-    first_seen: dict[str, int] = {}  # each name and the line it first appears on
+    names: dict[str, str] = {}  # each name, as first read, in order of appearance
     pairs: list[tuple[str, str]] = []
     header: tuple[int, int] | None = None
     header_line = 0
@@ -394,9 +400,7 @@ def read_graph(text: str) -> Graph:
             u, v = tokens
             if u == v:
                 raise ParseError(f"self-loop at {u!r}", line=lineno)
-            pairs.append((u, v))
-            first_seen.setdefault(u, lineno)
-            first_seen.setdefault(v, lineno)
+            pairs.append((names.setdefault(u, u), names.setdefault(v, v)))
         elif first == "p":
             if header is not None:
                 raise ParseError("duplicate p header", line=lineno)
@@ -407,17 +411,22 @@ def read_graph(text: str) -> Graph:
         elif first == "v":
             if len(tokens) != 2:
                 raise ParseError("malformed vertex line, expected 'v <name>'", line=lineno)
-            first_seen.setdefault(tokens[1], lineno)
+            names.setdefault(tokens[1], tokens[1])
         else:
             raise ParseError(f"unrecognized line {raw.strip()!r}", line=lineno)
     # Names are checked only now, so that a malformed line anywhere is
-    # reported before a name `Graph` would refuse; the first such name wins.
-    for name, lineno in first_seen.items():
+    # reported before a name `Graph` would refuse; the first such name wins,
+    # at the first edge or vertex line that names it.
+    for name in names:
         try:
             _check_name(name)
         except ValueError as exc:
+            lineno = next(
+                i for i, t in enumerate(map(str.split, text.splitlines()), start=1)
+                if t and t[0][0] != "#" and t[0] != "p" and name in t[t[0] == "v":]
+            )
             raise ParseError(str(exc), line=lineno) from None
-    g = Graph._trusted(first_seen, pairs)
+    g = Graph._trusted(names, pairs)
     if header is not None and header != (len(g.vertices), len(g.edges)):
         raise ParseError(
             f"header says {header[0]} vertices / {header[1]} edges, "

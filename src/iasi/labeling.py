@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from . import graph as graphmod
-from .errors import InternalCheckError, ParseError, _Record
+from .errors import InternalCheckError, ParseError, _immutable, _Record
 from .graph import Graph, clique_number, complement
 from .setalg import IntSet, diff_set, parse_int_set, scale, sumset
 
@@ -56,8 +56,7 @@ class Labeling:
             checked[v] = s
         object.__setattr__(self, "_assignment", dict(sorted(checked.items())))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Labeling is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return Labeling, (self._assignment,)

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .errors import InternalCheckError, _Record, to_json
+from .errors import InternalCheckError, _immutable, _Record, to_json
 from .graph import Graph, complement, write_graph
 from .labeling import (
     Labeling,
@@ -81,8 +81,7 @@ class OracleConfig(_Record):
         if self.vertex_limit < 1:
             raise ValueError("vertex_limit must be positive")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("OracleConfig is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __hash__(self) -> int:
         return hash(self._values())

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import ParseError, parse_natural
+from .errors import ParseError, _immutable, parse_natural
 
 __all__ = [
     "IntSet",
@@ -53,8 +53,7 @@ class IntSet:
         object.__setattr__(s, "elements", elements)
         return s
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
         return type(self)._trusted, (self.elements,)

@@ -75,6 +75,8 @@ def test_graph_parse_error_has_line_number():
         ("a #b\n", 1),
         ("a b\nc v\nv #q\nd p\n", 2),
         ("# a path\n\np 3 1\na b\n", 3),
+        ("p 2 1\na p\n", 2),
+        ("v a\nb v\n", 2),
     ]
     for text, line in cases:
         with pytest.raises(ParseError) as exc:
@@ -128,6 +130,11 @@ def test_read_graph_agrees_with_the_reference_parser(text):
     if isinstance(want, Graph):
         assert got == want
         assert all(got.neighbors(v) == want.neighbors(v) for v in want.vertices)
+        # One string object per name: every endpoint and neighbour is the
+        # vertex's own.
+        own = {v: v for v in got.vertices}
+        assert all(own[x] is x for e in got.edges for x in e)
+        assert all(own[w] is w for v in got.vertices for w in got.neighbors(v))
         return
     assert isinstance(got, ParseError), got
     lines = [raw.split() for raw in text.splitlines()]

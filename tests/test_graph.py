@@ -66,6 +66,19 @@ def test_edges_are_normalized_and_deduped():
     assert g.neighbors("a") == frozenset({"b"})
 
 
+def test_graph_keeps_one_object_per_vertex_name():
+    # Equal but distinct str objects: the constructor keeps the declared
+    # ones, read_graph the first occurrence of each name.
+    a, b = "".join(["a", "b"]), "".join(["c", "d"])
+    g = Graph([a, b], [("".join(["a", "b"]), "".join(["c", "d"]))])
+    h = read_graph("v ab\ncd ab\nab cd\n")
+    for graph in (g, h):
+        own = {v: v for v in graph.vertices}
+        ((u, v),) = graph.edges
+        assert own[u] is u and own[v] is v
+        assert all(own[w] is w for x in own for w in graph.neighbors(x))
+
+
 def test_graph_is_immutable_and_hashable():
     g = complete_graph(3)
     with pytest.raises(AttributeError):

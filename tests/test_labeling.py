@@ -71,6 +71,22 @@ def test_copies_and_pickles_are_equal_and_stay_immutable(value):
 
 
 @pytest.mark.parametrize(
+    "value,field",
+    [
+        (complete_graph(3), "edges"), (IntSet([0, 2, 5]), "elements"),
+        (lab(a=[0, 1], b=[0, 2]), "_assignment"),
+        (OracleConfig(universe_max=4), "min_card"), (ConstructionSpec(3), "seed"),
+    ],
+    ids=["graph", "intset", "labeling", "oracle-config", "construction-spec"],
+)
+def test_fields_cannot_be_deleted(value, field):
+    twin = copy.deepcopy(value)
+    with pytest.raises(AttributeError, match=f"{type(value).__name__} is immutable"):
+        delattr(value, field)
+    assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+
+
+@pytest.mark.parametrize(
     "record",
     [
         VerificationReport(True, False, [(("a", "b"), True)], False, True, ["edge map not injective"]),
