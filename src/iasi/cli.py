@@ -224,7 +224,7 @@ def _cmd_ops(args) -> int:
     kappas = [clique_number(g) if g.vertices else None for g in graphs]
     kappa_result = clique_number(result) if result.vertices else None
     predicted, kind, notes = (None, "none", [])
-    if op in ("join", "product", "corona", "union") and all(k is not None for k in kappas):
+    if all(k is not None for k in kappas):
         predicted, kind, notes = _predict_kappa(op, graphs, kappas)
 
     agrees: bool | None = None

@@ -17,10 +17,12 @@ The existence of strong labelings becomes an explicit recipe:
    make the edge-sumset minima pairwise distinct, which forces the edge map
    to be injective, and distinct bases make the vertex map injective.
 
-Scaled copies do the same job for products and coronas: multiplying a
-strong labeling by r keeps it strong, and multiplying different copies by
-different primes larger than every label element keeps the copies'
-difference sets disjoint from each other and from the host's.
+Products and coronas share one scaled-copy recipe: multiplying a strong
+labeling by r keeps it strong, multiplying different copies by different
+primes larger than every label element keeps the copies' difference sets
+disjoint, and shifting copy i to a multiple bases[i] of one block keeps the
+copies apart.  The two differ only in the bases: Sidon terms for a product,
+0 for the host and then odd multiples for a corona.
 """
 
 from __future__ import annotations
@@ -122,9 +124,7 @@ def sidon_bases(count: int) -> list[int]:
     Z/p those two determine {i, j}.  Terms start at 0, strictly increase
     and stay below 2p^2.
     """
-    p = max(count, 2)
-    while not _is_prime(p):
-        p += 1
+    p = primes_above(max(count, 2) - 1, 1)[0]
     return [2 * p * k + (k * k) % p for k in range(count)]
 
 
@@ -245,33 +245,36 @@ def construct_strong(g: Graph, spec: ConstructionSpec | None = None) -> Labeling
 # scaled copies for products and coronas
 # ---------------------------------------------------------------------------
 
+def _scaled_copies(parts: list[tuple[Labeling, dict[str, str]]], bases: list[int]) -> Labeling:
+    """Copy i of `parts`, a labeling and new names for the vertices it copies,
+    as r_i . f plus bases[i] blocks.  r_0 = 1 and the rest are primes above
+    every label element, so the copies' difference sets are disjoint; a block
+    is wider than any copy's sumsets, so `bases` decides which can meet."""
+    m = max(f[v].max for f, names in parts for v in names)
+    multipliers = [1] + primes_above(max(m, 1), len(parts) - 1)
+    block = 2 * multipliers[-1] * max(m, 1) + 1
+    return Labeling({
+        new: scale(r, f[v]).translated(base * block)
+        for (f, names), r, base in zip(parts, multipliers, bases) for v, new in names.items()
+    })
+
+
 def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
     """Strong labeling of the Cartesian product from a strong labeling of g1.
 
-    Copy i of g1 (one per vertex of g2, in sorted order) carries r_i . f1
-    plus a per-copy offset: r_0 = 1 and the rest are primes exceeding every
-    label element, so difference sets of distinct copies are disjoint and
-    the product edges between corresponding vertices are strong.  Offsets
-    are Erdős–Turán Sidon bases (`sidon_bases`) times a block size no
-    sumset can straddle, which keeps both vertex and edge maps injective
-    across copies.
+    Copy i of g1 (one per vertex of g2, in sorted order) is a scaled copy of
+    f1, so the product edges between corresponding vertices are strong.  Its
+    base is the i-th Erdős–Turán Sidon term (`sidon_bases`): Sidon base sums
+    are distinct, which keeps both vertex and edge maps injective across
+    copies.
     """
     if not g1.vertices or not g2.vertices:
         raise ValueError("product factors must both be nonempty")
     if not _verify(g1, f1)[0].is_strong:
         raise ValueError("f1 is not a strong labeling of g1")
 
-    copies = g2.sorted_vertices()
-    m = max(f1[v].max for v in g1.vertices)
-    multipliers = [1] + primes_above(max(m, 1), len(copies) - 1)
-    block = 2 * multipliers[-1] * max(m, 1) + 1
-    offsets = [s * block for s in sidon_bases(len(copies))]
-
-    assignment: dict[str, IntSet] = {}
-    for i, c in enumerate(copies):
-        for v in g1.vertices:
-            assignment[f"{v}{PRODUCT_SEP}{c}"] = scale(multipliers[i], f1[v]).translated(offsets[i])
-    out = Labeling(assignment)
+    parts = [(f1, {v: f"{v}{PRODUCT_SEP}{c}" for v in g1.vertices}) for c in g2.sorted_vertices()]
+    out = _scaled_copies(parts, sidon_bases(len(parts)))
 
     if not _verify(cartesian_product(g1, g2), out)[0].is_strong:
         raise InternalCheckError("product labeling failed self-verification")
@@ -281,11 +284,9 @@ def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
 def construct_for_corona(g1: Graph, f1: Labeling, g2: Graph, f2: Labeling) -> Labeling:
     """Strong labeling of the corona from strong labelings of both factors.
 
-    g1 keeps f1.  The copy of g2 hung on the i-th vertex of g1 carries
-    r_i . f2 shifted into its own block: the r_i are primes above every
-    label element (so copy difference sets avoid the host's and each
-    other's), and blocks are odd multiples of a common size for the copies
-    versus even multiples for their internal sums, so no two edge sumsets
+    g1 keeps f1 (copy 0, base 0).  The copy of g2 hung on the i-th vertex of
+    g1 is a scaled copy of f2 at base 2i + 1: copies sit at odd multiples of
+    the block and their internal sums at even ones, so no two edge sumsets
     can coincide across contexts.
     """
     if not g1.vertices or not g2.vertices:
@@ -296,16 +297,9 @@ def construct_for_corona(g1: Graph, f1: Labeling, g2: Graph, f2: Labeling) -> La
         raise ValueError("f2 is not a strong labeling of g2")
 
     roots = g1.sorted_vertices()
-    m = max(max(f1[v].max for v in g1.vertices), max(f2[w].max for w in g2.vertices))
-    multipliers = primes_above(m, len(roots))
-    block = 2 * multipliers[-1] * max(m, 1) + 1
-
-    assignment: dict[str, IntSet] = {v: f1[v] for v in g1.vertices}
-    for i, u in enumerate(roots):
-        offset = (2 * i + 1) * block
-        for w in g2.vertices:
-            assignment[f"{u}{CORONA_SEP}{i}:{w}"] = scale(multipliers[i], f2[w]).translated(offset)
-    out = Labeling(assignment)
+    parts = [(f1, {v: v for v in g1.vertices})]
+    parts += [(f2, {w: f"{u}{CORONA_SEP}{i}:{w}" for w in g2.vertices}) for i, u in enumerate(roots)]
+    out = _scaled_copies(parts, [0, *range(1, 2 * len(roots), 2)])
 
     if not _verify(corona(g1, g2), out)[0].is_strong:
         raise InternalCheckError("corona labeling failed self-verification")

@@ -26,8 +26,8 @@ def _immutable(self, name, value=None):
 
 
 class _Record:
-    """Field-wise `==`, `Name(field=value, ...)` repr and `__reduce__` over the
-    `__slots__` of a record whose `__init__` takes its fields in slot order.
+    """Field-wise `==`, `Name(field=value, ...)` repr, `__reduce__` and `to_dict`
+    over the `__slots__` of a record whose `__init__` takes its fields in slot order.
     Records are unhashable unless they define `__hash__`."""
 
     __slots__ = ()
@@ -50,6 +50,9 @@ class _Record:
 
     def __reduce__(self):
         return type(self), self._values()
+
+    def to_dict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
 
 
 def parse_natural(token: str) -> int | None:

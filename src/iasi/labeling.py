@@ -123,16 +123,6 @@ class VerificationReport(_Record):
         self._set(vertex_injective, edge_injective, strong_edges, is_iasi, is_strong,
                   [] if witnesses is None else witnesses)
 
-    def to_dict(self) -> dict:
-        return {
-            "vertex_injective": self.vertex_injective,
-            "edge_injective": self.edge_injective,
-            "strong_edges": self.strong_edges,
-            "is_iasi": self.is_iasi,
-            "is_strong": self.is_strong,
-            "witnesses": list(self.witnesses),
-        }
-
 
 class ChainReport(_Record):
     """Longest family of vertices with pairwise disjoint nonempty difference
@@ -143,13 +133,6 @@ class ChainReport(_Record):
     def __init__(self, max_chain: list[str], max_chain_length: int,
                  per_edge_relation: list[tuple[Edge, bool]]):
         self._set(max_chain, max_chain_length, per_edge_relation)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_chain": list(self.max_chain),
-            "max_chain_length": self.max_chain_length,
-            "per_edge_relation": self.per_edge_relation,
-        }
 
 
 def _check_total(g: Graph, f: Labeling) -> None:

@@ -38,13 +38,13 @@ class IntSet:
     __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[int]):
-        seen = sorted(set(elements))
-        for x in seen:
+        given = list(elements)
+        for x in given:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"set element {x!r} is not an integer")
             if x < 0:
                 raise ValueError(f"set element {x} is negative")
-        object.__setattr__(self, "elements", tuple(seen))
+        object.__setattr__(self, "elements", tuple(sorted(set(given))))
 
     @classmethod
     def _trusted(cls, elements: tuple[int, ...]) -> "IntSet":

@@ -247,6 +247,44 @@ def test_corona_construction_rejects_weak_input():
         construct_for_corona(g, f1, complete_graph(2, "b"), weak)
 
 
+def _texts(f):
+    return {v: str(s) for v, s in sorted(f.items())}
+
+
+def test_scaled_copy_labelings_are_pinned():
+    def strong(g):
+        return construct_strong(g, ConstructionSpec(cardinalities=2))
+
+    k2a, k2b, p3, p2 = complete_graph(2, "a"), complete_graph(2, "b"), path_graph(3, "a"), path_graph(2, "b")
+    assert _texts(construct_for_product(k2a, strong(k2a), k2b)) == {
+        "a0×b0": "{0,3}", "a0×b1": "{32455,32632}", "a1×b0": "{50,55}", "a1×b1": "{35405,35700}",
+    }
+    assert _texts(construct_for_product(p3, strong(p3), p2)) == {
+        "a0×b0": "{0,3}", "a0×b1": "{182215,182626}", "a1×b0": "{70,75}",
+        "a1×b1": "{191805,192490}", "a2×b0": "{130,133}", "a2×b1": "{200025,200436}",
+    }
+    # An edgeless second factor: one copy of f1 per vertex, no edges between them.
+    assert _texts(construct_for_product(p2, strong(p2), Graph(["w0", "w1"]))) == {
+        "b0×w0": "{0,3}", "b0×w1": "{32455,32632}", "b1×w0": "{50,55}", "b1×w1": "{35405,35700}",
+    }
+    c4, w = cycle_graph(4, "a"), Labeling({"w": IntSet([0, 2])})
+    assert _texts(construct_for_corona(c4, strong(c4), Graph(["w"]), w)) == {
+        "a0": "{0,3}", "a0⊙0:w": "{247711,248405}", "a1": "{110,115}", "a1⊙1:w": "{743133,743831}",
+        "a2": "{240,243}", "a2⊙2:w": "{1238555,1239261}", "a3": "{340,345}",
+        "a3⊙3:w": "{1733977,1734695}",
+    }
+    p2a, k3 = path_graph(2, "a"), complete_graph(3, "b")
+    assert _texts(construct_for_corona(p2a, strong(p2a), k3, strong(k3))) == {
+        "a0": "{0,3}", "a0⊙0:b0": "{72955,73528}", "a0⊙0:b1": "{91673,92628}",
+        "a0⊙0:b2": "{107717,109054}", "a1": "{50,55}", "a1⊙1:b0": "{218865,219444}",
+        "a1⊙1:b1": "{237779,238744}", "a1⊙1:b2": "{253991,255342}",
+    }
+    # Edgeless operands on both sides.
+    assert _texts(construct_for_corona(Graph(["a"]), Labeling({"a": IntSet([0, 1])}), Graph(["w"]), w)) == {
+        "a": "{0,1}", "a⊙0:w": "{13,19}",
+    }
+
+
 def test_corona_kappa_matches_formula():
     g1, g2 = complete_graph(2, "a"), complete_graph(2, "b")
     assert clique_number(corona(g1, g2)) == 3

@@ -89,7 +89,10 @@ def test_graph_parse_error_has_line_number():
 # Unicode spaces and every kind of line break.
 spaces = st.sampled_from([" ", "  ", "\t", "\x1f", "\xa0", "\u2003", "\u3000"])
 line_breaks = st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1e", "\x85", "\u2028"])
-names = st.sampled_from(["a", "b", "c", "pv", "é", "a:b", "p", "v", "#", "#q"])
+# Names other than the reserved ones are longer than one character: CPython
+# keeps one object per one-character string, which would hide a parser that
+# stores each occurrence of a name as its own string.
+names = st.sampled_from(["ab", "bc", "cab", "pv", "éé", "a:b", "p", "v", "#", "#q"])
 counts = st.sampled_from(["0", "1", "2", "3", "4", "x", "²", "٢"])
 line_tokens = st.one_of(
     st.tuples(names, names).map(list),  # edges, self-loops, both orientations
@@ -125,6 +128,7 @@ def _message(exc: ParseError) -> str:
 @example("v #q\nv p\n")
 @example("p 2 1\nb a\n")
 @example("p 3 1\na b\n")
+@example("v pv\na pv\n")
 def test_read_graph_agrees_with_the_reference_parser(text):
     want, got = _parse(reference_read_graph, text), _parse(read_graph, text)
     if isinstance(want, Graph):

@@ -77,6 +77,13 @@ def test_rejects_negative_elements():
         IntSet([1, -1])
 
 
+def test_rejects_non_integer_elements_by_name():
+    # Mixed and unhashable elements are named too, not left to `sorted` or `set`.
+    for elements, shown in ((["x"], "'x'"), ([1, "a"], "'a'"), ([None, 2], "None"), ([[1]], r"\[1\]")):
+        with pytest.raises(ValueError, match=f"set element {shown} is not an integer"):
+            IntSet(elements)
+
+
 def test_empty_inputs_rejected():
     empty, a = IntSet([]), IntSet([1])
     for op in (lambda: sumset(empty, a), lambda: sumset(a, empty),
