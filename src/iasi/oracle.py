@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 CHECKPOINT_ENV = "IASI_ORACLE_CHECKPOINT_DIR"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # Least seconds between minchain checkpoint writes.  A write (temp file, fsync,
 # rename) can take tens of milliseconds, mostly the rename, while a partition
 # of a small sweep takes well under one.
@@ -243,23 +243,28 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def _twin_classes(g: Graph, verts: list[str]) -> list[list[int]]:
-    """The twin classes of two or more among vertices 1..n-1 of `verts`,
-    each in increasing order: true twins share their closed neighbourhoods
-    (N[u] = N[v]), false twins their open ones (N(u) = N(v)).
+def _orbits(g: Graph, verts: list[str]) -> list[list[int]]:
+    """orbit[k]: the positions w > k of `verts` to which an automorphism of g
+    fixing positions 0..k-1 maps k (the basic orbits of a stabiliser chain,
+    so |Aut(g)| is the product of the 1 + |orbit[k]|).  Each w takes one
+    backtracking search for such an automorphism, position by position
+    through vertices of equal degree and agreeing adjacency; the group is
+    never listed."""
+    n = len(verts)
+    adj = [{verts.index(u) for u in g.neighbors(v)} for v in verts]
 
-    Swapping two twins is an automorphism, so it maps strong labelings to
-    strong labelings with the same labels.  No open neighbourhood is a
-    closed one (N(u) = N[v] puts v in N(u), so u in N(v), but u is not in
-    N(u)), and so no vertex has twins of both kinds.  The complement swaps
-    the kinds and keeps the classes.  Vertex 0 is left out; the partition
-    by its label and the mirror pairing of partitions already fix it."""
-    groups: dict[frozenset[str], list[int]] = {}
-    for k in range(1, len(verts)):
-        around = g.neighbors(verts[k])
-        groups.setdefault(around, []).append(k)
-        groups.setdefault(around | {verts[k]}, []).append(k)
-    return [members for members in groups.values() if len(members) > 1]
+    def extends(image: tuple[int, ...]) -> bool:
+        # Whether position k, the last that `image` maps, keeps its adjacency
+        # to positions 0..k-1, and `image` extends to an automorphism.
+        k = len(image) - 1
+        w = image[k]
+        if w in image[:k] or len(adj[w]) != len(adj[k]) or any(
+            (j in adj[k]) != (x in adj[w]) for j, x in enumerate(image[:k])
+        ):
+            return False
+        return k == n - 1 or any(extends((*image, x)) for x in range(n))
+
+    return [[w for w in range(k + 1, n) if extends((*range(k), w))] for k in range(n)]
 
 
 def _sweep(
@@ -274,25 +279,28 @@ def _sweep(
     edge a strong pair, each graph's edge sumsets distinct.  Partitions in
     `done` are skipped; after each other one, yield the set counted.
 
-    The partitions are by vertex 0's label.  Reflecting every label by
-    x -> universe_max - x keeps strength, distinct edge sumsets and
-    difference sets, so a partition and its mirror are swept once, from the
-    lower, with weight 2 (1 if self-mirrored or the mirror is already
-    counted).  Swapping twins (`_twin_classes` of the first graph, the
-    complement's too) is an automorphism fixing vertex 0, so only labelings
-    whose labels increase along each class are swept, the weight times the
-    product of the class factorials.  Neither symmetry's representative is
-    lexicographically later, so the first labeling with a property both
-    keep is swept.
+    Aut(G) of the first graph (of its complement too) and the mirror
+    x -> universe_max - x of every label keep strength, edge sumsets and
+    difference sets, so one labeling per orbit is swept (`_orbits`): each
+    w in orbit[k], k >= 1, has a higher label than k; vertex 0 has the
+    lower label a of a mirror pair, its orbit-mates labels b with
+    min(b, mirror b) > a or b = mirror a (a tie).  Only the identity fixes
+    an injective labeling, so a swept one counts |Aut(G)|, twice that
+    unless a is its own mirror or at a tie (its mirror image's orbit is
+    swept here then).  A labeling's partition is its label on vertex 0's
+    orbit of least min(b, mirror b), the lower if both of a pair are there;
+    a partition whose mirror is counted is swept alone, at weight 1, with
+    ties only if a is the lower.  The lexicographically first labeling with
+    a property both symmetries keep is swept.
 
-    `leaf(assign, used, mask, weight)` gets, in lexicographic order, each
+    `leaf(assign, used, mask, count)` gets, in lexicographic order, each
     assignment of vertices 0..n-2 (`assign`, reused: copy it to keep it)
     that some label completes; `used` marks its labels, `mask` those vertex
-    n-1 can take.  A vertex's candidates are the unused labels strong with
-    each earlier neighbour, minus the partners whose sum with it is already
-    taken in that graph, and, in a twin class, above the previous member's
-    label.  Two new edges at one vertex never share a sum, by the argument
-    in `_Space` with the two labels' roles swapped."""
+    n-1 can take, `count` the labelings they stand for.  A vertex's
+    candidates are the unused labels its orbit rules allow that are strong
+    with each earlier neighbour, minus the partners whose sum with it is
+    already taken in that graph.  Two new edges at one vertex never share a
+    sum, by the argument in `_Space` with the two labels' roles swapped."""
     n = len(verts)
     last = n - 1
     pos = {v: k for k, v in enumerate(verts)}
@@ -301,19 +309,20 @@ def _sweep(
     for h, graph in enumerate(graphs):
         for u, v in sorted(graph.edges):  # u < v, and so pos[u] < pos[v]
             earlier[pos[v]].append((h, pos[u]))
-    classes = _twin_classes(graphs[0], verts)
-    # labelings per class-sorted one: the product of the class factorials
-    orbit = math.prod(math.factorial(len(members)) for members in classes)
-    # above[k]: the vertex before k in its class, whose label k's must exceed
-    above = {b: a for members in classes for a, b in zip(members, members[1:])}
-    strong, sum_id, partners = space.strong, space.sum_id, space.partners
-    full_mask = (1 << len(space.labels)) - 1
+    orbits = _orbits(graphs[0], verts)
+    group = math.prod(1 + len(orbit) for orbit in orbits)
+    # above[w]: the last k >= 1 with w in orbit[k], whose label w's must exceed
+    above = [max([k for k in range(1, w) if w in orbits[k]], default=0) for w in range(n)]
+    strong, sum_id, partners, mirror = space.strong, space.sum_id, space.partners, space.mirror
+    full_mask = (1 << len(mirror)) - 1
     sums: list[list[int]] = [[] for _ in graphs]  # edge sumset ids taken, per graph
     assign = [0] * n
+    gate = [full_mask] * n  # the labels each vertex may take in this partition
+    halves = [0] * n  # at vertex 0's orbit-mates, the tie label's bit if it halves the count
 
-    def search(k: int, used: int) -> None:
-        allowed = full_mask & ~used
-        if k in above:
+    def search(k: int, used: int, weight: int) -> None:
+        allowed = gate[k] & ~used
+        if above[k]:
             allowed &= -2 << assign[above[k]]
         for h, p in earlier[k]:
             row = partners[assign[p]]
@@ -322,27 +331,31 @@ def _sweep(
                 allowed &= ~row.get(s, 0)
         if k == last:
             if allowed:
-                leaf(assign, used, allowed, weight)
+                count = weight * allowed.bit_count()
+                leaf(assign, used, allowed, count - weight // 2 if allowed & halves[k] else count)
             return
         while allowed:
             bit = allowed & -allowed
             x = assign[k] = bit.bit_length() - 1
             for h, p in earlier[k]:
                 sums[h].append(sum_id[assign[p]][x])
-            search(k + 1, used | bit)
+            search(k + 1, used | bit, weight // 2 if bit == halves[k] else weight)
             for h, _ in earlier[k]:
                 sums[h].pop()
             allowed ^= bit
 
     done = set(done)
-    for first in range(len(space.labels)):
+    for first, image in enumerate(mirror):
         if first in done:
             continue
-        mirror = space.mirror[first]
-        weight = orbit if mirror in done or mirror == first else 2 * orbit
+        paired = image not in done and image != first
+        tie = 1 << image if first < image else 0
+        outside = sum(1 << b for b, m in enumerate(mirror) if min(b, m) > min(first, image))
+        for w in orbits[0]:
+            gate[w], halves[w] = outside | tie, tie if paired else 0
         assign[0] = first
-        search(1, 1 << first)
-        done.update((first, mirror))
+        search(1, 1 << first, 2 * group if paired else group)
+        done.update((first, image))
         yield done
 
 
@@ -469,12 +482,12 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     """Enumerate every labeling in the space, keep the strong ones, and take
     the minimum of their longest chains.
 
-    `_sweep` enumerates them up to mirror pairing and twin swaps, which keep
-    the chains, so the lexicographically first minimiser is still the
-    witness.  With a checkpoint directory in IASI_ORACLE_CHECKPOINT_DIR the
-    partitions counted so far, both members of each swept pair, are
-    recorded at most once per CHECKPOINT_INTERVAL_S and after the last
-    partition, and skipped on re-runs.
+    `_sweep` enumerates one per orbit of Aut(g) and the mirror, which keep
+    the chains, weighted by the orbit; the lexicographically first
+    minimiser is still the witness.  With a checkpoint directory in
+    IASI_ORACLE_CHECKPOINT_DIR the partitions counted so far, both members
+    of each swept pair, are recorded at most once per CHECKPOINT_INTERVAL_S
+    and after the last partition, and skipped on re-runs.
 
     A chain never shrinks as labels join.  So once a minimum is known, a
     partial labeling whose placed labels already hold a chain that long has
@@ -514,9 +527,9 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
             known = chains[used] = _chain_extension(space, used)
         return known
 
-    def leaf(assign: list[int], used: int, mask: int, weight: int) -> None:
+    def leaf(assign: list[int], used: int, mask: int, count: int) -> None:
         nonlocal best, best_assign, strong_count
-        strong_count += weight * mask.bit_count()
+        strong_count += count
         if best is not None and best <= last:
             x = assign[last - 1]
             c, up = facts(used ^ 1 << x)
@@ -530,17 +543,9 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
             best_assign = (*assign[:last], _lowest(shorter or mask))
 
     def save() -> None:
-        _write_checkpoint(
-            ckpt,
-            {
-                "version": CHECKPOINT_VERSION,
-                "key": ckpt_key,
-                "done": sorted(done),
-                "best": best,
-                "witness": list(best_assign) if best_assign is not None else None,
-                "strong_count": strong_count,
-            },
-        )
+        witness = list(best_assign) if best_assign is not None else None
+        _write_checkpoint(ckpt, {"version": CHECKPOINT_VERSION, "key": ckpt_key, "done": sorted(done),
+                                 "best": best, "witness": witness, "strong_count": strong_count})
 
     unsaved = False
     saved_at = time.monotonic()
@@ -553,9 +558,7 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
         save()
 
     if best_assign is None:
-        return MinChainResult(
-            exhausted=True, value=None, witness=None, strong_count=0, partitions=total
-        )
+        return MinChainResult(exhausted=True, value=None, witness=None, strong_count=0, partitions=total)
 
     witness = _labeling(labels, verts, best_assign)
     # Re-anchor the fast enumeration to the reference verifier.
@@ -563,13 +566,8 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
         raise InternalCheckError("oracle accepted a labeling the verifier rejects")
     if chain_report(g, witness).max_chain_length != best:
         raise InternalCheckError("oracle chain length disagrees with chain_report")
-    return MinChainResult(
-        exhausted=False,
-        value=best,
-        witness=witness,
-        strong_count=strong_count,
-        partitions=total,
-    )
+    return MinChainResult(exhausted=False, value=best, witness=witness, strong_count=strong_count,
+                          partitions=total)
 
 
 class ConcurrentSearch(_Record):
@@ -597,10 +595,10 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
     Pruning uses the per-edge sumset-cardinality condition on the two edge
     sets (the definition); every witness is then audited for pairwise
     difference-set disjointness, the chain-style restatement, so the two
-    routes stay independent.  `_sweep` enumerates witnesses up to mirror
-    pairing and twin swaps, which keep both routes, so the first witness and
-    the first non-disjoint one are swept; a sample of the swept ones is
-    re-checked with verify_concurrent_strong."""
+    routes stay independent.  `_sweep` enumerates one witness per orbit of
+    Aut(g) = Aut(complement) and the mirror, which keep both routes, so the
+    first witness and the first non-disjoint one are swept; a sample of the
+    swept ones is re-checked with verify_concurrent_strong."""
     verts = _search_vertices(g, cfg)
     gbar = complement(g)
     _check_no_isolated(gbar, "complement")
@@ -615,7 +613,7 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
     bad: tuple[int, ...] | None = None
     sample: list[tuple[int, ...]] = []
 
-    def leaf(assign: list[int], used: int, mask: int, weight: int) -> None:
+    def leaf(assign: list[int], used: int, mask: int, weighted: int) -> None:
         nonlocal count, seen, audit, bad
         if bad is None:
             reach = -1  # labels difference-disjoint from every assigned one
@@ -632,7 +630,7 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
             sample.append((*assign[:last], _lowest(rest)))
             audit = audit + 1 if audit < 8 else audit << 1
         seen += found
-        count += weight * found
+        count += weighted
 
     for _ in _sweep(space, verts, (g, gbar), leaf):
         pass

@@ -131,6 +131,19 @@ def automorphisms(g: Graph) -> list[dict[str, str]]:
     return out
 
 
+def stabiliser_orbits(g: Graph) -> list[list[int]]:
+    """`oracle._orbits` from the whole group: for each sorted-vertex position
+    k, the positions w > k that some automorphism fixing positions 0..k-1
+    maps k to."""
+    verts = g.sorted_vertices()
+    pos = {v: k for k, v in enumerate(verts)}
+    group = automorphisms(g)
+    return [
+        sorted({pos[s[verts[k]]] for s in group if all(s[v] == v for v in verts[:k])} - {k})
+        for k in range(len(verts))
+    ]
+
+
 def is_triangle_free(g: Graph) -> bool:
     """Whether no edge's ends share a neighbour: the intersection condition
     of the union-bound audit in `test_union_bound.py`."""

@@ -26,10 +26,10 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def outcome(argv: list[str]) -> dict:
-    """The `outcome` block of a `--format json` call that exits 0."""
+def outcome(argv: list[str], exit_code: int = 0) -> dict:
+    """The `outcome` block of a `--format json` call that exits `exit_code`."""
     code, out = run([*argv, "--format", "json"])
-    assert code == 0, (argv, code)
+    assert code == exit_code, (argv, code)
     return json.JSONDecoder().raw_decode(out)[0]["outcome"]
 
 
@@ -81,12 +81,18 @@ def checks(directory: Path) -> None:
     assert report["strong_edges"] == [[["a", "é"], True], [["c", "é"], False]], report
     assert out[:end] == json.dumps(doc, indent=2, sort_keys=True), out
 
-    # κ by exhaustive search on two graphs rich in twins (K4 and K1,3 with a
-    # leaf as vertex 0), against the value and count of the full sweep.
+    # κ by exhaustive search, which sweeps one labeling per automorphism
+    # orbit, against the value and count of the full sweep: K4 (every vertex
+    # in vertex 0's orbit), K1,3 with a leaf as vertex 0, and C5, whose
+    # rotations are the first symmetries here that swap no twins.  C5's
+    # minimum is 3 against ω = 2, the pinned pentagon case, so it exits 1.
     write(directory, "k4.graph", "p 4 6\na b\na c\na d\nb c\nb d\nc d\n")
     write(directory, "k13.graph", "p 4 3\nc a\nc b\nc d\n")
-    for name, value, count in [("k4", 4, 6576), ("k13", 2, 17136)]:
-        got = outcome(["oracle", "minchain", str(directory / f"{name}.graph"), "--max", "5"])
+    write(directory, "c5.graph", "p 5 5\na b\nb c\nc d\nd e\na e\n")
+    for name, top, value, count, code in [
+        ("k4", "5", 4, 6576, 0), ("k13", "5", 2, 17136, 0), ("c5", "6", 3, 938980, 1)
+    ]:
+        got = outcome(["oracle", "minchain", str(directory / f"{name}.graph"), "--max", top], code)
         assert (got["value"], got["strong_labelings"]) == (value, count), (name, got)
 
     # A minchain checkpoint round trip through $IASI_ORACLE_CHECKPOINT_DIR,
@@ -111,8 +117,8 @@ def checks(directory: Path) -> None:
     finally:
         del os.environ["IASI_ORACLE_CHECKPOINT_DIR"]
 
-    # The concurrent search on C4, whose twins and mirror pairs it sweeps
-    # once, against the count of the full sweep.
+    # The concurrent search on C4, one labeling per orbit of its
+    # automorphisms and the mirror, against the count of the full sweep.
     c4 = write(directory, "c4.graph", "p 4 4\na b\nb c\nc d\na d\n")
     got = outcome(["oracle", "concurrent", c4, "--max", "6"])
     assert (got["witnesses_found"], got["all_witnesses_pairwise_disjoint"]) == (38976, True), got

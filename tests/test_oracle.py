@@ -195,7 +195,7 @@ def test_minchain_bad_checkpoint_exits_two_naming_the_file(tmp_path, monkeypatch
     other = next((tmp_path / "ckpt").iterdir())
     assert main(argv + [str(tmp_path / "p3.g")]) == 0
     (path,) = set((tmp_path / "ckpt").iterdir()) - {other}  # no temp file left behind
-    assert json.loads(path.read_text())["version"] == 1
+    assert json.loads(path.read_text())["version"] == 2
     capsys.readouterr()
 
     corrupt(path, other)
@@ -211,7 +211,7 @@ def test_minchain_checkpoint_dir_that_is_a_file_exits_two(tmp_path, monkeypatch,
     assert str(tmp_path / "ckpt") in capsys.readouterr().err
 
 
-def test_minchain_checkpoint_key_is_stable_and_an_older_checkpoint_resumes(
+def test_minchain_checkpoint_key_is_stable_and_a_version_1_checkpoint_exits_two(
     tmp_path, monkeypatch, capsys
 ):
     # The key hashes write_graph(g) + repr(cfg): a drifting OracleConfig repr
@@ -223,14 +223,22 @@ def test_minchain_checkpoint_key_is_stable_and_an_older_checkpoint_resumes(
     clean = capsys.readouterr().out.rsplit("timing:", 1)[0]
     path = tmp_path / "ckpt" / "minchain-72268ec20f39bd84.json"
     assert list((tmp_path / "ckpt").iterdir()) == [path]
-    # What an earlier release wrote after 6 of the 10 partitions.
-    path.write_text(
+    # What an earlier release wrote after 6 of the 10 partitions.  Version 1
+    # partitioned the sweep by vertex 0's label alone, so its counts do not
+    # add up with the orbit sweep's: the file is refused and left as it is.
+    older = (
         '{"version": 1, "key": "72268ec20f39bd84", "done": [0, 1, 2, 5, 8, 9], "best": 2, '
         '"witness": [0, 1, 2], "strong_count": 244}'
     )
+    path.write_text(older)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "not a version 2 checkpoint" in err
+    assert path.read_text() == older
+    # Deleted, as the message asks, the sweep starts over to the same result.
+    path.unlink()
     assert main(argv) == 0
     assert capsys.readouterr().out.rsplit("timing:", 1)[0] == clean
-    assert sorted(json.loads(path.read_text())["done"]) == list(range(10))
 
 
 def test_minchain_checkpoint_env(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """The bitmask enumeration behind `min_max_chain` and `exists_concurrent`
-against naive permutation scans, twin-sorted enumeration on graphs rich in
-twins, and minchain checkpoints across the mirror pairing of partitions."""
+against naive permutation scans, the automorphism orbits it sweeps one
+labeling of (on graphs rich in twins and on graphs whose symmetries are not
+twin swaps), and minchain checkpoints across the mirror pairing of
+partitions."""
 
 import json
 import math
@@ -9,11 +11,13 @@ from functools import cache
 
 import pytest
 from helpers import (
+    automorphisms,
     connected_atlas,
     naive_concurrent,
     naive_min_max_chain,
     random_graph,
     reference_chain_extension,
+    stabiliser_orbits,
     strong_labelings,
 )
 from hypothesis import given, settings
@@ -90,10 +94,13 @@ def test_chain_extension_matches_the_subset_scan(data, universe_max, max_card):
 
 
 # ---------------------------------------------------------------------------
-# twin classes
+# automorphism orbits
 # ---------------------------------------------------------------------------
 
 DIAMOND = Graph("abcd", [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("c", "d")])
+# A triangle b, c, d with a horn on b (a) and one on d (e): its one symmetry
+# swaps the horns, which are not twins.
+BULL = Graph("abcde", [("a", "b"), ("b", "c"), ("b", "d"), ("c", "d"), ("d", "e")])
 
 
 def _reversed(g: Graph) -> Graph:
@@ -102,33 +109,97 @@ def _reversed(g: Graph) -> Graph:
     return g.relabel({v: f"r{len(verts) - k}" for k, v in enumerate(verts)})
 
 
-# (graph, twin classes among vertices 1..n-1, product of their factorials).
-# Each graph comes named twice.  In a star the centre is vertex 0, which has
-# no twin, or a leaf is.  In K2,3 vertex 0 is in the part of two or of
-# three, and in the diamond among the true twins (degree 3) or the false
-# ones.  K4 and C4 look the same from every vertex.
+def _first(g: Graph, v: str) -> Graph:
+    """g with `v` renamed so that it is vertex 0."""
+    return g.relabel(lambda u: "a" if u == v else u)
+
+
+def test_orbits_are_the_stabiliser_chain_on_the_atlas():
+    for g in connected_atlas(1, 6):
+        for named in (g, _reversed(g)):
+            found = oraclemod._orbits(named, named.sorted_vertices())
+            assert found == stabiliser_orbits(named), write_graph(named)
+            assert math.prod(1 + len(orbit) for orbit in found) == len(automorphisms(named))
+
+
+# (graph, orbit[k] for each sorted-vertex position k, |Aut|).  Each graph
+# comes named twice.  In a star the centre is vertex 0, or a leaf is.  In
+# K2,3 vertex 0 is in the part of two or of three, and in the diamond among
+# the true twins (degree 3) or the false ones.  K4 and C4 look the same from
+# every vertex.
 TWIN_GRAPHS = {
-    "k4": (complete_graph(4), [[1, 2, 3]], 6),
-    "k4-reversed": (_reversed(complete_graph(4)), [[1, 2, 3]], 6),
-    "k13-centre-first": (star_graph(3), [[1, 2, 3]], 6),
-    "k13-leaf-first": (_reversed(star_graph(3)), [[1, 2]], 2),
-    "k14-centre-first": (star_graph(4), [[1, 2, 3, 4]], 24),
-    "k14-leaf-first": (_reversed(star_graph(4)), [[1, 2, 3]], 6),
-    "k23-pair-first": (complete_bipartite_graph(2, 3), [[2, 3, 4]], 6),
-    "k23-triple-first": (_reversed(complete_bipartite_graph(2, 3)), [[1, 2], [3, 4]], 4),
-    "diamond-true-twin-first": (DIAMOND, [[1, 3]], 2),
-    "diamond-false-twin-first": (_reversed(DIAMOND), [[1, 3]], 2),
-    "c4": (cycle_graph(4), [[1, 3]], 2),
-    "c4-reversed": (_reversed(cycle_graph(4)), [[1, 3]], 2),
+    "k4": (complete_graph(4), [[1, 2, 3], [2, 3], [3], []], 24),
+    "k4-reversed": (_reversed(complete_graph(4)), [[1, 2, 3], [2, 3], [3], []], 24),
+    "k13-centre-first": (star_graph(3), [[], [2, 3], [3], []], 6),
+    "k13-leaf-first": (_reversed(star_graph(3)), [[1, 2], [2], [], []], 6),
+    "k14-centre-first": (star_graph(4), [[], [2, 3, 4], [3, 4], [4], []], 24),
+    "k14-leaf-first": (_reversed(star_graph(4)), [[1, 2, 3], [2, 3], [3], [], []], 24),
+    "k23-pair-first": (complete_bipartite_graph(2, 3), [[1], [], [3, 4], [4], []], 12),
+    "k23-triple-first": (_reversed(complete_bipartite_graph(2, 3)), [[1, 2], [2], [], [4], []], 12),
+    "diamond-true-twin-first": (DIAMOND, [[2], [3], [], []], 4),
+    "diamond-false-twin-first": (_reversed(DIAMOND), [[2], [3], [], []], 4),
+    "c4": (cycle_graph(4), [[1, 2, 3], [3], [], []], 8),
+    "c4-reversed": (_reversed(cycle_graph(4)), [[1, 2, 3], [3], [], []], 8),
 }
 
 
 @pytest.mark.parametrize("name", TWIN_GRAPHS)
-def test_twin_classes_leave_vertex_zero_out(name):
-    g, classes, orbit = TWIN_GRAPHS[name]
-    found = oraclemod._twin_classes(g, g.sorted_vertices())
-    assert sorted(found) == classes
-    assert math.prod(math.factorial(len(c)) for c in found) == orbit
+def test_orbits_of_graphs_rich_in_twins(name):
+    g, orbits, order = TWIN_GRAPHS[name]
+    assert oraclemod._orbits(g, g.sorted_vertices()) == orbits == stabiliser_orbits(g)
+    assert len(automorphisms(g)) == order
+
+
+# Graphs whose symmetries are not twin swaps, with their orbits: C5's
+# rotations and reflections, the bull's swap of its horns (vertex 0 a horn),
+# and P4's reflection with an end or a middle vertex as vertex 0.
+SYMMETRIC_GRAPHS = {
+    "c5": (cycle_graph(5), [[1, 2, 3, 4], [4], [], [], []]),
+    "bull": (BULL, [[4], [], [], [], []]),
+    "p4-end-first": (path_graph(4), [[3], [], [], []]),
+    "p4-middle-first": (_first(path_graph(4), "v1"), [[2], [], [], []]),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC_GRAPHS)
+def test_orbits_of_symmetries_that_are_not_twin_swaps(name):
+    g, orbits = SYMMETRIC_GRAPHS[name]
+    assert oraclemod._orbits(g, g.sorted_vertices()) == orbits == stabiliser_orbits(g)
+
+
+def _small_spaces(g: Graph) -> list[tuple[int, int]]:
+    """(universe_max, cards) pairs a permutation scan of g finishes soon:
+    that of 5 vertices over the 15 labels of U 0..5 is slow."""
+    return [(4, 1), (4, 2)] + [(5, 2)] * (len(g.vertices) == 4)
+
+
+SYMMETRIC_SPACES = [
+    (name, universe_max, cards)
+    for name, (g, _) in SYMMETRIC_GRAPHS.items()
+    for universe_max, cards in _small_spaces(g)
+]
+
+
+@pytest.mark.parametrize("name, universe_max, cards", SYMMETRIC_SPACES)
+def test_minchain_matches_the_naive_scan_on_symmetries_that_are_not_twin_swaps(
+    name, universe_max, cards
+):
+    g = SYMMETRIC_GRAPHS[name][0]
+    cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
+    value, count, witness = _minchain(g, cfg)
+    assert count > 0
+    assert (value, count, witness) == naive_min_max_chain(g, cfg)
+
+
+@pytest.mark.parametrize("name, universe_max, cards", SYMMETRIC_SPACES)
+def test_concurrent_matches_the_naive_scan_on_symmetries_that_are_not_twin_swaps(
+    name, universe_max, cards
+):
+    # C5, the bull and P4 are each isomorphic to their complements.
+    g = SYMMETRIC_GRAPHS[name][0]
+    cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
+    result = exists_concurrent(g, cfg)
+    assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg)
 
 
 @pytest.mark.parametrize(
@@ -136,8 +207,7 @@ def test_twin_classes_leave_vertex_zero_out(name):
     [
         (name, universe_max, cards)
         for name, (g, _, _) in TWIN_GRAPHS.items()
-        # The permutation scan of 5 vertices over the 15 labels of U 0..5 is slow.
-        for universe_max, cards in [(4, 1), (4, 2)] + [(5, 2)] * (len(g.vertices) == 4)
+        for universe_max, cards in _small_spaces(g)
     ],
 )
 def test_minchain_matches_the_naive_scan_on_twin_graphs(name, universe_max, cards):
@@ -153,11 +223,6 @@ def test_concurrent_matches_the_naive_scan(g, universe_max, cards):
     result = exists_concurrent(g, cfg)
     assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg)
     assert result.exists == (result.witness is not None)
-
-
-def _first(g: Graph, v: str) -> Graph:
-    """g with `v` renamed so that it is vertex 0."""
-    return g.relabel(lambda u: "a" if u == v else u)
 
 
 # Graphs whose complements have no isolated vertex, beside P4 and C4 as
@@ -194,7 +259,7 @@ def test_concurrent_names_the_first_non_disjoint_witness(monkeypatch, g):
     # Make the disjointness rows say that the first witness's first two
     # labels share a difference.  Both sit in the partial labeling, not in
     # the last vertex's mask, and the first witness itself is reported.
-    # In C4, vertices 1 and 3 are twins.
+    # In C4 every vertex is in vertex 0's orbit.
     cfg = OracleConfig(universe_max=5)
     labels = cfg.candidate_labels()
     naive = list(strong_labelings(g, labels, (g, oraclemod.complement(g))))
@@ -271,6 +336,16 @@ def test_minchain_on_a_twin_graph_resumed_mid_sweep_gives_the_uninterrupted_resu
     )
 
 
+@pytest.mark.parametrize("killed_after", [1, 4])
+def test_minchain_on_c5_resumed_mid_sweep_gives_the_uninterrupted_result(
+    tmp_path, monkeypatch, killed_after
+):
+    # Vertex 0's orbit is every vertex, so partitions hold ties.
+    g, cfg = cycle_graph(5), OracleConfig(universe_max=5)
+    clean = _minchain(g, cfg)
+    assert _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch) == clean
+
+
 def test_minchain_checkpoints_at_most_once_a_second_and_at_the_end(tmp_path, monkeypatch):
     g, cfg = path_graph(4), OracleConfig(universe_max=7)
     clean = _minchain(g, cfg)
@@ -294,16 +369,27 @@ def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path, mo
     # A sweep that counts each partition on its own records the same facts
     # (the partitions counted, their strong labelings, the best so far), so
     # resuming from one, some of whose partitions' mirrors are not yet
-    # counted, gives the same answer.
+    # counted, gives the same answer.  A labeling's partition is the label
+    # on vertex 0's orbit (the ends of P3) whose mirror pair comes first,
+    # the lower of the pair if both are there.
     monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
     g, cfg = path_graph(3), OracleConfig(universe_max=5)
     clean = _minchain(g, cfg)
     (path,) = tmp_path.iterdir()
     labels = cfg.candidate_labels()
     verts = g.sorted_vertices()
+    mirror = oraclemod._Space(cfg).mirror
     swept = 4
-    assert any(oraclemod._Space(cfg).mirror[i] >= swept for i in range(swept))
-    counted = [f for f in strong_labelings(g, labels, (g,)) if labels.index(f[verts[0]]) < swept]
+    assert any(mirror[i] >= swept for i in range(swept))
+
+    def partition(f) -> int:
+        ends = [labels.index(f[v]) for v in (verts[0], verts[2])]
+        return min((min(i, mirror[i]), i) for i in ends)[1]
+
+    scanned = list(strong_labelings(g, labels, (g,)))
+    counted = [f for f in scanned if partition(f) < swept]
+    # Partitions by vertex 0's label alone, as checkpoint version 1 counted, differ.
+    assert len(counted) != sum(labels.index(f[verts[0]]) < swept for f in scanned)
     chains = [chain_report(g, f).max_chain_length for f in counted]
     best = min(chains)
     witness = counted[chains.index(best)]
