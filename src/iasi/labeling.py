@@ -18,7 +18,7 @@ lengths would stop measuring anything.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from . import graph as graphmod
 from .errors import InternalCheckError, ParseError, _immutable, _Record
@@ -87,13 +87,6 @@ class Labeling:
 
     def vertices(self) -> list[str]:
         return list(self._assignment)
-
-    def restricted(self, keep: Iterable[str]) -> "Labeling":
-        ks = set(keep)
-        missing = ks - self._assignment.keys()
-        if missing:
-            raise ValueError(f"labeling does not cover {sorted(missing)}")
-        return Labeling({v: s for v, s in self._assignment.items() if v in ks})
 
     def scaled(self, r: int) -> "Labeling":
         """Elementwise scaling v -> r.f(v) of every label."""

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 CHECKPOINT_ENV = "IASI_ORACLE_CHECKPOINT_DIR"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # Least seconds between minchain checkpoint writes.  A write (temp file, fsync,
 # rename) can take tens of milliseconds, mostly the rename, while a partition
 # of a small sweep takes well under one.
@@ -90,11 +90,8 @@ class OracleConfig(_Record):
         """Every admissible label, ordered by subset rank (binary counting
         over the universe), so enumeration order is canonical."""
         universe = range(self.universe_max + 1)
-        out = []
-        for mask in range(1, 1 << (self.universe_max + 1)):
-            if self.min_card <= mask.bit_count() <= self.max_card:
-                out.append(IntSet(x for x in universe if mask >> x & 1))
-        return out
+        return [IntSet(x for x in universe if mask >> x & 1) for mask in range(1, 1 << len(universe))
+                if self.min_card <= mask.bit_count() <= self.max_card]
 
 
 class LemmaCheck(_Record):
@@ -267,6 +264,29 @@ def _orbits(g: Graph, verts: list[str]) -> list[list[int]]:
     return [[w for w in range(k + 1, n) if extends((*range(k), w))] for k in range(n)]
 
 
+def _search_order(g: Graph, verts: list[str]) -> list[str]:
+    """The order `min_max_chain` sweeps in: large orbits early, where their
+    rules prune, and last a vertex z whose rules would only narrow its bulk
+    mask.  A vertex's colour is its degree, its neighbours' sorted degrees
+    and its adjacency to each placed vertex.  z has the rarest colour (then
+    least degree, name); before it, each next vertex is the first by: not
+    of z's colour, in the largest colour class left, not adjacent to z, most
+    edges to the placed vertices, highest degree, name."""
+    nbrs = {v: g.neighbors(v) for v in verts}
+    base = {v: (len(nbrs[v]), *sorted(len(nbrs[u]) for u in nbrs[v])) for v in verts}
+    colours = list(base.values())
+    z = min(verts, key=lambda v: (colours.count(base[v]), base[v][0], v))
+    order, rest = [], [v for v in verts if v != z]
+    while rest:
+        colour = {v: (base[v], *(p in nbrs[v] for p in order)) for v in rest}
+        colours = list(colour.values())
+        order.append(min(rest, key=lambda v: (
+            base[v] == base[z], -colours.count(colour[v]), z in nbrs[v],
+            -sum(colour[v][1:]), -base[v][0], v)))
+        rest.remove(order[-1])
+    return order + [z]
+
+
 def _sweep(
     space: _Space,
     verts: list[str],
@@ -274,10 +294,10 @@ def _sweep(
     leaf: Callable[[list[int], int, int, int], None],
     done: Iterable[int] = (),
 ) -> Iterator[set[int]]:
-    """Sweep the injective labelings of `verts` (n >= 2) by label index
-    strong on each of `graphs` (a graph, or it and its complement): every
-    edge a strong pair, each graph's edge sumsets distinct.  Partitions in
-    `done` are skipped; after each other one, yield the set counted.
+    """Sweep the injective labelings of `verts` (n >= 2, any order) by label
+    index strong on each of `graphs` (a graph, or it and its complement):
+    every edge a strong pair, each graph's edge sumsets distinct.  Partitions
+    in `done` are skipped; after each other one, yield the set counted.
 
     Aut(G) of the first graph (of its complement too) and the mirror
     x -> universe_max - x of every label keep strength, edge sumsets and
@@ -291,24 +311,26 @@ def _sweep(
     orbit of least min(b, mirror b), the lower if both of a pair are there;
     a partition whose mirror is counted is swept alone, at weight 1, with
     ties only if a is the lower.  The lexicographically first labeling with
-    a property both symmetries keep is swept.
+    a property both symmetries keep is swept; counts do not depend on the
+    order, which only decides where the rules prune.
 
     `leaf(assign, used, mask, count)` gets, in lexicographic order, each
     assignment of vertices 0..n-2 (`assign`, reused: copy it to keep it)
     that some label completes; `used` marks its labels, `mask` those vertex
     n-1 can take, `count` the labelings they stand for.  A vertex's
     candidates are the unused labels its orbit rules allow that are strong
-    with each earlier neighbour, minus the partners whose sum with it is
-    already taken in that graph.  Two new edges at one vertex never share a
-    sum, by the argument in `_Space` with the two labels' roles swapped."""
+    with each earlier neighbour (an edge is checked at its later end), minus
+    the partners whose sum with it is already taken in that graph.  Two new
+    edges at one vertex never share a sum, by the argument in `_Space` with
+    the two labels' roles swapped."""
     n = len(verts)
     last = n - 1
     pos = {v: k for k, v in enumerate(verts)}
-    # earlier[k]: (graph, neighbour) for each edge from vertex k to a lower vertex
+    # earlier[k]: (graph, neighbour) for each edge from vertex k to an earlier vertex
     earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for h, graph in enumerate(graphs):
-        for u, v in sorted(graph.edges):  # u < v, and so pos[u] < pos[v]
-            earlier[pos[v]].append((h, pos[u]))
+        for a, b in sorted(sorted((pos[u], pos[v])) for u, v in graph.edges):
+            earlier[b].append((h, a))
     orbits = _orbits(graphs[0], verts)
     group = math.prod(1 + len(orbit) for orbit in orbits)
     # above[w]: the last k >= 1 with w in orbit[k], whose label w's must exceed
@@ -383,6 +405,10 @@ def _chain_extension(space: _Space, used: int) -> tuple[int, int]:
         elif size == best:
             up |= reach
     return best, up & space.carriers & ~used
+
+
+class _FirstHit(Exception):
+    """Ends a sweep at its first leaf with a chain below the best."""
 
 
 class MinChainResult(_Record):
@@ -483,20 +509,23 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     the minimum of their longest chains.
 
     `_sweep` enumerates one per orbit of Aut(g) and the mirror, which keep
-    the chains, weighted by the orbit; the lexicographically first
-    minimiser is still the witness.  With a checkpoint directory in
-    IASI_ORACLE_CHECKPOINT_DIR the partitions counted so far, both members
-    of each swept pair, are recorded at most once per CHECKPOINT_INTERVAL_S
-    and after the last partition, and skipped on re-runs.
+    the chains, weighted by the orbit, in `_search_order`.  If that is not
+    the sorted order, a sorted sweep stops at its first leaf that reaches
+    the minimum: the lexicographically first minimiser, the witness.  With
+    a checkpoint directory in IASI_ORACLE_CHECKPOINT_DIR the partitions
+    counted so far (labels on the orbit of the search order's vertex 0),
+    both members of each swept pair, are recorded at most once per
+    CHECKPOINT_INTERVAL_S and after the last partition, and skipped on
+    re-runs; the best witness so far is written in sorted-vertex order.
 
     A chain never shrinks as labels join.  So once a minimum is known, a
     partial labeling whose placed labels already hold a chain that long has
     no completion below it: its leaves are counted and not measured.  The
     placed labels' chain comes from the facts of all but the last of them,
     cached like the rest.  n - 1 labels hold no chain longer than n - 1, so
-    the test is skipped while the minimum is above that.
-    """
+    the test is skipped while the minimum is above that."""
     verts = _search_vertices(g, cfg)
+    order = _search_order(g, verts)
     space = _Space(cfg)
     labels = space.labels
     total = len(labels)
@@ -510,10 +539,9 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     strong_count = 0
     if ckpt is not None and ckpt.exists():
         state = _read_checkpoint(ckpt, ckpt_key, g, verts, labels)
-        resumed = state["done"]
-        best = state["best"]
-        best_assign = tuple(state["witness"]) if state["witness"] is not None else None
-        strong_count = state["strong_count"]
+        resumed, best, strong_count = state["done"], state["best"], state["strong_count"]
+        if state["witness"] is not None:  # in sorted-vertex order
+            best_assign = tuple(state["witness"][verts.index(v)] for v in order)
 
     last = n - 1
     # (longest chain, extending carriers) per set of labels, keyed by its label mask
@@ -541,15 +569,17 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
         if best is None or chain < best:
             best = chain
             best_assign = (*assign[:last], _lowest(shorter or mask))
+            if first_hit:
+                raise _FirstHit
 
     def save() -> None:
-        witness = list(best_assign) if best_assign is not None else None
+        witness = None if best_assign is None else [best_assign[order.index(v)] for v in verts]
         _write_checkpoint(ckpt, {"version": CHECKPOINT_VERSION, "key": ckpt_key, "done": sorted(done),
                                  "best": best, "witness": witness, "strong_count": strong_count})
 
-    unsaved = False
+    unsaved = first_hit = False
     saved_at = time.monotonic()
-    for done in _sweep(space, verts, (g,), leaf, resumed):
+    for done in _sweep(space, order, (g,), leaf, resumed):
         unsaved = True
         if ckpt is not None and time.monotonic() - saved_at >= CHECKPOINT_INTERVAL_S:
             save()
@@ -559,6 +589,16 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
 
     if best_assign is None:
         return MinChainResult(exhausted=True, value=None, witness=None, strong_count=0, partitions=total)
+    if order != verts:  # the witness is the first minimiser in sorted order
+        value, swept, best, best_assign, first_hit = best, strong_count, best + 1, None, True
+        try:
+            for _ in _sweep(space, verts, (g,), leaf):
+                pass
+        except _FirstHit:
+            pass
+        if best != value:
+            raise InternalCheckError("the sorted witness sweep disagrees with the minimum")
+        strong_count = swept
 
     witness = _labeling(labels, verts, best_assign)
     # Re-anchor the fast enumeration to the reference verifier.

@@ -118,7 +118,8 @@ def is_isomorphic_brute(g1: Graph, g2: Graph) -> bool:
     return False
 
 
-def automorphisms(g: Graph) -> list[dict[str, str]]:
+@cache
+def automorphisms(g: Graph) -> tuple[dict[str, str], ...]:
     verts = g.sorted_vertices()
     out = []
     for perm in permutations(verts):
@@ -128,20 +129,29 @@ def automorphisms(g: Graph) -> list[dict[str, str]]:
             for u, v in combinations(verts, 2)
         ):
             out.append(mapping)
-    return out
+    return tuple(out)
 
 
-def stabiliser_orbits(g: Graph) -> list[list[int]]:
-    """`oracle._orbits` from the whole group: for each sorted-vertex position
-    k, the positions w > k that some automorphism fixing positions 0..k-1
-    maps k to."""
-    verts = g.sorted_vertices()
+def stabiliser_orbits(g: Graph, verts: list[str] | None = None) -> list[list[int]]:
+    """`oracle._orbits` from the whole group: for each position k of `verts`
+    (by default the sorted vertices), the positions w > k that some
+    automorphism fixing positions 0..k-1 maps k to."""
+    verts = verts or g.sorted_vertices()
     pos = {v: k for k, v in enumerate(verts)}
     group = automorphisms(g)
     return [
         sorted({pos[s[verts[k]]] for s in group if all(s[v] == v for v in verts[:k])} - {k})
         for k in range(len(verts))
     ]
+
+
+def restricted(f: Labeling, keep) -> Labeling:
+    """f on the vertices in `keep` alone; ValueError if f misses one."""
+    ks = set(keep)
+    missing = ks - set(f.vertices())
+    if missing:
+        raise ValueError(f"labeling does not cover {sorted(missing)}")
+    return Labeling({v: s for v, s in f.items() if v in ks})
 
 
 def is_triangle_free(g: Graph) -> bool:

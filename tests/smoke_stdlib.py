@@ -86,11 +86,16 @@ def checks(directory: Path) -> None:
     # in vertex 0's orbit), K1,3 with a leaf as vertex 0, and C5, whose
     # rotations are the first symmetries here that swap no twins.  C5's
     # minimum is 3 against ω = 2, the pinned pentagon case, so it exits 1.
+    # P4 and the paw are named so that the search order is not the sorted
+    # one: those sweeps take their witness from a second, sorted pass.
     write(directory, "k4.graph", "p 4 6\na b\na c\na d\nb c\nb d\nc d\n")
     write(directory, "k13.graph", "p 4 3\nc a\nc b\nc d\n")
     write(directory, "c5.graph", "p 5 5\na b\nb c\nc d\nd e\na e\n")
+    write(directory, "p4.graph", "p 4 3\na b\nb c\nc d\n")
+    write(directory, "paw.graph", "p 4 4\na d\nb c\nb d\nc d\n")
     for name, top, value, count, code in [
-        ("k4", "5", 4, 6576, 0), ("k13", "5", 2, 17136, 0), ("c5", "6", 3, 938980, 1)
+        ("k4", "5", 4, 6576, 0), ("k13", "5", 2, 17136, 0), ("c5", "6", 3, 938980, 1),
+        ("p4", "6", 2, 82264, 0), ("paw", "6", 3, 65912, 0),
     ]:
         got = outcome(["oracle", "minchain", str(directory / f"{name}.graph"), "--max", top], code)
         assert (got["value"], got["strong_labelings"]) == (value, count), (name, got)

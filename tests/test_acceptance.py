@@ -11,7 +11,7 @@ import random
 import time
 
 import pytest
-from helpers import connected_atlas, random_graph_corpus, random_induced_subgraph
+from helpers import connected_atlas, random_graph_corpus, random_induced_subgraph, restricted
 
 from iasi import (
     ConstructionSpec,
@@ -181,7 +181,7 @@ def test_criterion_06_subgraph_heredity():
             sub = random_induced_subgraph(rng, g)
             if sub is None:
                 continue
-            assert verify(sub, f.restricted(sub.vertices)).is_strong, (
+            assert verify(sub, restricted(f, sub.vertices)).is_strong, (
                 f"restriction to {sorted(sub.vertices)} lost strength"
             )
             checked += 1

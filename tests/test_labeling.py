@@ -11,6 +11,7 @@ from helpers import (
     random_graph,
     random_induced_subgraph,
     reference_verify,
+    restricted,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -432,7 +433,7 @@ def test_strong_heredity_on_subgraphs():
             sub = random_induced_subgraph(rng, g)
             if sub is None:
                 continue
-            assert verify(sub, f.restricted(sub.vertices)).is_strong
+            assert verify(sub, restricted(f, sub.vertices)).is_strong
 
 
 def test_strong_heredity_on_spanning_subgraphs():
@@ -445,7 +446,7 @@ def test_strong_heredity_on_spanning_subgraphs():
             sub = Graph(g.vertices, keep)
             live = [v for v in sub.vertices if sub.neighbors(v)]
             sub = sub.induced(live)
-            assert verify(sub, f.restricted(sub.vertices)).is_strong
+            assert verify(sub, restricted(f, sub.vertices)).is_strong
 
 
 def test_verdict_invariant_under_automorphism():
@@ -468,12 +469,12 @@ def test_labeling_rejects_empty_label():
 
 def test_labeling_restrict_and_scale():
     f = lab(a=[1, 2], b=[3, 5])
-    r = f.restricted(["a"])
+    r = restricted(f, ["a"])
     assert r.vertices() == ["a"]
     s = f.scaled(3)
     assert s["a"] == IntSet([3, 6]) and s["b"] == IntSet([9, 15])
     with pytest.raises(ValueError):
-        f.restricted(["zz"])
+        restricted(f, ["zz"])
 
 
 def test_labeling_immutable():

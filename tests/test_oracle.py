@@ -111,7 +111,7 @@ def test_minchain_matches_clique_number_small_universe():
 def test_minchain_witness_satisfies_heredity():
     import random
 
-    from helpers import random_induced_subgraph
+    from helpers import random_induced_subgraph, restricted
 
     rng = random.Random(47)
     for g in (path_graph(4), cycle_graph(4), complete_graph(4)):
@@ -119,7 +119,7 @@ def test_minchain_witness_satisfies_heredity():
         for _ in range(5):
             sub = random_induced_subgraph(rng, g)
             if sub is not None:
-                assert verify(sub, witness.restricted(sub.vertices)).is_strong
+                assert verify(sub, restricted(witness, sub.vertices)).is_strong
 
 
 def test_minchain_invariant_under_relabeling():
@@ -195,7 +195,7 @@ def test_minchain_bad_checkpoint_exits_two_naming_the_file(tmp_path, monkeypatch
     other = next((tmp_path / "ckpt").iterdir())
     assert main(argv + [str(tmp_path / "p3.g")]) == 0
     (path,) = set((tmp_path / "ckpt").iterdir()) - {other}  # no temp file left behind
-    assert json.loads(path.read_text())["version"] == 2
+    assert json.loads(path.read_text())["version"] == 3
     capsys.readouterr()
 
     corrupt(path, other)
@@ -223,18 +223,20 @@ def test_minchain_checkpoint_key_is_stable_and_a_version_1_checkpoint_exits_two(
     clean = capsys.readouterr().out.rsplit("timing:", 1)[0]
     path = tmp_path / "ckpt" / "minchain-72268ec20f39bd84.json"
     assert list((tmp_path / "ckpt").iterdir()) == [path]
-    # What an earlier release wrote after 6 of the 10 partitions.  Version 1
-    # partitioned the sweep by vertex 0's label alone, so its counts do not
-    # add up with the orbit sweep's: the file is refused and left as it is.
-    older = (
-        '{"version": 1, "key": "72268ec20f39bd84", "done": [0, 1, 2, 5, 8, 9], "best": 2, '
-        '"witness": [0, 1, 2], "strong_count": 244}'
-    )
-    path.write_text(older)
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert str(path) in err and "not a version 2 checkpoint" in err
-    assert path.read_text() == older
+    # What earlier releases wrote after 6 of the 10 partitions.  Version 1
+    # partitioned the sweep by vertex 0's label alone and version 2 by the
+    # label on sorted vertex 0's orbit, so their counts do not add up with a
+    # sweep in the search order: each file is refused and left as it is.
+    for version in (1, 2):
+        older = (
+            f'{{"version": {version}, "key": "72268ec20f39bd84", "done": [0, 1, 2, 5, 8, 9], '
+            '"best": 2, "witness": [0, 1, 2], "strong_count": 244}'
+        )
+        path.write_text(older)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "not a version 3 checkpoint" in err
+        assert path.read_text() == older
     # Deleted, as the message asks, the sweep starts over to the same result.
     path.unlink()
     assert main(argv) == 0

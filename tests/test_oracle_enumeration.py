@@ -8,6 +8,7 @@ import json
 import math
 import random
 from functools import cache
+from itertools import permutations
 
 import pytest
 from helpers import (
@@ -167,6 +168,77 @@ def test_orbits_of_symmetries_that_are_not_twin_swaps(name):
     assert oraclemod._orbits(g, g.sorted_vertices()) == orbits == stabiliser_orbits(g)
 
 
+# ---------------------------------------------------------------------------
+# the search order
+# ---------------------------------------------------------------------------
+
+def _sweep_totals(g: Graph, order: list[str], space) -> tuple[int, int]:
+    """(weighted count, least chain) of `_sweep` over g's labelings placed
+    in `order`, each leaf's chain from the subset scan."""
+    count, least = 0, len(order)
+
+    def leaf(assign, used, mask, weighted):
+        nonlocal count, least
+        count += weighted
+        c, up = reference_chain_extension(space, used)
+        least = min(least, c if mask & ~up else c + 1)
+
+    for _ in oraclemod._sweep(space, order, (g,), leaf):
+        pass
+    return count, least
+
+
+def test_sweep_answers_do_not_depend_on_the_vertex_order():
+    # Each edge is checked at the later of its ends in the order, whatever
+    # their names.
+    space = oraclemod._Space(OracleConfig(universe_max=5))
+    for g in connected_atlas(4, 4):
+        verts = g.sorted_vertices()
+        expected = _sweep_totals(g, verts, space)
+        assert expected[0] > 0
+        for order in permutations(verts):
+            assert _sweep_totals(g, list(order), space) == expected, (write_graph(g), order)
+
+
+def _symmetry_breaking(g: Graph, order: list[str]) -> tuple[int, int]:
+    """(F, E) of a sweep order: F = the product of 1 + |orbit[k] - {n-1}|,
+    how much the orbit rules prune before the last vertex, whose candidates
+    are counted in bulk, and E the edges among the vertices before it."""
+    last = len(order) - 1
+    f = math.prod(1 + len(set(orbit) - {last}) for orbit in stabiliser_orbits(g, order))
+    front = set(order[:last])
+    return f, sum(u in front and v in front for u, v in g.edges)
+
+
+def test_search_order_breaks_the_most_symmetry_before_the_last_vertex():
+    # Over every order, the greatest F predicts the fewest leaves, and among
+    # those the greatest E.  One round of colour refinement reaches the
+    # greatest F on every connected graph with 3-5 vertices, and the
+    # greatest (F, E) with 4.
+    for g in connected_atlas(3, 5):
+        for named in (g, _reversed(g)):
+            verts = named.sorted_vertices()
+            order = oraclemod._search_order(named, verts)
+            assert sorted(order) == verts
+            best = max(_symmetry_breaking(named, list(p)) for p in permutations(verts))
+            got = _symmetry_breaking(named, order)
+            assert got[0] == best[0], (write_graph(named), order)
+            if len(verts) == 4:
+                assert got == best, (write_graph(named), order)
+
+
+# Namings whose sorted order puts the symmetry late or nowhere, so the sweep
+# runs in another order and takes its witness from a sorted pass: P4 with an
+# end first (its orbit-mate last), the paw with its pendant vertex first
+# (fixed by Aut), K1,3 with its centre first (fixed too) and C5.
+BAD_NAMINGS = {
+    "p4": Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
+    "paw": Graph("abcd", [("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]),
+    "k13-centre-first": star_graph(3),
+    "c5": cycle_graph(5),
+}
+
+
 def _small_spaces(g: Graph) -> list[tuple[int, int]]:
     """(universe_max, cards) pairs a permutation scan of g finishes soon:
     that of 5 vertices over the 15 labels of U 0..5 is slow."""
@@ -214,6 +286,45 @@ def test_minchain_matches_the_naive_scan_on_twin_graphs(name, universe_max, card
     g = TWIN_GRAPHS[name][0]
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
     assert _minchain(g, cfg) == naive_min_max_chain(g, cfg)
+
+
+@pytest.mark.parametrize(
+    "name, universe_max, cards",
+    [
+        (name, universe_max, cards)
+        for name, g in BAD_NAMINGS.items()
+        for universe_max, cards in _small_spaces(g)
+    ],
+)
+def test_minchain_matches_the_naive_scan_on_bad_namings(name, universe_max, cards):
+    g = BAD_NAMINGS[name]
+    verts = g.sorted_vertices()
+    assert oraclemod._search_order(g, verts) != verts
+    cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
+    assert _minchain(g, cfg) == naive_min_max_chain(g, cfg)
+
+
+def test_minchain_on_a_badly_named_p4_takes_half_the_leaves_of_the_sorted_sweep(monkeypatch):
+    g, cfg = BAD_NAMINGS["p4"], OracleConfig(universe_max=7)
+    space = oraclemod._Space(cfg)
+    leaves = 0
+    real = oraclemod._sweep
+
+    def counting(space, verts, graphs, leaf, done=()):
+        def counted(*args):
+            nonlocal leaves
+            leaves += 1
+            leaf(*args)
+
+        return real(space, verts, graphs, counted, done)
+
+    for _ in counting(space, g.sorted_vertices(), (g,), lambda *args: None):
+        pass
+    assert leaves == 7544  # P4's reflection acts on the last vertex alone
+    leaves = 0
+    monkeypatch.setattr(oraclemod, "_sweep", counting)
+    min_max_chain(g, cfg)
+    assert leaves <= 7544 // 2  # the sorted witness pass included
 
 
 @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(4)], ids=["p4", "c4"])
@@ -346,6 +457,17 @@ def test_minchain_on_c5_resumed_mid_sweep_gives_the_uninterrupted_result(
     assert _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch) == clean
 
 
+@pytest.mark.parametrize("killed_after", [1, 4])
+def test_minchain_on_the_paw_resumed_mid_sweep_gives_the_uninterrupted_result(
+    tmp_path, monkeypatch, killed_after
+):
+    # Partitions are labels on the orbit of the search order's vertex 0 and
+    # the witness is written in sorted-vertex order.
+    g, cfg = BAD_NAMINGS["paw"], OracleConfig(universe_max=5)
+    clean = _minchain(g, cfg)
+    assert _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch) == clean
+
+
 def test_minchain_checkpoints_at_most_once_a_second_and_at_the_end(tmp_path, monkeypatch):
     g, cfg = path_graph(4), OracleConfig(universe_max=7)
     clean = _minchain(g, cfg)
@@ -370,26 +492,30 @@ def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path, mo
     # (the partitions counted, their strong labelings, the best so far), so
     # resuming from one, some of whose partitions' mirrors are not yet
     # counted, gives the same answer.  A labeling's partition is the label
-    # on vertex 0's orbit (the ends of P3) whose mirror pair comes first,
-    # the lower of the pair if both are there.
+    # on the orbit of the search order's vertex 0 (the paw's two vertices of
+    # degree 2) whose mirror pair comes first, the lower of the pair if both
+    # are there.
     monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
-    g, cfg = path_graph(3), OracleConfig(universe_max=5)
+    g, cfg = BAD_NAMINGS["paw"], OracleConfig(universe_max=5)
     clean = _minchain(g, cfg)
     (path,) = tmp_path.iterdir()
     labels = cfg.candidate_labels()
     verts = g.sorted_vertices()
+    order = oraclemod._search_order(g, verts)
+    orbit = [order[0]] + [order[w] for w in stabiliser_orbits(g, order)[0]]
+    assert sorted(orbit) == ["b", "c"]
     mirror = oraclemod._Space(cfg).mirror
     swept = 4
     assert any(mirror[i] >= swept for i in range(swept))
 
-    def partition(f) -> int:
-        ends = [labels.index(f[v]) for v in (verts[0], verts[2])]
-        return min((min(i, mirror[i]), i) for i in ends)[1]
+    def partition(f, orbit) -> int:
+        return min((min(i, mirror[i]), i) for i in (labels.index(f[v]) for v in orbit))[1]
 
     scanned = list(strong_labelings(g, labels, (g,)))
-    counted = [f for f in scanned if partition(f) < swept]
-    # Partitions by vertex 0's label alone, as checkpoint version 1 counted, differ.
-    assert len(counted) != sum(labels.index(f[verts[0]]) < swept for f in scanned)
+    counted = [f for f in scanned if partition(f, orbit) < swept]
+    # Partitions by sorted vertex 0's orbit, the pendant vertex alone, as
+    # checkpoints of versions 1 and 2 counted, differ.
+    assert len(counted) != sum(partition(f, ["a"]) < swept for f in scanned)
     chains = [chain_report(g, f).max_chain_length for f in counted]
     best = min(chains)
     witness = counted[chains.index(best)]

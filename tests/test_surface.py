@@ -120,7 +120,7 @@ def test_graph_and_labeling_keep_only_their_pinned_methods():
         "components", "edges", "induced", "isolated_vertices", "neighbors",
         "relabel", "rename", "sorted_edges", "sorted_vertices", "vertices",
     ]
-    assert _public(Labeling) == ["items", "max_element", "restricted", "scaled", "vertices"]
+    assert _public(Labeling) == ["items", "max_element", "scaled", "vertices"]
 
 
 def test_min_max_chain_takes_only_a_graph_and_a_config():
