@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 CHECKPOINT_ENV = "IASI_ORACLE_CHECKPOINT_DIR"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # Least seconds between minchain checkpoint writes.  A write (temp file, fsync,
 # rename) can take tens of milliseconds, mostly the rename, while a partition
 # of a small sweep takes well under one.
@@ -224,7 +224,8 @@ class _Space:
 
 
 def _search_vertices(g: Graph, cfg: OracleConfig) -> list[str]:
-    """The sorted vertices of a graph the oracle agrees to search."""
+    """The vertices of a graph the oracle agrees to search, in the one
+    order every search sweeps in (`_search_order` of the sorted ones)."""
     verts = sorted(g.vertices)
     if len(verts) > cfg.vertex_limit:
         raise ValueError(
@@ -233,7 +234,7 @@ def _search_vertices(g: Graph, cfg: OracleConfig) -> list[str]:
     if not verts:
         raise ValueError("cannot search labelings of the empty graph")
     _check_no_isolated(g)
-    return verts
+    return _search_order(g, verts)
 
 
 def _lowest(mask: int) -> int:
@@ -265,10 +266,11 @@ def _orbits(g: Graph, verts: list[str]) -> list[list[int]]:
 
 
 def _search_order(g: Graph, verts: list[str]) -> list[str]:
-    """The order `min_max_chain` sweeps in: large orbits early, where their
-    rules prune, and last a vertex z whose rules would only narrow its bulk
-    mask.  A vertex's colour is its degree, its neighbours' sorted degrees
-    and its adjacency to each placed vertex.  z has the rarest colour (then
+    """The order every oracle search sweeps `verts` in, and so the order
+    its first witnesses are first in: large orbits early, where their rules
+    prune, and last a vertex z whose rules would only narrow its bulk mask.
+    A vertex's colour is its degree, its neighbours' sorted degrees and its
+    adjacency to each placed vertex.  z has the rarest colour (then
     least degree, name); before it, each next vertex is the first by: not
     of z's colour, in the largest colour class left, not adjacent to z, most
     edges to the placed vertices, highest degree, name."""
@@ -407,10 +409,6 @@ def _chain_extension(space: _Space, used: int) -> tuple[int, int]:
     return best, up & space.carriers & ~used
 
 
-class _FirstHit(Exception):
-    """Ends a sweep at its first leaf with a chain below the best."""
-
-
 class MinChainResult(_Record):
     """Definitional nourishing-number search: the minimum, over every strong
     labeling in the space, of the longest difference-set chain."""
@@ -509,14 +507,13 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     the minimum of their longest chains.
 
     `_sweep` enumerates one per orbit of Aut(g) and the mirror, which keep
-    the chains, weighted by the orbit, in `_search_order`.  If that is not
-    the sorted order, a sorted sweep stops at its first leaf that reaches
-    the minimum: the lexicographically first minimiser, the witness.  With
-    a checkpoint directory in IASI_ORACLE_CHECKPOINT_DIR the partitions
-    counted so far (labels on the orbit of the search order's vertex 0),
-    both members of each swept pair, are recorded at most once per
-    CHECKPOINT_INTERVAL_S and after the last partition, and skipped on
-    re-runs; the best witness so far is written in sorted-vertex order.
+    the chains, weighted by the orbit, in the search order of
+    `_search_vertices`; the witness is the lexicographically first minimiser
+    in that order.  With a checkpoint directory in IASI_ORACLE_CHECKPOINT_DIR
+    the partitions counted so far (labels on the orbit of the search order's
+    vertex 0), both members of each swept pair, are recorded at most once
+    per CHECKPOINT_INTERVAL_S and after the last partition, and skipped on
+    re-runs; the best witness so far is written in the search order.
 
     A chain never shrinks as labels join.  So once a minimum is known, a
     partial labeling whose placed labels already hold a chain that long has
@@ -525,25 +522,22 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     cached like the rest.  n - 1 labels hold no chain longer than n - 1, so
     the test is skipped while the minimum is above that."""
     verts = _search_vertices(g, cfg)
-    order = _search_order(g, verts)
     space = _Space(cfg)
     labels = space.labels
     total = len(labels)
-    n = len(verts)
 
     ckpt_key = hashlib.sha256((write_graph(g) + repr(cfg)).encode("utf-8")).hexdigest()[:16]
     ckpt = _checkpoint_path(ckpt_key)
     resumed: list[int] = []  # the partitions a checkpoint counted
     best: int | None = None
-    best_assign: tuple[int, ...] | None = None
+    best_assign: list[int] | None = None
     strong_count = 0
     if ckpt is not None and ckpt.exists():
         state = _read_checkpoint(ckpt, ckpt_key, g, verts, labels)
-        resumed, best, strong_count = state["done"], state["best"], state["strong_count"]
-        if state["witness"] is not None:  # in sorted-vertex order
-            best_assign = tuple(state["witness"][verts.index(v)] for v in order)
+        resumed, best, best_assign, strong_count = (
+            state["done"], state["best"], state["witness"], state["strong_count"])
 
-    last = n - 1
+    last = len(verts) - 1
     # (longest chain, extending carriers) per set of labels, keyed by its label mask
     chains: dict[int, tuple[int, int]] = {}
 
@@ -568,18 +562,15 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
         chain = c if shorter else c + 1
         if best is None or chain < best:
             best = chain
-            best_assign = (*assign[:last], _lowest(shorter or mask))
-            if first_hit:
-                raise _FirstHit
+            best_assign = [*assign[:last], _lowest(shorter or mask)]
 
     def save() -> None:
-        witness = None if best_assign is None else [best_assign[order.index(v)] for v in verts]
         _write_checkpoint(ckpt, {"version": CHECKPOINT_VERSION, "key": ckpt_key, "done": sorted(done),
-                                 "best": best, "witness": witness, "strong_count": strong_count})
+                                 "best": best, "witness": best_assign, "strong_count": strong_count})
 
-    unsaved = first_hit = False
+    unsaved = False
     saved_at = time.monotonic()
-    for done in _sweep(space, order, (g,), leaf, resumed):
+    for done in _sweep(space, verts, (g,), leaf, resumed):
         unsaved = True
         if ckpt is not None and time.monotonic() - saved_at >= CHECKPOINT_INTERVAL_S:
             save()
@@ -589,17 +580,6 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
 
     if best_assign is None:
         return MinChainResult(exhausted=True, value=None, witness=None, strong_count=0, partitions=total)
-    if order != verts:  # the witness is the first minimiser in sorted order
-        value, swept, best, best_assign, first_hit = best, strong_count, best + 1, None, True
-        try:
-            for _ in _sweep(space, verts, (g,), leaf):
-                pass
-        except _FirstHit:
-            pass
-        if best != value:
-            raise InternalCheckError("the sorted witness sweep disagrees with the minimum")
-        strong_count = swept
-
     witness = _labeling(labels, verts, best_assign)
     # Re-anchor the fast enumeration to the reference verifier.
     if not verify(g, witness).is_strong:
@@ -637,8 +617,9 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
     difference-set disjointness, the chain-style restatement, so the two
     routes stay independent.  `_sweep` enumerates one witness per orbit of
     Aut(g) = Aut(complement) and the mirror, which keep both routes, so the
-    first witness and the first non-disjoint one are swept; a sample of the
-    swept ones is re-checked with verify_concurrent_strong."""
+    first witness and the first non-disjoint one, first in the search order
+    of `_search_vertices`, are swept; a sample of the swept ones is
+    re-checked with verify_concurrent_strong."""
     verts = _search_vertices(g, cfg)
     gbar = complement(g)
     _check_no_isolated(gbar, "complement")

@@ -8,7 +8,7 @@ independent to be checked against.
 from __future__ import annotations
 
 import random
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -175,30 +175,37 @@ def random_induced_subgraph(rng: random.Random, g: Graph, tries: int = 50) -> Gr
     return None
 
 
-def strong_labelings(g: Graph, labels, graphs: tuple[Graph, ...]):
-    """Every injective assignment of `labels` to g's sorted vertices, in
+def strong_labelings(g: Graph, labels, graphs: tuple[Graph, ...], order):
+    """Every injective assignment of `labels` to g's vertices in `order`, in
     lexicographic order, that `verify` calls strong on each of `graphs`.
     A cached `is_strong_pair` per edge skips, before `verify` runs, the
     assignments with a weak edge, which `verify` would reject anyway."""
-    verts = g.sorted_vertices()
     strong_pair = cache(is_strong_pair)
     edges = [e for h in graphs for e in h.edges]
-    for combo in permutations(labels, len(verts)):
-        f = dict(zip(verts, combo))
+    for combo in permutations(labels, len(order)):
+        f = dict(zip(order, combo))
         if all(strong_pair(f[u], f[v]) for u, v in edges):
             labeling = Labeling(f)
             if all(verify(h, labeling).is_strong for h in graphs):
                 yield labeling
 
 
-def naive_min_max_chain(g: Graph, cfg) -> tuple[int | None, int, Labeling | None]:
+def _shared(scan):
+    """`scan(g, cfg, order)` run once per graph, configuration and order:
+    tests with equal inputs share one permutation scan."""
+    cached = cache(scan)
+    return wraps(scan)(lambda g, cfg, order: cached(g, cfg, tuple(order)))
+
+
+@_shared
+def naive_min_max_chain(g: Graph, cfg, order) -> tuple[int | None, int, Labeling | None]:
     """(value, strong labelings, witness) of `oracle.min_max_chain` by a
     permutations scan over `cfg.candidate_labels()`: `verify` decides
     strength, `chain_report` measures the chain, and the witness is the
-    first minimiser in lexicographic order."""
+    first minimiser in lexicographic order with g's vertices in `order`."""
     best, count, witness = None, 0, None
     chains: dict[frozenset, int] = {}  # the chain depends only on the set of labels
-    for f in strong_labelings(g, cfg.candidate_labels(), (g,)):
+    for f in strong_labelings(g, cfg.candidate_labels(), (g,), order):
         count += 1
         key = frozenset(s for _, s in f.items())
         if key not in chains:
@@ -208,11 +215,13 @@ def naive_min_max_chain(g: Graph, cfg) -> tuple[int | None, int, Labeling | None
     return best, count, witness
 
 
-def naive_concurrent(g: Graph, cfg) -> tuple[int, Labeling | None]:
+@_shared
+def naive_concurrent(g: Graph, cfg, order) -> tuple[int, Labeling | None]:
     """(witness count, first witness) of `oracle.exists_concurrent` by a
-    permutations scan: a witness is strong on g and on its complement."""
+    permutations scan with g's vertices in `order`: a witness is strong on
+    g and on its complement."""
     count, first = 0, None
-    for f in strong_labelings(g, cfg.candidate_labels(), (g, complement(g))):
+    for f in strong_labelings(g, cfg.candidate_labels(), (g, complement(g)), order):
         count += 1
         if first is None:
             first = f

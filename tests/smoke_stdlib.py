@@ -86,8 +86,8 @@ def checks(directory: Path) -> None:
     # in vertex 0's orbit), K1,3 with a leaf as vertex 0, and C5, whose
     # rotations are the first symmetries here that swap no twins.  C5's
     # minimum is 3 against ω = 2, the pinned pentagon case, so it exits 1.
-    # P4 and the paw are named so that the search order is not the sorted
-    # one: those sweeps take their witness from a second, sorted pass.
+    # P4 and the paw are named so that the search order, which every oracle
+    # sweeps in, is not the sorted one.
     write(directory, "k4.graph", "p 4 6\na b\na c\na d\nb c\nb d\nc d\n")
     write(directory, "k13.graph", "p 4 3\nc a\nc b\nc d\n")
     write(directory, "c5.graph", "p 5 5\na b\nb c\nc d\nd e\na e\n")
@@ -122,11 +122,13 @@ def checks(directory: Path) -> None:
     finally:
         del os.environ["IASI_ORACLE_CHECKPOINT_DIR"]
 
-    # The concurrent search on C4, one labeling per orbit of its
-    # automorphisms and the mirror, against the count of the full sweep.
+    # The concurrent search on C4 and on the badly named P4, one labeling
+    # per orbit of their automorphisms and the mirror, against the count of
+    # the full sweep.
     c4 = write(directory, "c4.graph", "p 4 4\na b\nb c\nc d\na d\n")
-    got = outcome(["oracle", "concurrent", c4, "--max", "6"])
-    assert (got["witnesses_found"], got["all_witnesses_pairwise_disjoint"]) == (38976, True), got
+    for graph in (c4, str(directory / "p4.graph")):
+        got = outcome(["oracle", "concurrent", graph, "--max", "6"])
+        assert (got["witnesses_found"], got["all_witnesses_pairwise_disjoint"]) == (38976, True), got
 
     # K2 x K2 and K2 corona K2 through `Graph._trusted`, and
     # nourish --output against the outcome it prints.

@@ -158,11 +158,12 @@ def _corrupt_wrong_key(path, other):
 
 def _corrupt_fields(**fields):
     """Fields in range by type but wrong by value for P3 at --max 4, whose
-    sweep ends with best 2 and witness [0, 1, 2]: labels {0,1}, {0,2}, {1,2}."""
+    sweep ends with best 2 and witness [0, 2, 1] in its search order v0, v2,
+    v1: labels {0,1}, {1,2}, {0,2}."""
 
     def corrupt(path, other):
         state = json.loads(path.read_text())
-        assert (state["best"], state["witness"]) == (2, [0, 1, 2])
+        assert (state["best"], state["witness"]) == (2, [0, 2, 1])
         path.write_text(json.dumps({**state, **fields}))
 
     return corrupt
@@ -179,8 +180,8 @@ def _corrupt_fields(**fields):
         # in range, but the witness's chain is 2
         pytest.param(_corrupt_fields(best=3), id="best-not-the-witness-chain"),
         pytest.param(_corrupt_fields(witness=[0, 0, 0]), id="witness-repeats-a-label"),
-        # {0,1} and {1,2} share the difference 1
-        pytest.param(_corrupt_fields(witness=[0, 2, 1]), id="witness-not-strong"),
+        # v0's {0,1} and v1's {1,2} share the difference 1
+        pytest.param(_corrupt_fields(witness=[0, 1, 2]), id="witness-not-strong"),
         # strong labelings counted with no best, and a best with none counted
         pytest.param(_corrupt_fields(best=None, witness=None), id="count-without-witness"),
         pytest.param(_corrupt_fields(strong_count=0), id="witness-without-count"),
@@ -195,7 +196,7 @@ def test_minchain_bad_checkpoint_exits_two_naming_the_file(tmp_path, monkeypatch
     other = next((tmp_path / "ckpt").iterdir())
     assert main(argv + [str(tmp_path / "p3.g")]) == 0
     (path,) = set((tmp_path / "ckpt").iterdir()) - {other}  # no temp file left behind
-    assert json.loads(path.read_text())["version"] == 3
+    assert json.loads(path.read_text())["version"] == 4
     capsys.readouterr()
 
     corrupt(path, other)
@@ -226,8 +227,9 @@ def test_minchain_checkpoint_key_is_stable_and_a_version_1_checkpoint_exits_two(
     # What earlier releases wrote after 6 of the 10 partitions.  Version 1
     # partitioned the sweep by vertex 0's label alone and version 2 by the
     # label on sorted vertex 0's orbit, so their counts do not add up with a
-    # sweep in the search order: each file is refused and left as it is.
-    for version in (1, 2):
+    # sweep in the search order; version 3 wrote its witness in sorted-vertex
+    # order.  Each file is refused and left as it is.
+    for version in (1, 2, 3):
         older = (
             f'{{"version": {version}, "key": "72268ec20f39bd84", "done": [0, 1, 2, 5, 8, 9], '
             '"best": 2, "witness": [0, 1, 2], "strong_count": 244}'
@@ -235,7 +237,7 @@ def test_minchain_checkpoint_key_is_stable_and_a_version_1_checkpoint_exits_two(
         path.write_text(older)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "not a version 3 checkpoint" in err
+        assert str(path) in err and "not a version 4 checkpoint" in err
         assert path.read_text() == older
     # Deleted, as the message asks, the sweep starts over to the same result.
     path.unlink()

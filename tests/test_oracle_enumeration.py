@@ -46,12 +46,17 @@ def _minchain(g, cfg):
     return result.value, result.strong_count, result.witness
 
 
+def _order(g: Graph) -> list[str]:
+    """The order the oracle sweeps g in, which its witnesses are first in."""
+    return oraclemod._search_order(g, g.sorted_vertices())
+
+
 @pytest.mark.parametrize("universe_max", [3, 4, 5])
 @pytest.mark.parametrize("cards", [1, 2, 3])
 def test_minchain_matches_the_naive_scan_on_the_atlas(universe_max, cards):
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
     for g in connected_atlas(2, 4):
-        assert _minchain(g, cfg) == naive_min_max_chain(g, cfg), write_graph(g)
+        assert _minchain(g, cfg) == naive_min_max_chain(g, cfg, _order(g)), write_graph(g)
 
 
 def test_minchain_chain_cache_that_starts_over_changes_nothing(monkeypatch):
@@ -74,7 +79,7 @@ def test_minchain_chain_cache_that_starts_over_changes_nothing(monkeypatch):
 def test_minchain_matches_the_naive_scan_on_random_graphs(seed, n, p, universe_max, cards):
     g = random_graph(random.Random(seed), n, p)
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
-    assert _minchain(g, cfg) == naive_min_max_chain(g, cfg)
+    assert _minchain(g, cfg) == naive_min_max_chain(g, cfg, _order(g))
 
 
 @cache
@@ -228,9 +233,9 @@ def test_search_order_breaks_the_most_symmetry_before_the_last_vertex():
 
 
 # Namings whose sorted order puts the symmetry late or nowhere, so the sweep
-# runs in another order and takes its witness from a sorted pass: P4 with an
-# end first (its orbit-mate last), the paw with its pendant vertex first
-# (fixed by Aut), K1,3 with its centre first (fixed too) and C5.
+# runs in another order, which its witness is first in: P4 with an end
+# first (its orbit-mate last), the paw with its pendant vertex first (fixed
+# by Aut), K1,3 with its centre first (fixed too) and C5.
 BAD_NAMINGS = {
     "p4": Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d")]),
     "paw": Graph("abcd", [("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]),
@@ -260,7 +265,7 @@ def test_minchain_matches_the_naive_scan_on_symmetries_that_are_not_twin_swaps(
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
     value, count, witness = _minchain(g, cfg)
     assert count > 0
-    assert (value, count, witness) == naive_min_max_chain(g, cfg)
+    assert (value, count, witness) == naive_min_max_chain(g, cfg, _order(g))
 
 
 @pytest.mark.parametrize("name, universe_max, cards", SYMMETRIC_SPACES)
@@ -271,7 +276,7 @@ def test_concurrent_matches_the_naive_scan_on_symmetries_that_are_not_twin_swaps
     g = SYMMETRIC_GRAPHS[name][0]
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
     result = exists_concurrent(g, cfg)
-    assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg)
+    assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg, _order(g))
 
 
 @pytest.mark.parametrize(
@@ -285,7 +290,7 @@ def test_concurrent_matches_the_naive_scan_on_symmetries_that_are_not_twin_swaps
 def test_minchain_matches_the_naive_scan_on_twin_graphs(name, universe_max, cards):
     g = TWIN_GRAPHS[name][0]
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
-    assert _minchain(g, cfg) == naive_min_max_chain(g, cfg)
+    assert _minchain(g, cfg) == naive_min_max_chain(g, cfg, _order(g))
 
 
 @pytest.mark.parametrize(
@@ -301,30 +306,51 @@ def test_minchain_matches_the_naive_scan_on_bad_namings(name, universe_max, card
     verts = g.sorted_vertices()
     assert oraclemod._search_order(g, verts) != verts
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
-    assert _minchain(g, cfg) == naive_min_max_chain(g, cfg)
+    assert _minchain(g, cfg) == naive_min_max_chain(g, cfg, _order(g))
+
+
+def _leaf_calls(monkeypatch, search, *args):
+    """(leaf calls of the sweeps it makes, result) of `search(*args)`."""
+    calls = 0
+    real = oraclemod._sweep
+
+    def counting(space, verts, graphs, leaf, done=()):
+        def counted(*leaf_args):
+            nonlocal calls
+            calls += 1
+            leaf(*leaf_args)
+
+        return real(space, verts, graphs, counted, done)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oraclemod, "_sweep", counting)
+        result = search(*args)
+    return calls, result
 
 
 def test_minchain_on_a_badly_named_p4_takes_half_the_leaves_of_the_sorted_sweep(monkeypatch):
     g, cfg = BAD_NAMINGS["p4"], OracleConfig(universe_max=7)
     space = oraclemod._Space(cfg)
-    leaves = 0
-    real = oraclemod._sweep
 
-    def counting(space, verts, graphs, leaf, done=()):
-        def counted(*args):
-            nonlocal leaves
-            leaves += 1
-            leaf(*args)
+    def sorted_sweep():
+        for _ in oraclemod._sweep(space, g.sorted_vertices(), (g,), lambda *args: None):
+            pass
 
-        return real(space, verts, graphs, counted, done)
+    # P4's reflection acts on the last vertex alone
+    assert _leaf_calls(monkeypatch, sorted_sweep)[0] == 7544
+    assert _leaf_calls(monkeypatch, min_max_chain, g, cfg)[0] <= 7544 // 2
 
-    for _ in counting(space, g.sorted_vertices(), (g,), lambda *args: None):
-        pass
-    assert leaves == 7544  # P4's reflection acts on the last vertex alone
-    leaves = 0
-    monkeypatch.setattr(oraclemod, "_sweep", counting)
-    min_max_chain(g, cfg)
-    assert leaves <= 7544 // 2  # the sorted witness pass included
+
+@pytest.mark.parametrize("g, leaves", [(path_graph(4), 1139), (cycle_graph(4), 369)], ids=["p4", "c4"])
+def test_concurrent_sweeps_every_naming_of_a_graph_alike(monkeypatch, g, leaves):
+    # The search order follows the graph, not its names, so each of the 24
+    # namings takes as many leaves to the same count.
+    cfg = OracleConfig(universe_max=6)
+    for names in permutations("abcd"):
+        named = g.relabel(dict(zip(g.sorted_vertices(), names)))
+        calls, result = _leaf_calls(monkeypatch, exists_concurrent, named, cfg)
+        assert calls == leaves, names
+        assert (result.witnesses_found, result.all_witnesses_pairwise_disjoint) == (38976, True)
 
 
 @pytest.mark.parametrize("g", [path_graph(4), cycle_graph(4)], ids=["p4", "c4"])
@@ -332,7 +358,7 @@ def test_minchain_on_a_badly_named_p4_takes_half_the_leaves_of_the_sorted_sweep(
 def test_concurrent_matches_the_naive_scan(g, universe_max, cards):
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
     result = exists_concurrent(g, cfg)
-    assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg)
+    assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg, _order(g))
     assert result.exists == (result.witness is not None)
 
 
@@ -361,7 +387,7 @@ def test_concurrent_matches_the_naive_scan_whichever_vertex_comes_first(name, un
     g = CONCURRENT_GRAPHS[name]
     cfg = OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards)
     result = exists_concurrent(g, cfg)
-    assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg)
+    assert (result.witnesses_found, result.witness) == naive_concurrent(g, cfg, _order(g))
     assert result.witnesses_found > 0
 
 
@@ -373,8 +399,9 @@ def test_concurrent_names_the_first_non_disjoint_witness(monkeypatch, g):
     # In C4 every vertex is in vertex 0's orbit.
     cfg = OracleConfig(universe_max=5)
     labels = cfg.candidate_labels()
-    naive = list(strong_labelings(g, labels, (g, oraclemod.complement(g))))
-    pair = {naive[0]["v0"], naive[0]["v1"]}
+    order = _order(g)
+    naive = list(strong_labelings(g, labels, (g, oraclemod.complement(g)), order))
+    pair = {naive[0][order[0]], naive[0][order[1]]}
     i, j = (labels.index(s) for s in pair)
     real = oraclemod._Space
 
@@ -443,7 +470,7 @@ def test_minchain_on_a_twin_graph_resumed_mid_sweep_gives_the_uninterrupted_resu
 ):
     g, cfg = TWIN_GRAPHS[name][0], OracleConfig(universe_max=5)
     assert _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch) == naive_min_max_chain(
-        g, cfg
+        g, cfg, _order(g)
     )
 
 
@@ -461,8 +488,8 @@ def test_minchain_on_c5_resumed_mid_sweep_gives_the_uninterrupted_result(
 def test_minchain_on_the_paw_resumed_mid_sweep_gives_the_uninterrupted_result(
     tmp_path, monkeypatch, killed_after
 ):
-    # Partitions are labels on the orbit of the search order's vertex 0 and
-    # the witness is written in sorted-vertex order.
+    # Partitions are labels on the orbit of the search order's vertex 0, and
+    # the witness is written in the search order, which it is first in.
     g, cfg = BAD_NAMINGS["paw"], OracleConfig(universe_max=5)
     clean = _minchain(g, cfg)
     assert _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch) == clean
@@ -500,8 +527,7 @@ def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path, mo
     clean = _minchain(g, cfg)
     (path,) = tmp_path.iterdir()
     labels = cfg.candidate_labels()
-    verts = g.sorted_vertices()
-    order = oraclemod._search_order(g, verts)
+    order = _order(g)
     orbit = [order[0]] + [order[w] for w in stabiliser_orbits(g, order)[0]]
     assert sorted(orbit) == ["b", "c"]
     mirror = oraclemod._Space(cfg).mirror
@@ -511,7 +537,7 @@ def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path, mo
     def partition(f, orbit) -> int:
         return min((min(i, mirror[i]), i) for i in (labels.index(f[v]) for v in orbit))[1]
 
-    scanned = list(strong_labelings(g, labels, (g,)))
+    scanned = list(strong_labelings(g, labels, (g,), order))
     counted = [f for f in scanned if partition(f, orbit) < swept]
     # Partitions by sorted vertex 0's orbit, the pendant vertex alone, as
     # checkpoints of versions 1 and 2 counted, differ.
@@ -523,7 +549,7 @@ def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path, mo
     state.update(
         done=list(range(swept)),
         best=best,
-        witness=[labels.index(witness[v]) for v in verts],
+        witness=[labels.index(witness[v]) for v in order],
         strong_count=len(counted),
     )
     path.write_text(json.dumps(state))

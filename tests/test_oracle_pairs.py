@@ -125,17 +125,18 @@ def _audited(witnesses: int) -> int:
 def _enumerated(g, cfg) -> int:
     """The witnesses the sweep enumerates, by a permutation scan: one per
     orbit of Aut(g) and the mirror x -> universe_max - x, chosen by the
-    orbit-minimum rules on the brute-force orbits.  With r[k] the rank of
-    vertex k's label and m(i) the rank of label i's mirror: r[0] <= m(r[0]);
-    each w in orbit[0] has min(r[w], m(r[w])) > r[0] or r[w] == m(r[0]);
+    orbit-minimum rules on the brute-force orbits, with the vertices in the
+    order the oracle sweeps them.  With r[k] the rank of vertex k's label
+    and m(i) the rank of label i's mirror: r[0] <= m(r[0]); each w in
+    orbit[0] has min(r[w], m(r[w])) > r[0] or r[w] == m(r[0]);
     each w in orbit[k], k >= 1, has r[w] > r[k]."""
     labels = cfg.candidate_labels()
     rank = {s: i for i, s in enumerate(labels)}
     m = [rank[IntSet(cfg.universe_max - x for x in s)] for s in labels]
-    orbits = stabiliser_orbits(g)
-    verts = g.sorted_vertices()
+    verts = oraclemod._search_order(g, g.sorted_vertices())
+    orbits = stabiliser_orbits(g, verts)
     count = 0
-    for f in strong_labelings(g, labels, (g, complement(g))):
+    for f in strong_labelings(g, labels, (g, complement(g)), verts):
         r = [rank[f[v]] for v in verts]
         count += (
             r[0] <= m[r[0]]
