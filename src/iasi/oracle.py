@@ -19,7 +19,7 @@ import math
 import os
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import InternalCheckError, _immutable, _Record, to_json
 from .graph import Graph, complement, write_graph
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 CHECKPOINT_ENV = "IASI_ORACLE_CHECKPOINT_DIR"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 # Least seconds between minchain checkpoint writes.  A write (temp file, fsync,
 # rename) can take tens of milliseconds, mostly the rename, while a partition
 # of a small sweep takes well under one.
@@ -124,7 +124,7 @@ def lemma_oracle(universe_max: int) -> LemmaCheck:
     for i, (strong, ddisjoint) in enumerate(zip(space.strong, space.ddisjoint)):
         differ = strong ^ ddisjoint
         if differ:
-            j = (differ & -differ).bit_length() - 1
+            j = _lowest(differ)
             return LemmaCheck(False, i * n + j + 1, (space.labels[i], space.labels[j]))
     return LemmaCheck(ok=True, pairs_checked=n * n)
 
@@ -294,12 +294,13 @@ def _sweep(
     verts: list[str],
     graphs: tuple[Graph, ...],
     leaf: Callable[[list[int], int, int, int], None],
-    done: Iterable[int] = (),
-) -> Iterator[set[int]]:
+    start: int = 0,
+) -> Iterator[int]:
     """Sweep the injective labelings of `verts` (n >= 2, any order) by label
     index strong on each of `graphs` (a graph, or it and its complement):
     every edge a strong pair, each graph's edge sumsets distinct.  Partitions
-    in `done` are skipped; after each other one, yield the set counted.
+    below `start`, and their mirrors, are skipped; after each other one, a,
+    yield a + 1, below which every partition and its mirror is then counted.
 
     Aut(G) of the first graph (of its complement too) and the mirror
     x -> universe_max - x of every label keep strength, edge sumsets and
@@ -309,12 +310,10 @@ def _sweep(
     min(b, mirror b) > a or b = mirror a (a tie).  Only the identity fixes
     an injective labeling, so a swept one counts |Aut(G)|, twice that
     unless a is its own mirror or at a tie (its mirror image's orbit is
-    swept here then).  A labeling's partition is its label on vertex 0's
-    orbit of least min(b, mirror b), the lower if both of a pair are there;
-    a partition whose mirror is counted is swept alone, at weight 1, with
-    ties only if a is the lower.  The lexicographically first labeling with
-    a property both symmetries keep is swept; counts do not depend on the
-    order, which only decides where the rules prune.
+    swept here then).  Partition a holds the labelings whose least min(b,
+    mirror b) over vertex 0's orbit is a.  The lexicographically first
+    labeling with a property both symmetries keep is swept; counts do not
+    depend on the order, which only decides where the rules prune.
 
     `leaf(assign, used, mask, count)` gets, in lexicographic order, each
     assignment of vertices 0..n-2 (`assign`, reused: copy it to keep it)
@@ -368,19 +367,16 @@ def _sweep(
                 sums[h].pop()
             allowed ^= bit
 
-    done = set(done)
     for first, image in enumerate(mirror):
-        if first in done:
+        if first < start or image < first:
             continue
-        paired = image not in done and image != first
         tie = 1 << image if first < image else 0
-        outside = sum(1 << b for b, m in enumerate(mirror) if min(b, m) > min(first, image))
+        outside = sum(1 << b for b, m in enumerate(mirror) if min(b, m) > first)
         for w in orbits[0]:
-            gate[w], halves[w] = outside | tie, tie if paired else 0
+            gate[w], halves[w] = outside | tie, tie
         assign[0] = first
-        search(1, 1 << first, 2 * group if paired else group)
-        done.update((first, image))
-        yield done
+        search(1, 1 << first, 2 * group if tie else group)
+        yield first + 1
 
 
 def _chain_extension(space: _Space, used: int) -> tuple[int, int]:
@@ -445,6 +441,11 @@ def _labeling(labels: list[IntSet], verts: list[str], assign) -> Labeling:
     return Labeling({v: labels[i] for v, i in zip(verts, assign)})
 
 
+def _has_chain(g: Graph, f: Labeling, best: int) -> bool:
+    """Whether the reference verifier finds f strong on g, with longest chain `best`."""
+    return verify(g, f).is_strong and chain_report(g, f).max_chain_length == best
+
+
 def _read_checkpoint(
     path: Path, key: str, g: Graph, verts: list[str], labels: list[IntSet]
 ) -> dict:
@@ -465,25 +466,17 @@ def _read_checkpoint(
     if state.get("key") != key:
         raise bad("written for another graph or configuration")
 
-    def indices(x) -> bool:
-        return isinstance(x, list) and all(type(i) is int and 0 <= i < len(labels) for i in x)
-
-    best, witness, count = state.get("best"), state.get("witness"), state.get("strong_count")
-    if not (
-        indices(state.get("done"))
-        and type(count) is int
-        and count >= 0
-        and (
-            (best is None and witness is None and count == 0)
-            or (type(best) is int and count > 0 and indices(witness) and len(witness) == len(verts))
-        )
-    ):
+    start, best, witness, count = (state.get(k) for k in ("next", "best", "witness", "strong_count"))
+    # Nothing is counted before partition 0 is swept.
+    if not (type(start) is int and 0 <= start <= len(labels) and type(count) is int and (
+        (best is None and witness is None and count == 0)
+        or (type(best) is int and count > 0 and start > 0 and isinstance(witness, list)
+            and len(witness) == len(verts) and all(type(i) is int and 0 <= i < len(labels) for i in witness))
+    )):
         raise bad("malformed fields")
     # A best chain outside 0..n or a witness repeating a label fails here too.
-    if witness is not None:
-        f = _labeling(labels, verts, witness)
-        if not verify(g, f).is_strong or chain_report(g, f).max_chain_length != best:
-            raise bad("the witness is not a strong labeling with the recorded chain")
+    if witness is not None and not _has_chain(g, _labeling(labels, verts, witness), best):
+        raise bad("the witness is not a strong labeling with the recorded chain")
     return state
 
 
@@ -510,10 +503,10 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     the chains, weighted by the orbit, in the search order of
     `_search_vertices`; the witness is the lexicographically first minimiser
     in that order.  With a checkpoint directory in IASI_ORACLE_CHECKPOINT_DIR
-    the partitions counted so far (labels on the orbit of the search order's
-    vertex 0), both members of each swept pair, are recorded at most once
-    per CHECKPOINT_INTERVAL_S and after the last partition, and skipped on
-    re-runs; the best witness so far is written in the search order.
+    the next partition to sweep (a label on the orbit of the search order's
+    vertex 0: those below it and their mirrors are counted) is recorded at
+    most once per CHECKPOINT_INTERVAL_S and after the last partition, and
+    re-runs resume from it; the best witness so far is in the search order.
 
     A chain never shrinks as labels join.  So once a minimum is known, a
     partial labeling whose placed labels already hold a chain that long has
@@ -528,14 +521,14 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
 
     ckpt_key = hashlib.sha256((write_graph(g) + repr(cfg)).encode("utf-8")).hexdigest()[:16]
     ckpt = _checkpoint_path(ckpt_key)
-    resumed: list[int] = []  # the partitions a checkpoint counted
+    start = 0  # the next partition to sweep
     best: int | None = None
     best_assign: list[int] | None = None
     strong_count = 0
     if ckpt is not None and ckpt.exists():
         state = _read_checkpoint(ckpt, ckpt_key, g, verts, labels)
-        resumed, best, best_assign, strong_count = (
-            state["done"], state["best"], state["witness"], state["strong_count"])
+        start, best, best_assign, strong_count = (
+            state["next"], state["best"], state["witness"], state["strong_count"])
 
     last = len(verts) - 1
     # (longest chain, extending carriers) per set of labels, keyed by its label mask
@@ -565,12 +558,12 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
             best_assign = [*assign[:last], _lowest(shorter or mask)]
 
     def save() -> None:
-        _write_checkpoint(ckpt, {"version": CHECKPOINT_VERSION, "key": ckpt_key, "done": sorted(done),
+        _write_checkpoint(ckpt, {"version": CHECKPOINT_VERSION, "key": ckpt_key, "next": start,
                                  "best": best, "witness": best_assign, "strong_count": strong_count})
 
     unsaved = False
     saved_at = time.monotonic()
-    for done in _sweep(space, verts, (g,), leaf, resumed):
+    for start in _sweep(space, verts, (g,), leaf, start):
         unsaved = True
         if ckpt is not None and time.monotonic() - saved_at >= CHECKPOINT_INTERVAL_S:
             save()
@@ -582,10 +575,8 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
         return MinChainResult(exhausted=True, value=None, witness=None, strong_count=0, partitions=total)
     witness = _labeling(labels, verts, best_assign)
     # Re-anchor the fast enumeration to the reference verifier.
-    if not verify(g, witness).is_strong:
-        raise InternalCheckError("oracle accepted a labeling the verifier rejects")
-    if chain_report(g, witness).max_chain_length != best:
-        raise InternalCheckError("oracle chain length disagrees with chain_report")
+    if not _has_chain(g, witness, best):
+        raise InternalCheckError("oracle witness is not strong with its chain by verify and chain_report")
     return MinChainResult(exhausted=False, value=best, witness=witness, strong_count=strong_count,
                           partitions=total)
 

@@ -11,14 +11,17 @@ from iasi import (
     ConstructionSpec,
     Graph,
     OracleConfig,
+    chain_report,
     complete_graph,
     construct_strong,
     cycle_graph,
     min_max_chain,
     path_graph,
     petersen_graph,
+    read_graph,
     read_labeling,
     star_graph,
+    verify,
     write_graph,
     write_labeling,
 )
@@ -172,6 +175,15 @@ def test_construct_cards_file(files, capsys):
     assert "v2: {" in text
 
 
+def test_construct_cards_file_skips_comments_and_blank_lines(files, capsys):
+    graph_file, _, raw, tmp = files
+    gp = graph_file("p3.g", path_graph(3))
+    cards = raw("cards.txt", "# sizes\nv0: 1\n\n  # v1 next\nv1: 2\n   \nv2: 3\n")
+    out = tmp / "p3.l"
+    assert main(["construct", gp, "--cards", cards, "--output", str(out)]) == 0
+    assert {v: len(s) for v, s in read_labeling(out.read_text()).items()} == {"v0": 1, "v1": 2, "v2": 3}
+
+
 def test_construct_cards_file_with_colon_names(files, capsys):
     graph_file, _, raw, tmp = files
     gp = graph_file("k2.g", Graph(["a⊙0:b", "c"], [("a⊙0:b", "c")]))
@@ -315,6 +327,25 @@ def test_oracle_minchain_vertex_limit(files, capsys):
     gp = graph_file("c6.g", cycle_graph(6))
     assert main(["oracle", "minchain", gp, "--max", "6"]) == 2
     assert "vertex limit" in capsys.readouterr().err
+
+
+def test_oracle_minchain_disagreement_writes_a_bundle(files, capsys):
+    # With 2-element labels from {0..6}, every strong labeling of C5 holds a
+    # chain of 3, above its clique number 2.
+    graph_file, _, _, tmp = files
+    gp = graph_file("c5.g", cycle_graph(5))
+    bundle = tmp / "bundle"
+    argv = ["oracle", "minchain", gp, "--cards", "2", "--max", "6", "--bundle-dir", str(bundle)]
+    assert main(argv) == 1
+    doc = outcome_of(capsys)
+    assert (doc["value"], doc["clique_number"], doc["agree"]) == (3, 2, False)
+    stem = bundle / "minchain-disagreement"
+    assert sorted(bundle.iterdir()) == [Path(f"{stem}.{x}") for x in ("graph.txt", "labeling.txt", "report.json")]
+    assert json.loads(Path(f"{stem}.report.json").read_text()) == doc
+    g = read_graph(Path(f"{stem}.graph.txt").read_text())
+    f = read_labeling(Path(f"{stem}.labeling.txt").read_text())
+    assert g == cycle_graph(5)
+    assert verify(g, f).is_strong and chain_report(g, f).max_chain_length == 3
 
 
 @pytest.mark.parametrize("command", ["lemma", "minchain", "concurrent"])

@@ -3,6 +3,8 @@ import random
 import pytest
 from helpers import connected_atlas, random_graph
 
+import iasi.construct as constructmod
+
 from iasi import (
     ConstructionSpec,
     Graph,
@@ -25,6 +27,7 @@ from iasi import (
     verify,
 )
 from iasi.construct import primes_above, sidon_bases
+from iasi.errors import InternalCheckError
 
 
 # ---------------------------------------------------------------------------
@@ -297,3 +300,55 @@ def test_spec_rejects_cardinalities_for_non_vertices():
     with pytest.raises(ValueError, match=r"non-vertices \['zz'\]"):
         ConstructionSpec(cardinalities={"v0": 2, "v1": 2, "zz": 5}).resolve(g)
     assert ConstructionSpec(cardinalities={"v0": 2, "v1": 3}).resolve(g) == {"v0": 2, "v1": 3}
+
+
+def _strong_k2(prefix):
+    g = complete_graph(2, prefix)
+    return g, construct_strong(g)
+
+
+def _weak_k2(prefix):
+    return Labeling({f"{prefix}0": IntSet([1, 2]), f"{prefix}1": IntSet([3, 4])})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: ConstructionSpec(cardinalities={"v0": 2, "v1": 0}),
+                     "cardinality of 'v1' must be at least 1", id="mapped-cardinality-below-1"),
+        pytest.param(lambda: construct_strong(Graph([])), "empty graph", id="empty-graph"),
+        pytest.param(lambda: construct_for_product(*_strong_k2("a"), Graph([])),
+                     "product factors must both be nonempty", id="product-empty-factor"),
+        pytest.param(lambda: construct_for_corona(Graph([]), Labeling({}), *_strong_k2("b")),
+                     "corona factors must both be nonempty", id="corona-empty-factor"),
+        pytest.param(lambda: construct_for_corona(complete_graph(2, "a"), _weak_k2("a"), *_strong_k2("b")),
+                     "f1 is not a strong labeling", id="corona-weak-host"),
+    ],
+)
+def test_construct_refuses(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def _one_label(f):
+    """f with every vertex given the label {0,1}: never strong on an edge."""
+    return Labeling({v: IntSet([0, 1]) for v in f.vertices()})
+
+
+@pytest.mark.parametrize(
+    "target, broken, call",
+    [
+        # the verifier is handed a labeling that repeats one label
+        pytest.param("verify", lambda real: lambda g, f: real(g, _one_label(f)),
+                     lambda: construct_strong(path_graph(3)), id="construct"),
+        # the scaled copies collapse to one label
+        pytest.param("_scaled_copies", lambda real: lambda *args: _one_label(real(*args)),
+                     lambda: construct_for_product(*_strong_k2("a"), complete_graph(2, "b")), id="product"),
+        pytest.param("_scaled_copies", lambda real: lambda *args: _one_label(real(*args)),
+                     lambda: construct_for_corona(*_strong_k2("a"), *_strong_k2("b")), id="corona"),
+    ],
+)
+def test_construct_self_verification_fires(monkeypatch, target, broken, call):
+    monkeypatch.setattr(constructmod, target, broken(getattr(constructmod, target)))
+    with pytest.raises(InternalCheckError, match="verification"):
+        call()

@@ -583,3 +583,15 @@ def test_clique_number_on_atlas_matches_brute():
 def test_components():
     g = union(path_graph(3, "a"), path_graph(2, "b"))
     assert g.components() == [["a0", "a1", "a2"], ["b0", "b1"]]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: max_clique(Graph([])), "empty graph has no clique", id="max-clique-of-empty"),
+        pytest.param(lambda: cycle_graph(2), "at least 3 vertices", id="cycle-below-3"),
+    ],
+)
+def test_graph_refuses(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

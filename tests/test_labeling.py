@@ -16,6 +16,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import iasi.labeling as labelingmod
 from iasi import (
     ChainReport,
     ConcurrentSearch,
@@ -41,6 +42,7 @@ from iasi import (
     verify_concurrent_strong,
     verify_uniform,
 )
+from iasi.errors import InternalCheckError
 
 
 def lab(**kv) -> Labeling:
@@ -492,3 +494,35 @@ def test_reports_serialize_to_stable_sorted_json():
     assert json.dumps(verify(P3, f).to_dict(), sort_keys=True) == v
     assert json.dumps(chain_report(P3, f).to_dict(), sort_keys=True) == c
     assert json.loads(c)["max_chain_length"] == 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Labeling({"a": frozenset({1, 2})}), "label of 'a' is not an IntSet",
+                     id="label-not-an-intset"),
+        pytest.param(lambda: lab(a=[1, 2]).scaled(0), "scale factor must be at least 1", id="scale-below-1"),
+    ],
+)
+def test_labeling_refuses(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_labeling_is_a_container_of_its_vertices():
+    f = lab(b=[3, 5], a=[1, 2])
+    assert list(f) == ["a", "b"] and len(f) == 2
+    assert "a" in f and "zz" not in f
+
+
+def test_concurrent_self_check_fires_when_verify_disagrees_with_the_restatement(monkeypatch):
+    # verify says "not strong" of a labeling whose difference sets are
+    # pairwise disjoint and whose sumsets are distinct
+    c5 = cycle_graph(5)
+    f = construct_strong(complete_graph(5), ConstructionSpec(cardinalities=2))
+    real = labelingmod.verify
+    monkeypatch.setattr(
+        labelingmod, "verify", lambda g, f: VerificationReport(**{**real(g, f).to_dict(), "is_strong": False})
+    )
+    with pytest.raises(InternalCheckError, match="concurrent-strong criteria disagree"):
+        verify_concurrent_strong(c5, f)

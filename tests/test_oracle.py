@@ -3,8 +3,10 @@ import json
 import pytest
 
 from iasi import (
+    ChainReport,
     Graph,
     OracleConfig,
+    VerificationReport,
     chain_report,
     complete_graph,
     cycle_graph,
@@ -18,7 +20,9 @@ from iasi import (
     write_bundle,
     write_graph,
 )
+import iasi.oracle as oraclemod
 from iasi.cli import main
+from iasi.errors import InternalCheckError
 
 
 K2 = Graph(["a", "b"], [("a", "b")])
@@ -54,6 +58,20 @@ def test_config_validation():
     with pytest.raises(ValueError, match="exhaustive limit"):
         OracleConfig(universe_max=11)
     assert OracleConfig(universe_max=10).universe_max == 10
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: OracleConfig(vertex_limit=0), "vertex_limit must be positive", id="vertex-limit-0"),
+        pytest.param(lambda: min_max_chain(Graph([]), OracleConfig()), "empty graph", id="minchain-empty"),
+        pytest.param(lambda: exists_concurrent(Graph([]), OracleConfig()), "empty graph",
+                     id="concurrent-empty"),
+    ],
+)
+def test_oracle_refuses(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_candidate_labels_order_and_count():
@@ -129,6 +147,31 @@ def test_minchain_invariant_under_relabeling():
     assert min_max_chain(g, cfg).value == min_max_chain(renamed, cfg).value
 
 
+def _not_strong(real):
+    return lambda g, f: VerificationReport(**{**real(g, f).to_dict(), "is_strong": False})
+
+
+def _longer_chain(real):
+    def broken(g, f):
+        report = real(g, f)
+        return ChainReport(**{**report.to_dict(), "max_chain_length": report.max_chain_length + 1})
+
+    return broken
+
+
+@pytest.mark.parametrize("target, broken", [("verify", _not_strong), ("chain_report", _longer_chain)])
+def test_minchain_re_anchor_fires_when_the_reference_disagrees(
+    tmp_path, monkeypatch, capsys, target, broken
+):
+    monkeypatch.setattr(oraclemod, target, broken(getattr(oraclemod, target)))
+    with pytest.raises(InternalCheckError, match="by verify and chain_report"):
+        min_max_chain(path_graph(3), OracleConfig(universe_max=4))
+    (tmp_path / "p3.g").write_text(write_graph(path_graph(3)))
+    assert main(["oracle", "minchain", "--max", "4", str(tmp_path / "p3.g")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error:") and not captured.out
+
+
 def test_minchain_checkpoint_resume(tmp_path, monkeypatch):
     monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
     g = path_graph(3)
@@ -137,7 +180,10 @@ def test_minchain_checkpoint_resume(tmp_path, monkeypatch):
     files = list(tmp_path.glob("minchain-*.json"))
     assert len(files) == 1
     state = json.loads(files[0].read_text())
-    assert len(state["done"]) == first.partitions
+    # every partition is below the next one to sweep, or its mirror is
+    mirror = oraclemod._Space(cfg).mirror
+    assert len(mirror) == first.partitions
+    assert all(min(i, m) < state["next"] for i, m in enumerate(mirror))
     # a resumed run skips every partition and reproduces the result
     again = min_max_chain(g, cfg)
     assert again.value == first.value
@@ -157,13 +203,13 @@ def _corrupt_wrong_key(path, other):
 
 
 def _corrupt_fields(**fields):
-    """Fields in range by type but wrong by value for P3 at --max 4, whose
-    sweep ends with best 2 and witness [0, 2, 1] in its search order v0, v2,
-    v1: labels {0,1}, {1,2}, {0,2}."""
+    """Fields wrong by type or value for P3 at --max 4, whose sweep of the
+    10 labels ends with 430 strong labelings, best 2 and witness [0, 2, 1]
+    in its search order v0, v2, v1: labels {0,1}, {1,2}, {0,2}."""
 
     def corrupt(path, other):
         state = json.loads(path.read_text())
-        assert (state["best"], state["witness"]) == (2, [0, 2, 1])
+        assert (state["strong_count"], state["best"], state["witness"]) == (430, 2, [0, 2, 1])
         path.write_text(json.dumps({**state, **fields}))
 
     return corrupt
@@ -185,6 +231,12 @@ def _corrupt_fields(**fields):
         # strong labelings counted with no best, and a best with none counted
         pytest.param(_corrupt_fields(best=None, witness=None), id="count-without-witness"),
         pytest.param(_corrupt_fields(strong_count=0), id="witness-without-count"),
+        # the finished run's count and witness with no partition swept: resumed,
+        # the sweep would count all 430 strong labelings again, to 860
+        pytest.param(_corrupt_fields(next=0), id="count-before-any-partition"),
+        pytest.param(_corrupt_fields(next=-1), id="next-below-0"),
+        pytest.param(_corrupt_fields(next=11), id="next-above-the-labels"),
+        pytest.param(_corrupt_fields(next="3"), id="next-not-an-integer"),
     ],
 )
 def test_minchain_bad_checkpoint_exits_two_naming_the_file(tmp_path, monkeypatch, capsys, corrupt):
@@ -196,7 +248,7 @@ def test_minchain_bad_checkpoint_exits_two_naming_the_file(tmp_path, monkeypatch
     other = next((tmp_path / "ckpt").iterdir())
     assert main(argv + [str(tmp_path / "p3.g")]) == 0
     (path,) = set((tmp_path / "ckpt").iterdir()) - {other}  # no temp file left behind
-    assert json.loads(path.read_text())["version"] == 4
+    assert json.loads(path.read_text())["version"] == 5
     capsys.readouterr()
 
     corrupt(path, other)
@@ -228,8 +280,9 @@ def test_minchain_checkpoint_key_is_stable_and_a_version_1_checkpoint_exits_two(
     # partitioned the sweep by vertex 0's label alone and version 2 by the
     # label on sorted vertex 0's orbit, so their counts do not add up with a
     # sweep in the search order; version 3 wrote its witness in sorted-vertex
-    # order.  Each file is refused and left as it is.
-    for version in (1, 2, 3):
+    # order, and versions 1-4 list the partitions counted where version 5
+    # records the next one.  Each file is refused and left as it is.
+    for version in (1, 2, 3, 4):
         older = (
             f'{{"version": {version}, "key": "72268ec20f39bd84", "done": [0, 1, 2, 5, 8, 9], '
             '"best": 2, "witness": [0, 1, 2], "strong_count": 244}'
@@ -237,7 +290,7 @@ def test_minchain_checkpoint_key_is_stable_and_a_version_1_checkpoint_exits_two(
         path.write_text(older)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "not a version 4 checkpoint" in err
+        assert str(path) in err and "not a version 5 checkpoint" in err
         assert path.read_text() == older
     # Deleted, as the message asks, the sweep starts over to the same result.
     path.unlink()

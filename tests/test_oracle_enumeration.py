@@ -314,13 +314,13 @@ def _leaf_calls(monkeypatch, search, *args):
     calls = 0
     real = oraclemod._sweep
 
-    def counting(space, verts, graphs, leaf, done=()):
+    def counting(space, verts, graphs, leaf, start=0):
         def counted(*leaf_args):
             nonlocal calls
             calls += 1
             leaf(*leaf_args)
 
-        return real(space, verts, graphs, counted, done)
+        return real(space, verts, graphs, counted, start)
 
     with monkeypatch.context() as patched:
         patched.setattr(oraclemod, "_sweep", counting)
@@ -452,7 +452,7 @@ def _killed_and_resumed(g, cfg, killed_after, tmp_path, monkeypatch):
     (path,) = tmp_path.iterdir()
     state = json.loads(path.read_text())
     assert state == written[-1]
-    assert 0 < len(state["done"]) < len(cfg.candidate_labels())
+    assert 0 < state["next"] < len(cfg.candidate_labels())
     return _minchain(g, cfg)
 
 
@@ -509,19 +509,22 @@ def test_minchain_checkpoints_at_most_once_a_second_and_at_the_end(tmp_path, mon
     monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
     assert _minchain(g, cfg) == clean
     assert 1 <= len(written) <= 2
-    assert len(written[-1]["done"]) == len(cfg.candidate_labels())
-    assert _minchain(g, cfg) == clean
-    assert len(written) <= 2
+    # The last write leaves no partition to sweep: each is below `next` or
+    # its mirror is.
+    start = written[-1]["next"]
+    assert all(min(i, m) < start for i, m in enumerate(oraclemod._Space(cfg).mirror))
+    # Resumed from it, the run sweeps and writes nothing.
+    writes = len(written)
+    assert _leaf_calls(monkeypatch, _minchain, g, cfg) == (0, clean)
+    assert len(written) == writes
 
 
-def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path, monkeypatch):
-    # A sweep that counts each partition on its own records the same facts
-    # (the partitions counted, their strong labelings, the best so far), so
-    # resuming from one, some of whose partitions' mirrors are not yet
-    # counted, gives the same answer.  A labeling's partition is the label
-    # on the orbit of the search order's vertex 0 (the paw's two vertices of
-    # degree 2) whose mirror pair comes first, the lower of the pair if both
-    # are there.
+def test_checkpoint_of_a_prefix_of_the_sweep_resumes_to_the_same_result(tmp_path, monkeypatch):
+    # A checkpoint with `next` = 4 counts partitions 0..3 and their mirrors:
+    # its strong labelings and the best so far are those of the labelings
+    # whose least min(i, mirror i) over the labels on the orbit of the search
+    # order's vertex 0 (the paw's two vertices of degree 2) is below 4.
+    # Resumed from it, the sweep gives the uninterrupted answer.
     monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path))
     g, cfg = BAD_NAMINGS["paw"], OracleConfig(universe_max=5)
     clean = _minchain(g, cfg)
@@ -531,23 +534,23 @@ def test_checkpoint_of_an_unpaired_sweep_resumes_to_the_same_result(tmp_path, mo
     orbit = [order[0]] + [order[w] for w in stabiliser_orbits(g, order)[0]]
     assert sorted(orbit) == ["b", "c"]
     mirror = oraclemod._Space(cfg).mirror
-    swept = 4
-    assert any(mirror[i] >= swept for i in range(swept))
+    start = 4
+    assert any(mirror[i] >= start for i in range(start))
 
     def partition(f, orbit) -> int:
-        return min((min(i, mirror[i]), i) for i in (labels.index(f[v]) for v in orbit))[1]
+        return min(min(i, mirror[i]) for i in (labels.index(f[v]) for v in orbit))
 
     scanned = list(strong_labelings(g, labels, (g,), order))
-    counted = [f for f in scanned if partition(f, orbit) < swept]
+    counted = [f for f in scanned if partition(f, orbit) < start]
     # Partitions by sorted vertex 0's orbit, the pendant vertex alone, as
     # checkpoints of versions 1 and 2 counted, differ.
-    assert len(counted) != sum(partition(f, ["a"]) < swept for f in scanned)
+    assert len(counted) != sum(partition(f, ["a"]) < start for f in scanned)
     chains = [chain_report(g, f).max_chain_length for f in counted]
     best = min(chains)
     witness = counted[chains.index(best)]
     state = json.loads(path.read_text())
     state.update(
-        done=list(range(swept)),
+        next=start,
         best=best,
         witness=[labels.index(witness[v]) for v in order],
         strong_count=len(counted),

@@ -242,3 +242,22 @@ def test_scale_rejects_non_integer_factor():
         scale(1.5, IntSet([1, 2]))
     with pytest.raises(ValueError):
         scale(-1, IntSet([1, 2]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: IntSet([]).min, "no minimum", id="min-of-empty"),
+        pytest.param(lambda: IntSet([]).max, "no maximum", id="max-of-empty"),
+    ],
+)
+def test_intset_refuses(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@given(int_sets, int_sets)
+def test_intset_membership_and_plus(a, b):
+    assert all(x in a for x in a.elements)
+    assert a.max + 1 not in a and -1 not in a
+    assert a + b == sumset(a, b)
