@@ -125,18 +125,10 @@ def _cmd_verify(args) -> int:
 
 def _read_cards(text: str) -> dict[str, int]:
     cards: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, sep, rest = line.rpartition(":")
-        card = parse_natural(rest.strip())
-        if not sep or card is None:
+    for lineno, name, rest, _ in labelingmod._named_lines(text, "<cardinality>", "cardinality"):
+        card = cards[name] = parse_natural(rest.strip())
+        if card is None:
             raise ParseError("expected 'name: <cardinality>'", line=lineno)
-        name = name.strip()
-        if name in cards:
-            raise ParseError(f"duplicate cardinality for vertex {name!r}", line=lineno)
-        cards[name] = card
     return cards
 
 

@@ -337,27 +337,34 @@ def _verify_concurrent(
 # text format
 # ---------------------------------------------------------------------------
 
-def read_labeling(text: str) -> Labeling:
-    """Parse `name: {a,b,c}` lines; `#` comments and blank lines allowed."""
-    assignment: dict[str, IntSet] = {}
+def _named_lines(text: str, form: str, what: str) -> Iterator[tuple[int, str, str, int]]:
+    """(line number, name, value text, its column offset) of each `name: value`
+    line but blank and `#` ones, refusing a line without ':', a bad name or a
+    repeat.  Values hold no ':', so the last ends the name (corona names may)."""
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        # Set text holds no ':', so the last one ends the name (corona vertex
-        # names contain ':').
         name, sep, rest = raw.rpartition(":")
         if not sep:
-            raise ParseError("expected 'name: {elements}'", line=lineno)
+            raise ParseError(f"expected 'name: {form}'", line=lineno)
         name = name.strip()
         if not name or any(c.isspace() for c in name):
             raise ParseError(f"bad vertex name {name!r}", line=lineno)
-        if name in assignment:
-            raise ParseError(f"duplicate label for vertex {name!r}", line=lineno)
-        label = parse_int_set(rest, line=lineno, col_offset=len(raw) - len(rest))
+        if name in seen:
+            raise ParseError(f"duplicate {what} for vertex {name!r}", line=lineno)
+        seen.add(name)
+        yield lineno, name, rest, len(raw) - len(rest)
+
+
+def read_labeling(text: str) -> Labeling:
+    """Parse `name: {a,b,c}` lines; `#` comments and blank lines allowed."""
+    assignment: dict[str, IntSet] = {}
+    for lineno, name, rest, col in _named_lines(text, "{elements}", "label"):
+        label = assignment[name] = parse_int_set(rest, line=lineno, col_offset=col)
         if len(label) == 0:
             raise ParseError(f"label of {name!r} is empty", line=lineno)
-        assignment[name] = label
     return Labeling(assignment)
 
 

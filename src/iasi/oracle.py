@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 CHECKPOINT_ENV = "IASI_ORACLE_CHECKPOINT_DIR"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 # Least seconds between minchain checkpoint writes.  A write (temp file, fsync,
 # rename) can take tens of milliseconds, mostly the rename, while a partition
 # of a small sweep takes well under one.
@@ -119,7 +119,7 @@ def lemma_oracle(universe_max: int) -> LemmaCheck:
     pair once and ordered pairs are compared row by row; a counterexample
     is the first disagreeing pair in subset-rank order."""
     cfg = OracleConfig(universe_max=universe_max, min_card=1, max_card=universe_max + 1)
-    space = _Space(cfg, sum_ids=False)
+    space = _Space(cfg)
     n = len(space.labels)
     for i, (strong, ddisjoint) in enumerate(zip(space.strong, space.ddisjoint)):
         differ = strong ^ ddisjoint
@@ -160,16 +160,14 @@ class _Space:
     member mask into the other's row, and `strong[i]` is the row of L_i's
     class.
 
-    With `sum_ids`, `sum_id[i][j]` names the sumset of each strong pair by a
-    small integer, equal exactly when the sumsets are, and `partners[i]`
-    maps the id of each L_i + L_j to the bit of j.  That j is unique:
-    L_i(t)X(t) = L_i(t)Y(t) gives X = Y.  Ids are handed out walking each
-    row's strong pairs with j >= i, rows in order.  `carriers` marks the
-    labels with a nonempty difference set and `mirror[i]` is the index of
-    L_i reflected by x -> universe_max - x.
+    `spread[i]` is L_i(2^w), so `spread[i] * spread[j]` keys the sumset of
+    a strong pair: two strong pairs have equal products exactly when their
+    sumsets are equal.  `carriers` marks the labels with a nonempty
+    difference set and `mirror[i]` is the index of L_i reflected by
+    x -> universe_max - x.
     """
 
-    def __init__(self, cfg: OracleConfig, sum_ids: bool = True):
+    def __init__(self, cfg: OracleConfig):
         self.labels = labels = cfg.candidate_labels()
         n = len(labels)
         bits = [1 << i for i in range(n)]
@@ -192,7 +190,7 @@ class _Space:
             self.ddisjoint.append(~shared & (1 << n) - 1)
 
         w = width.bit_length()
-        spread = [sum(1 << w * x for x in s) for s in labels]
+        self.spread = spread = [sum(1 << w * x for x in s) for s in labels]
         repeated = sum(((1 << w) - 2) << w * x for x in range(2 * width - 1))
         # cls[i]: the index of L_i's translate that holds 0; members[r]: r's class
         cls = [rank[m >> _lowest(m)] for m in masks]
@@ -207,20 +205,7 @@ class _Space:
                 if not sr * spread[s] & repeated:
                     rows[r] |= members[s]
                     rows[s] |= mr
-        self.strong = strong = [rows[r] for r in cls]
-
-        self.sum_id: list[list[int | None]] = [[None] * n for _ in range(n)] if sum_ids else []
-        self.partners: list[dict[int, int]] = [{} for _ in range(n)] if sum_ids else []
-        if not sum_ids:
-            return
-        ids: dict[int, int] = {}
-        for i in range(n):
-            for j in range(i, n):
-                if strong[i] >> j & 1:
-                    p = spread[i] * spread[j]
-                    sid = self.sum_id[i][j] = self.sum_id[j][i] = ids.setdefault(p, len(ids))
-                    self.partners[i][sid] = bits[j]
-                    self.partners[j][sid] = bits[i]
+        self.strong = [rows[r] for r in cls]
 
 
 def _search_vertices(g: Graph, cfg: OracleConfig) -> list[str]:
@@ -321,9 +306,10 @@ def _sweep(
     n-1 can take, `count` the labelings they stand for.  A vertex's
     candidates are the unused labels its orbit rules allow that are strong
     with each earlier neighbour (an edge is checked at its later end), minus
-    the partners whose sum with it is already taken in that graph.  Two new
-    edges at one vertex never share a sum, by the argument in `_Space` with
-    the two labels' roles swapped."""
+    the partners whose sum with it is already taken in that graph.  A sum is
+    keyed by its product (`_Space`); `partners[i]` maps the key of each
+    strong L_i + L_j to the bit of j, unique as L_i(t)X(t) = L_i(t)Y(t)
+    gives X = Y, so two new edges at one vertex never share a sum."""
     n = len(verts)
     last = n - 1
     pos = {v: k for k, v in enumerate(verts)}
@@ -336,9 +322,11 @@ def _sweep(
     group = math.prod(1 + len(orbit) for orbit in orbits)
     # above[w]: the last k >= 1 with w in orbit[k], whose label w's must exceed
     above = [max([k for k in range(1, w) if w in orbits[k]], default=0) for w in range(n)]
-    strong, sum_id, partners, mirror = space.strong, space.sum_id, space.partners, space.mirror
+    strong, spread, mirror = space.strong, space.spread, space.mirror
+    partners = [{si * spread[j]: 1 << j for j in range(len(mirror)) if row >> j & 1}
+                for si, row in zip(spread, strong)]
     full_mask = (1 << len(mirror)) - 1
-    sums: list[list[int]] = [[] for _ in graphs]  # edge sumset ids taken, per graph
+    sums: list[list[int]] = [[] for _ in graphs]  # edge sumset keys taken, per graph
     assign = [0] * n
     gate = [full_mask] * n  # the labels each vertex may take in this partition
     halves = [0] * n  # at vertex 0's orbit-mates, the tie label's bit if it halves the count
@@ -361,7 +349,7 @@ def _sweep(
             bit = allowed & -allowed
             x = assign[k] = bit.bit_length() - 1
             for h, p in earlier[k]:
-                sums[h].append(sum_id[assign[p]][x])
+                sums[h].append(spread[assign[p]] * spread[x])
             search(k + 1, used | bit, weight // 2 if bit == halves[k] else weight)
             for h, _ in earlier[k]:
                 sums[h].pop()
@@ -446,23 +434,31 @@ def _has_chain(g: Graph, f: Labeling, best: int) -> bool:
     return verify(g, f).is_strong and chain_report(g, f).max_chain_length == best
 
 
+def _digest(state: dict) -> str:
+    """SHA-256 of a checkpoint's fields, the digest itself not among them."""
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def _read_checkpoint(
     path: Path, key: str, g: Graph, verts: list[str], labels: list[IntSet]
 ) -> dict:
     """Load a minchain checkpoint, refusing (ValueError naming the file) one
-    that is unreadable, of another schema version, written for another
-    graph or configuration, holding out-of-range or inconsistent fields, or
-    whose witness is not a strong labeling of g with the chain it records."""
+    that is unreadable, of another schema version, changed since written (by
+    its digest), written for another graph or configuration, holding bad
+    fields, or whose witness is not a strong labeling of g with its chain."""
 
     def bad(why: str) -> ValueError:
         return ValueError(f"oracle checkpoint {path} is unusable ({why}); delete it to start over")
 
-    try:
+    try:  # JSON nested deep enough raises RecursionError in the reader or the digest
         state = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+        signed = isinstance(state, dict) and state.pop("digest", None) == _digest(state)
+    except (OSError, ValueError, RecursionError) as exc:
         raise bad(f"unreadable: {exc}") from exc
     if not isinstance(state, dict) or state.get("version") != CHECKPOINT_VERSION:
         raise bad(f"not a version {CHECKPOINT_VERSION} checkpoint")
+    if not signed:
+        raise bad("its digest does not match its fields")
     if state.get("key") != key:
         raise bad("written for another graph or configuration")
 
@@ -558,8 +554,9 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
             best_assign = [*assign[:last], _lowest(shorter or mask)]
 
     def save() -> None:
-        _write_checkpoint(ckpt, {"version": CHECKPOINT_VERSION, "key": ckpt_key, "next": start,
-                                 "best": best, "witness": best_assign, "strong_count": strong_count})
+        state = {"version": CHECKPOINT_VERSION, "key": ckpt_key, "next": start,
+                 "best": best, "witness": best_assign, "strong_count": strong_count}
+        _write_checkpoint(ckpt, {**state, "digest": _digest(state)})
 
     unsaved = False
     saved_at = time.monotonic()

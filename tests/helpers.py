@@ -351,12 +351,12 @@ def reference_chain_extension(space, used: int) -> tuple[int, int]:
     return best, up
 
 
-def reference_pair_table(cfg, sum_ids: bool = True) -> tuple[list[int], list, list]:
-    """(strong, sum_id, partners) of `oracle._Space` with one product per
-    unordered pair of labels, not per pair of translation classes: each
+def reference_pair_table(cfg) -> tuple[list[int], list[dict[int, int]]]:
+    """(strong, partners) with one product per unordered pair of labels, not
+    per pair of translation classes as `oracle._Space` takes them: each
     label is spread into fields of w = (universe_max + 1).bit_length() bits,
-    a pair is strong when no field of its product exceeds 1, and a strong
-    pair's product keys its sumset id, handed out in pair order."""
+    a pair is strong when no field of its product exceeds 1, and
+    `partners[i]` maps the product of each strong pair (i, j) to the bit of j."""
     labels = cfg.candidate_labels()
     n = len(labels)
     bits = [1 << i for i in range(n)]
@@ -365,20 +365,16 @@ def reference_pair_table(cfg, sum_ids: bool = True) -> tuple[list[int], list, li
     spread = [sum(1 << w * x for x in s) for s in labels]
     repeated = sum(((1 << w) - 2) << w * x for x in range(2 * width - 1))
     strong = [0] * n
-    sum_id: list[list[int | None]] = [[None] * n for _ in range(n)] if sum_ids else []
-    partners: list[dict[int, int]] = [{} for _ in range(n)] if sum_ids else []
-    ids: dict[int, int] = {}
+    partners: list[dict[int, int]] = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             p = spread[i] * spread[j]
             if not p & repeated:
                 strong[i] |= bits[j]
                 strong[j] |= bits[i]
-                if sum_ids:
-                    sid = sum_id[i][j] = sum_id[j][i] = ids.setdefault(p, len(ids))
-                    partners[i][sid] = bits[j]
-                    partners[j][sid] = bits[i]
-    return strong, sum_id, partners
+                partners[i][p] = bits[j]
+                partners[j][p] = bits[i]
+    return strong, partners
 
 
 def _colours(cand: int, non_adj: list[int], cap: int) -> int:

@@ -451,8 +451,10 @@ def test_non_utf8_input_exits_two(files, capsys):
         ("graph", "a b\na a\n", "line 2: {}: self-loop at 'a'"),
         ("labeling", "a: {0,1\n", "line 1, column 7: {}: unterminated set: expected '}}'"),
         ("cards", "a: 2\nb: x\n", "line 2: {}: expected 'name: <cardinality>'"),
+        ("cards", "a b: 2\n", "line 1: {}: bad vertex name 'a b'"),
+        ("cards", " : 2\n", "line 1: {}: bad vertex name ''"),
     ],
-    ids=["graph", "labeling", "cards"],
+    ids=["graph", "labeling", "cards", "cards-name-with-space", "cards-empty-name"],
 )
 def test_parse_error_names_its_file(files, capsys, bad, text, message):
     graph_file, _, raw, _ = files

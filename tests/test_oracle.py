@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -202,15 +203,27 @@ def _corrupt_wrong_key(path, other):
     path.write_text(other.read_text())
 
 
-def _corrupt_fields(**fields):
+def _corrupt_nested(path, other):
+    # deeper than the JSON reader recurses
+    path.write_text('{"version": 6, "x": ' + "[" * 100_000 + "]" * 100_000 + "}")
+
+
+def _corrupt_fields(signed=True, **fields):
     """Fields wrong by type or value for P3 at --max 4, whose sweep of the
-    10 labels ends with 430 strong labelings, best 2 and witness [0, 2, 1]
-    in its search order v0, v2, v1: labels {0,1}, {1,2}, {0,2}."""
+    10 labels ends with 430 strong labelings, best 2, witness [0, 2, 1] in
+    its search order v0, v2, v1 (labels {0,1}, {1,2}, {0,2}) and next 7.
+    The file is signed again unless `signed` is false, so that each case
+    reaches the check on its fields."""
 
     def corrupt(path, other):
         state = json.loads(path.read_text())
-        assert (state["strong_count"], state["best"], state["witness"]) == (430, 2, [0, 2, 1])
-        path.write_text(json.dumps({**state, **fields}))
+        assert (state["strong_count"], state["best"], state["witness"], state["next"]) == (
+            430, 2, [0, 2, 1], 7)
+        state.update(fields)
+        if signed:
+            del state["digest"]
+            state["digest"] = oraclemod._digest(state)
+        path.write_text(json.dumps(state))
 
     return corrupt
 
@@ -221,6 +234,7 @@ def _corrupt_fields(**fields):
         _corrupt_truncated,
         _corrupt_empty_object,
         _corrupt_wrong_key,
+        _corrupt_nested,
         pytest.param(_corrupt_fields(best=-1), id="best-below-0"),
         pytest.param(_corrupt_fields(best=4), id="best-above-n"),
         # in range, but the witness's chain is 2
@@ -237,6 +251,10 @@ def _corrupt_fields(**fields):
         pytest.param(_corrupt_fields(next=-1), id="next-below-0"),
         pytest.param(_corrupt_fields(next=11), id="next-above-the-labels"),
         pytest.param(_corrupt_fields(next="3"), id="next-not-an-integer"),
+        # in range and past partition 0, but partitions 1..6 would be counted
+        # again: resumed, the count would be 712
+        pytest.param(_corrupt_fields(signed=False, next=1), id="next-edited-unsigned"),
+        pytest.param(_corrupt_fields(signed=False, strong_count=431), id="count-edited-unsigned"),
     ],
 )
 def test_minchain_bad_checkpoint_exits_two_naming_the_file(tmp_path, monkeypatch, capsys, corrupt):
@@ -248,11 +266,28 @@ def test_minchain_bad_checkpoint_exits_two_naming_the_file(tmp_path, monkeypatch
     other = next((tmp_path / "ckpt").iterdir())
     assert main(argv + [str(tmp_path / "p3.g")]) == 0
     (path,) = set((tmp_path / "ckpt").iterdir()) - {other}  # no temp file left behind
-    assert json.loads(path.read_text())["version"] == 5
+    assert json.loads(path.read_text())["version"] == 6
     capsys.readouterr()
 
     corrupt(path, other)
     assert main(argv + [str(tmp_path / "p3.g")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_minchain_checkpoint_too_deep_to_sign_exits_two(tmp_path, monkeypatch, capsys):
+    # JSON nested just below the reader's limit can exceed it in the digest.
+    monkeypatch.setenv("IASI_ORACLE_CHECKPOINT_DIR", str(tmp_path / "ckpt"))
+    (tmp_path / "k2.g").write_text(write_graph(K2))
+    argv = ["oracle", "minchain", "--max", "4", str(tmp_path / "k2.g")]
+    assert main(argv) == 0
+    (path,) = (tmp_path / "ckpt").iterdir()
+
+    def too_deep(state):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(oraclemod, "_digest", too_deep)
+    capsys.readouterr()
+    assert main(argv) == 2
     assert str(path) in capsys.readouterr().err
 
 
@@ -276,21 +311,27 @@ def test_minchain_checkpoint_key_is_stable_and_a_version_1_checkpoint_exits_two(
     clean = capsys.readouterr().out.rsplit("timing:", 1)[0]
     path = tmp_path / "ckpt" / "minchain-72268ec20f39bd84.json"
     assert list((tmp_path / "ckpt").iterdir()) == [path]
+    # The digest is the SHA-256 of the other fields as sorted-key JSON.
+    state = json.loads(path.read_text())
+    digest = state.pop("digest")
+    assert digest == hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
     # What earlier releases wrote after 6 of the 10 partitions.  Version 1
     # partitioned the sweep by vertex 0's label alone and version 2 by the
     # label on sorted vertex 0's orbit, so their counts do not add up with a
     # sweep in the search order; version 3 wrote its witness in sorted-vertex
-    # order, and versions 1-4 list the partitions counted where version 5
-    # records the next one.  Each file is refused and left as it is.
-    for version in (1, 2, 3, 4):
+    # order, versions 1-4 list the partitions counted where version 5
+    # records the next one, and version 5 carries no digest.  Each file is
+    # refused and left as it is.
+    done = '"done": [0, 1, 2, 5, 8, 9]'
+    for version, progress in ((1, done), (2, done), (3, done), (4, done), (5, '"next": 3')):
         older = (
-            f'{{"version": {version}, "key": "72268ec20f39bd84", "done": [0, 1, 2, 5, 8, 9], '
+            f'{{"version": {version}, "key": "72268ec20f39bd84", {progress}, '
             '"best": 2, "witness": [0, 1, 2], "strong_count": 244}'
         )
         path.write_text(older)
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert str(path) in err and "not a version 5 checkpoint" in err
+        assert str(path) in err and "not a version 6 checkpoint" in err
         assert path.read_text() == older
     # Deleted, as the message asks, the sweep starts over to the same result.
     path.unlink()

@@ -8,6 +8,7 @@ from helpers import reference_pair_table, stabiliser_orbits, strong_labelings
 
 import iasi.oracle as oraclemod
 from iasi import (
+    Graph,
     IntSet,
     OracleConfig,
     complement,
@@ -23,6 +24,8 @@ from iasi import (
 from iasi.cli import main
 from iasi.errors import InternalCheckError
 
+K2 = Graph(["a", "b"], [("a", "b")])
+
 TABLE_CONFIGS = [
     OracleConfig(universe_max=u, min_card=c, max_card=c)
     for u in (2, 4, 6)
@@ -34,28 +37,39 @@ TABLE_CONFIGS = [
 ]
 
 
+def _partners(space) -> list[dict[int, int]]:
+    """The `partners` table `_sweep` builds from `space`, read from the
+    frame of a sweep of K2 paused after its first partition."""
+    sweep = oraclemod._sweep(space, ["a", "b"], (K2,), lambda *args: None)
+    next(sweep)
+    return sweep.gi_frame.f_locals["partners"]
+
+
 @pytest.mark.parametrize("cfg", TABLE_CONFIGS, ids=repr)
 def test_pair_table_matches_both_routes(cfg):
     space = oraclemod._Space(cfg)
+    partners = _partners(space)
     labels = space.labels
     assert labels == cfg.candidate_labels()
-    id_of_sumset: dict[IntSet, int] = {}
-    sumset_of_id: dict[int, IntSet] = {}
+    sumset_of_key: dict[int, IntSet] = {}
+    key_of_sumset: dict[IntSet, int] = {}
     for i, j in combinations_with_replacement(range(len(labels)), 2):
         a, b = labels[i], labels[j]
         strong = is_strong_pair(a, b)
         assert (space.strong[i] >> j & 1, space.strong[j] >> i & 1) == (strong, strong)
         apart = diff_set(a).isdisjoint(diff_set(b))
         assert (space.ddisjoint[i] >> j & 1, space.ddisjoint[j] >> i & 1) == (apart, apart)
-        sid = space.sum_id[i][j]
-        assert sid == space.sum_id[j][i]
         if not strong:
-            assert sid is None
             continue
-        # ids equal exactly when the sumsets are: the map is a bijection
+        # products equal exactly when the sumsets are: the map is a bijection
+        p = space.spread[i] * space.spread[j]
+        assert (partners[i][p], partners[j][p]) == (1 << j, 1 << i)
         s = sumset(a, b)
-        assert id_of_sumset.setdefault(s, sid) == sid
-        assert sumset_of_id.setdefault(sid, s) == s
+        assert sumset_of_key.setdefault(p, s) == s
+        assert key_of_sumset.setdefault(s, p) == p
+    # and each row's partners are its strong pairs alone
+    assert [sum(row.values()) for row in partners] == space.strong
+    assert [len(row) for row in partners] == [row.bit_count() for row in space.strong]
 
 
 @pytest.mark.parametrize(
@@ -64,9 +78,7 @@ def test_pair_table_matches_both_routes(cfg):
 def test_pair_table_from_translation_classes_matches_one_product_per_pair(cfg):
     # The last configuration is the table of `oracle lemma --max 8`.
     space = oraclemod._Space(cfg)
-    assert (space.strong, space.sum_id, space.partners) == reference_pair_table(cfg)
-    lean = oraclemod._Space(cfg, sum_ids=False)
-    assert (lean.strong, lean.sum_id, lean.partners) == reference_pair_table(cfg, sum_ids=False)
+    assert (space.strong, _partners(space)) == reference_pair_table(cfg)
 
 
 def test_widest_fields_keep_the_strong_rows_exact():
@@ -75,7 +87,7 @@ def test_widest_fields_keep_the_strong_rows_exact():
     # least 10 elements, so their rows hold every pair that reaches them.
     top = oraclemod.UNIVERSE_LIMIT
     cfg = OracleConfig(universe_max=top, min_card=1, max_card=top + 1)
-    space = oraclemod._Space(cfg, sum_ids=False)
+    space = oraclemod._Space(cfg)
     labels = space.labels
     wide = [i for i, a in enumerate(labels) if len(a) >= 10]
     assert len(wide) == 12
@@ -87,12 +99,19 @@ def test_widest_fields_keep_the_strong_rows_exact():
     assert check.pairs_checked == 4_190_209 == len(labels) ** 2
 
 
-def test_lemma_table_keeps_no_sumset_ids():
-    cfg = OracleConfig(universe_max=3, min_card=1, max_card=4)
-    lean = oraclemod._Space(cfg, sum_ids=False)
-    full = oraclemod._Space(cfg)
-    assert lean.sum_id == []
-    assert (lean.strong, lean.ddisjoint) == (full.strong, full.ddisjoint)
+def test_lemma_builds_no_partners(monkeypatch):
+    # `_sweep` alone builds the partner maps of the sumset keys; the lemma
+    # reads only the strength and difference-disjointness rows.
+    def no_sweep(*args):
+        raise AssertionError("lemma_oracle called _sweep")
+
+    spaces = []
+    real = oraclemod._Space
+    monkeypatch.setattr(oraclemod, "_sweep", no_sweep)
+    monkeypatch.setattr(oraclemod, "_Space", lambda cfg: spaces.append(real(cfg)) or spaces[-1])
+    assert lemma_oracle(3).ok
+    (space,) = spaces
+    assert not hasattr(space, "partners")
 
 
 def test_lemma_reports_the_first_disagreement_in_rank_order(monkeypatch):
