@@ -3,7 +3,11 @@
 Subcommands: verify, construct, nourish, ops, oracle.  Every run prints a
 report whose `outcome` block is stable, machine-parseable text (sorted
 keys, no timestamps); wall-clock timing is printed outside that block so
-golden-file comparisons stay byte-exact.
+golden-file comparisons stay byte-exact.  Each `_cmd_<command>` handler
+returns its input records, outcome, exit code and the text `--output`
+receives (None but for construct's labeling and ops' graph: the outcome
+block is written instead); `main` alone starts the clock, writes `--output`
+and prints the report.
 
 Exit codes are a contract:
   0  success / requested property holds
@@ -54,7 +58,8 @@ def _load(path: str, reader) -> tuple:
     """The parsed file and its input record (path and SHA-256)."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        # A leading BOM is dropped after decoding, so a bad byte's offset counts from byte 0.
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         bad = f"{path}: can't decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})"
         raise ParseError(bad, line=data.count(b"\n", 0, exc.start) + 1) from None
@@ -65,7 +70,8 @@ def _load(path: str, reader) -> tuple:
     return parsed, {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
-def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: float, block=None) -> None:
+def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: float, block: str | None) -> None:
+    """Print the report; the text format prints `block`, the outcome's JSON."""
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if fmt == "json":
         doc = {"command": command, "inputs": inputs, "outcome": outcome}
@@ -76,27 +82,15 @@ def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: fl
         for item in inputs:
             print(f"input: {item['path']} sha256={item['sha256']}")
         print("outcome:")
-        print(to_json(outcome) if block is None else block)
+        print(block)
         print(f"timing: {elapsed_ms:.1f} ms")
-
-
-def _report(args, command: str, inputs: list[dict], outcome: dict, started: float) -> None:
-    """`_emit`, after writing the outcome block to `--output` when given: the
-    artifact of the commands whose report is their only product.  The text
-    format prints that same block, serialised once."""
-    block = None
-    if args.output:
-        block = to_json(outcome)
-        Path(args.output).write_text(block + "\n", encoding="utf-8")
-    _emit(command, inputs, outcome, args.format, started, block)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
+def _cmd_verify(args) -> tuple[list[dict], dict, int, str | None]:
     g, gin = _load(args.graph, read_graph)
     if not g.vertices:
         raise ValueError(f"{args.graph}: graph is empty; nothing to verify")
@@ -119,8 +113,7 @@ def _cmd_verify(args) -> int:
         holds = report.is_strong if args.strong else report.is_iasi
         outcome = {"property": prop, "holds": holds, "report": report.to_dict()}
 
-    _report(args, "verify", [gin, fin], outcome, started)
-    return EXIT_OK if holds else EXIT_PROPERTY_FAILED
+    return [gin, fin], outcome, EXIT_OK if holds else EXIT_PROPERTY_FAILED, None
 
 
 def _read_cards(text: str) -> dict[str, int]:
@@ -129,11 +122,12 @@ def _read_cards(text: str) -> dict[str, int]:
         card = cards[name] = parse_natural(rest.strip())
         if card is None:
             raise ParseError("expected 'name: <cardinality>'", line=lineno)
+        if card < 1:
+            raise ParseError(f"cardinality of {name!r} must be at least 1", line=lineno)
     return cards
 
 
-def _cmd_construct(args) -> int:
-    started = time.perf_counter()
+def _cmd_construct(args) -> tuple[list[dict], dict, int, str | None]:
     g, gin = _load(args.graph, read_graph)
     inputs, cards = [gin], args.cardinality
     if args.cards:
@@ -155,18 +149,14 @@ def _cmd_construct(args) -> int:
         "labeling_file": args.output,
         "trace": trace,
     }
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
+    if not args.output:
         outcome["labeling_text"] = text
     if args.trace:
         Path(args.trace).write_text(to_json(trace) + "\n", encoding="utf-8")
-    _emit("construct", inputs, outcome, args.format, started)
-    return EXIT_OK
+    return inputs, outcome, EXIT_OK, text
 
 
-def _cmd_nourish(args) -> int:
-    started = time.perf_counter()
+def _cmd_nourish(args) -> tuple[list[dict], dict, int, str | None]:
     g, gin = _load(args.graph, read_graph)
     if not g.vertices:
         raise ValueError(f"{args.graph}: graph is empty; nourishing number undefined")
@@ -177,8 +167,7 @@ def _cmd_nourish(args) -> int:
         "clique_number": len(clique),
         "max_clique": list(clique),
     }
-    _report(args, "nourish", [gin], outcome, started)
-    return EXIT_OK
+    return [gin], outcome, EXIT_OK, None
 
 
 def _predict_kappa(op: str, graphs: list[Graph], kappas: list[int | None]) -> tuple[int | None, str, list[str]]:
@@ -201,8 +190,7 @@ def _predict_kappa(op: str, graphs: list[Graph], kappas: list[int | None]) -> tu
     return None, "none", notes
 
 
-def _cmd_ops(args) -> int:
-    started = time.perf_counter()
+def _cmd_ops(args) -> tuple[list[dict], dict, int, str | None]:
     op = args.op
     arity, operation = OPS[op]
     if len(args.graphs) != arity:
@@ -243,25 +231,21 @@ def _cmd_ops(args) -> int:
         "edge_count_formula_holds": edge_check,
         "notes": notes,
     }
-    if args.output:
-        Path(args.output).write_text(write_graph(result), encoding="utf-8")
-    else:
-        outcome["graph_text"] = write_graph(result)
-    _emit("ops", inputs, outcome, args.format, started)
+    text = write_graph(result)
+    if not args.output:
+        outcome["graph_text"] = text
     failed = (agrees is False) or (edge_check is False)
-    return EXIT_PROPERTY_FAILED if failed else EXIT_OK
+    return inputs, outcome, EXIT_PROPERTY_FAILED if failed else EXIT_OK, text
 
 
-def _cmd_oracle(args) -> int:
-    started = time.perf_counter()
+def _cmd_oracle(args) -> tuple[list[dict], dict, int, str | None]:
     if args.oracle_cmd == "lemma":
         check = oraclemod.lemma_oracle(args.max)
         outcome = {"check": "lemma", **check.to_dict()}
         outcome["verdict"] = (
             "agrees on all pairs" if check.ok else "DISAGREEMENT FOUND"
         )
-        _report(args, "oracle", [], outcome, started)
-        return EXIT_OK if check.ok else EXIT_PROPERTY_FAILED
+        return [], outcome, EXIT_OK if check.ok else EXIT_PROPERTY_FAILED, None
 
     g, gin = _load(args.graph, read_graph)
     cfg = oraclemod.OracleConfig(
@@ -281,15 +265,11 @@ def _cmd_oracle(args) -> int:
         }
         if outcome["agree"] is False and args.bundle_dir:
             oraclemod.write_bundle(args.bundle_dir, "minchain-disagreement", g, result.witness, outcome)
-        _report(args, "oracle", [gin], outcome, started)
-        if outcome["agree"] is False:
-            return EXIT_PROPERTY_FAILED
-        return EXIT_OK
+        return [gin], outcome, EXIT_PROPERTY_FAILED if outcome["agree"] is False else EXIT_OK, None
 
     result = oraclemod.exists_concurrent(g, cfg)
     outcome = {"check": "concurrent", **result.to_dict()}
-    _report(args, "oracle", [gin], outcome, started)
-    return EXIT_OK if result.all_witnesses_pairwise_disjoint else EXIT_PROPERTY_FAILED
+    return [gin], outcome, EXIT_OK if result.all_witnesses_pairwise_disjoint else EXIT_PROPERTY_FAILED, None
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max", type=int, default=6, help="universe maximum")
     common(q)
 
-    q = osub.add_parser("minchain", help="definitional nourishing number by enumeration")
-    q.add_argument("graph")
-    q.add_argument("--cards", type=int, default=2)
-    q.add_argument("--max", type=int, default=6)
-    q.add_argument("--vertex-limit", type=int, default=5)
-    q.add_argument("--bundle-dir", help="emit a counterexample bundle here on disagreement")
-    common(q)
-
-    q = osub.add_parser("concurrent", help="search for a labeling strong on graph and complement")
-    q.add_argument("graph")
-    q.add_argument("--cards", type=int, default=2)
-    q.add_argument("--max", type=int, default=6)
-    q.add_argument("--vertex-limit", type=int, default=5)
-    common(q)
+    for name, about in (
+        ("minchain", "definitional nourishing number by enumeration"),
+        ("concurrent", "search for a labeling strong on graph and complement"),
+    ):
+        q = osub.add_parser(name, help=about)
+        q.add_argument("graph")
+        q.add_argument("--cards", type=int, default=2)
+        q.add_argument("--max", type=int, default=6)
+        q.add_argument("--vertex-limit", type=int, default=5)
+        if name == "minchain":
+            q.add_argument("--bundle-dir", help="emit a counterexample bundle here on disagreement")
+        common(q)
 
     return parser
 
@@ -366,13 +344,21 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    started = time.perf_counter()
     # What a command builds (tuples, frozensets, dicts of names) holds no
     # reference cycles, so reference counting frees it; the cyclic collector
     # would only re-scan the per-edge objects.  The caller's state comes back.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return globals()[f"_cmd_{args.command}"](args)
+        inputs, outcome, code, artifact = globals()[f"_cmd_{args.command}"](args)
+        # `--output` gets the command's artifact, else the outcome block, which
+        # the text format prints too: it is serialised once.
+        block = to_json(outcome) if args.format == "text" or (args.output and artifact is None) else None
+        if args.output:
+            Path(args.output).write_text(block + "\n" if artifact is None else artifact, encoding="utf-8")
+        _emit(args.command, inputs, outcome, args.format, started, block)
+        return code
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -16,6 +16,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from iasi.cli import main  # noqa: E402
+from iasi.graph import read_graph  # noqa: E402
+from iasi.labeling import read_labeling  # noqa: E402
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -138,6 +140,20 @@ def checks(directory: Path) -> None:
     printed = outcome(["nourish", k2, "--output", str(report)])
     written = json.loads(report.read_text(encoding="utf-8"))
     assert written == printed, (written, printed)
+
+    # The two artifacts --output writes instead of the outcome block: K4's
+    # labeling, re-read and verified strong, and a union graph whose counts
+    # are the printed ones.
+    k4 = str(directory / "k4.graph")
+    labeling = directory / "k4.labeling"
+    built = outcome(["construct", k4, "--output", str(labeling)])
+    assert built["labeling_file"] == str(labeling) and "labeling_text" not in built, built
+    assert sorted(read_labeling(labeling.read_text(encoding="utf-8")).vertices()) == list("abcd")
+    assert run(["verify", k4, str(labeling), "--strong"])[0] == 0
+    union = directory / "union.graph"
+    got = outcome(["ops", "union", k2, str(directory / "p4.graph"), "--output", str(union)])
+    g = read_graph(union.read_text(encoding="utf-8"))
+    assert "graph_text" not in got and (len(g.vertices), len(g.edges)) == (got["vertices"], got["edges"]), got
 
 
 if __name__ == "__main__":

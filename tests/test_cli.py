@@ -48,6 +48,9 @@ def files(tmp_path):
     return graph_file, labeling_file, raw, tmp_path
 
 
+BOM = b"\xef\xbb\xbf"
+
+
 def outcome_of(capsys) -> dict:
     out = capsys.readouterr().out
     body = out.split("outcome:\n", 1)[1].rsplit("timing:", 1)[0]
@@ -414,18 +417,56 @@ def _argv(files, command: str) -> list[str]:
 def test_output_into_missing_directory_exits_two(files, capsys, command):
     target = files[3] / "missing" / "out.txt"
     assert main([*_argv(files, command), "--output", str(target)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"error: {target}: ") and "Traceback" not in err
+    assert out == ""
 
 
+def test_trace_into_missing_directory_exits_two(files, capsys):
+    target = files[3] / "missing" / "trace.json"
+    assert main([*_argv(files, "construct"), "--trace", str(target)]) == 2
+    assert capsys.readouterr() == ("", f"error: {target}: No such file or directory\n")
+
+
+def _printed_outcome(capsys, fmt: str) -> dict:
+    """The outcome block of the report just printed in `fmt`."""
+    if fmt == "text":
+        return outcome_of(capsys)
+    return json.JSONDecoder().raw_decode(capsys.readouterr().out)[0]["outcome"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("command", ["verify", "nourish", "lemma", "minchain", "concurrent"])
-def test_output_writes_the_printed_outcome(files, capsys, command):
-    target = files[3] / "report.json"
-    assert main([*_argv(files, command), "--output", str(target)]) == 0
+def test_output_writes_the_printed_outcome(files, capsys, command, fmt):
+    text_file, target = files[3] / "text.json", files[3] / "report.json"
+    assert main([*_argv(files, command), "--output", str(text_file)]) == 0
     block = capsys.readouterr().out.split("outcome:\n", 1)[1].rsplit("timing:", 1)[0]
-    assert json.loads(target.read_text(encoding="utf-8")) == json.loads(block)
-    # In text mode the file holds the printed block byte for byte.
+    # In text mode the file holds the printed block byte for byte ...
+    assert text_file.read_bytes() == block.encode("utf-8")
+    assert main([*_argv(files, command), "--output", str(target), "--format", fmt]) == 0
+    # ... and either format writes those same bytes.
     assert target.read_bytes() == block.encode("utf-8")
+    assert _printed_outcome(capsys, fmt) == json.loads(block)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, key", [("construct", "labeling_text"), ("ops", "graph_text")])
+def test_output_writes_the_artifact_not_the_outcome(files, capsys, command, key, fmt):
+    graph_file, _, _, tmp = files
+    a, b = graph_file("a.g", complete_graph(2, "a")), graph_file("b.g", path_graph(3, "b"))
+    argv = {"construct": ["construct", a], "ops": ["ops", "union", a, b]}[command]
+    assert main([*argv, "--format", fmt]) == 0
+    inline = _printed_outcome(capsys, fmt)
+    target = tmp / "artifact.txt"
+    assert main([*argv, "--format", fmt, "--output", str(target)]) == 0
+    written = _printed_outcome(capsys, fmt)
+    # The file holds the text that the outcome carries without --output ...
+    assert target.read_text(encoding="utf-8") == inline.pop(key)
+    # ... and the outcome drops that text; construct names the file instead.
+    assert "labeling_text" not in written and "graph_text" not in written
+    if command == "construct":
+        assert (inline.pop("labeling_file"), written.pop("labeling_file")) == (None, str(target))
+    assert written == inline
 
 
 def test_directory_as_input_exits_two(files, capsys):
@@ -434,15 +475,53 @@ def test_directory_as_input_exits_two(files, capsys):
     assert capsys.readouterr().err.startswith(f"error: {tmp}: ")
 
 
-def test_non_utf8_input_exits_two(files, capsys):
+@pytest.mark.parametrize("prefix", [b"", BOM], ids=["plain", "bom"])
+def test_non_utf8_input_exits_two(files, capsys, prefix):
     _, _, _, tmp = files
     gp = tmp / "latin1.g"
-    gp.write_bytes(b"a b\n\xe9 c\n")
+    gp.write_bytes(prefix + b"a b\n\xe9 c\n")
     assert main(["nourish", str(gp)]) == 2
     err = capsys.readouterr().err
     assert "can't decode byte 0xe9" in err
-    # The first bad byte is on line 2 of the named file.
+    # The first bad byte is on line 2 of the named file, after a BOM too.
     assert err.startswith(f"error: line 2: {gp}: ")
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("graph", "a b\n"),
+        ("graph", "p 2 1\na b\n"),
+        ("labeling", "a: {0,1}\nb: {0,2}\n"),
+        ("cards", "a: 2\nb: 3\n"),
+    ],
+    ids=["graph", "graph-header", "labeling", "cards"],
+)
+def test_leading_bom_is_ignored(files, capsys, kind, text):
+    import hashlib
+
+    _, _, raw, tmp = files
+    paths = {
+        "graph": raw("k2.g", "a b\n"),
+        "labeling": raw("k2.l", "a: {0,2}\nb: {0,1}\n"),
+        "cards": raw("k2.cards", "a: 1\nb: 1\n"),
+    }
+    paths[kind] = str(tmp / "input")
+    argv = {
+        "graph": ["nourish", paths["graph"]],
+        "labeling": ["verify", paths["graph"], paths["labeling"], "--strong"],
+        "cards": ["construct", paths["graph"], "--cards", paths["cards"]],
+    }[kind]
+    reports = []
+    for prefix in (b"", BOM):
+        data = prefix + text.encode("utf-8")
+        (tmp / "input").write_bytes(data)
+        assert main([*argv, "--format", "json"]) == 0
+        doc = json.JSONDecoder().raw_decode(capsys.readouterr().out)[0]
+        # The input record hashes the file's bytes, the BOM included.
+        assert {"path": paths[kind], "sha256": hashlib.sha256(data).hexdigest()} in doc["inputs"]
+        reports.append(doc["outcome"])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(
@@ -453,8 +532,9 @@ def test_non_utf8_input_exits_two(files, capsys):
         ("cards", "a: 2\nb: x\n", "line 2: {}: expected 'name: <cardinality>'"),
         ("cards", "a b: 2\n", "line 1: {}: bad vertex name 'a b'"),
         ("cards", " : 2\n", "line 1: {}: bad vertex name ''"),
+        ("cards", "a0: 2\na1: 0\n", "line 2: {}: cardinality of 'a1' must be at least 1"),
     ],
-    ids=["graph", "labeling", "cards", "cards-name-with-space", "cards-empty-name"],
+    ids=["graph", "labeling", "cards", "cards-name-with-space", "cards-empty-name", "cards-size-zero"],
 )
 def test_parse_error_names_its_file(files, capsys, bad, text, message):
     graph_file, _, raw, _ = files
