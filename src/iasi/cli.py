@@ -4,10 +4,10 @@ Subcommands: verify, construct, nourish, ops, oracle.  Every run prints a
 report whose `outcome` block is stable, machine-parseable text (sorted
 keys, no timestamps); wall-clock timing is printed outside that block so
 golden-file comparisons stay byte-exact.  Each `_cmd_<command>` handler
-returns its input records, outcome, exit code and the text `--output`
-receives (None but for construct's labeling and ops' graph: the outcome
-block is written instead); `main` alone starts the clock, writes `--output`
-and prints the report.
+returns its input records, outcome, exit code and the files it writes, by
+path (construct's labeling and trace, ops' graph); when none of them is
+`--output`, the outcome block is written there.  `main` alone starts the
+clock, writes the files, all of them or none, and prints the report.
 
 Exit codes are a contract:
   0  success / requested property holds
@@ -23,6 +23,7 @@ import argparse
 import functools
 import gc
 import hashlib
+import os
 import sys
 import time
 from pathlib import Path
@@ -86,11 +87,45 @@ def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: fl
         print(f"timing: {elapsed_ms:.1f} ms")
 
 
+def _write_files(files: dict[str, str]) -> None:
+    """Write every file, or none if one write fails.
+
+    Each text goes to a new temp file beside its target (symlinks followed),
+    and the temps are renamed onto the targets only once all are written;
+    on a failure they are removed.  A target that exists and is not a
+    regular file (a pipe, a terminal, a directory) cannot be renamed onto,
+    so it is written in place, after the temps and before the renames.  An
+    error names the target as given, not the temp."""
+    staged: list[tuple[str, Path, Path]] = []  # (path, temp, target)
+    in_place: list[str] = []
+    path = None
+    try:
+        for path, text in files.items():
+            target = Path(path).resolve()
+            if target.exists() and not target.is_file():
+                in_place.append(path)
+                continue
+            temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+            with temp.open("x", encoding="utf-8") as out:
+                staged.append((path, temp, target))
+                out.write(text)
+        for path in in_place:
+            Path(path).write_text(files[path], encoding="utf-8")
+        for path, temp, target in staged:
+            temp.replace(target)
+    except BaseException as exc:
+        for _, temp, _ in staged:
+            temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            exc.filename, exc.filename2 = path, None
+        raise
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> tuple[list[dict], dict, int, str | None]:
+def _cmd_verify(args) -> tuple[list[dict], dict, int, dict[str, str]]:
     g, gin = _load(args.graph, read_graph)
     if not g.vertices:
         raise ValueError(f"{args.graph}: graph is empty; nothing to verify")
@@ -113,7 +148,7 @@ def _cmd_verify(args) -> tuple[list[dict], dict, int, str | None]:
         holds = report.is_strong if args.strong else report.is_iasi
         outcome = {"property": prop, "holds": holds, "report": report.to_dict()}
 
-    return [gin, fin], outcome, EXIT_OK if holds else EXIT_PROPERTY_FAILED, None
+    return [gin, fin], outcome, EXIT_OK if holds else EXIT_PROPERTY_FAILED, {}
 
 
 def _read_cards(text: str) -> dict[str, int]:
@@ -127,7 +162,7 @@ def _read_cards(text: str) -> dict[str, int]:
     return cards
 
 
-def _cmd_construct(args) -> tuple[list[dict], dict, int, str | None]:
+def _cmd_construct(args) -> tuple[list[dict], dict, int, dict[str, str]]:
     g, gin = _load(args.graph, read_graph)
     inputs, cards = [gin], args.cardinality
     if args.cards:
@@ -149,14 +184,15 @@ def _cmd_construct(args) -> tuple[list[dict], dict, int, str | None]:
         "labeling_file": args.output,
         "trace": trace,
     }
-    if not args.output:
+    files = {args.trace: to_json(trace) + "\n"} if args.trace else {}
+    if args.output:
+        files[args.output] = text
+    else:
         outcome["labeling_text"] = text
-    if args.trace:
-        Path(args.trace).write_text(to_json(trace) + "\n", encoding="utf-8")
-    return inputs, outcome, EXIT_OK, text
+    return inputs, outcome, EXIT_OK, files
 
 
-def _cmd_nourish(args) -> tuple[list[dict], dict, int, str | None]:
+def _cmd_nourish(args) -> tuple[list[dict], dict, int, dict[str, str]]:
     g, gin = _load(args.graph, read_graph)
     if not g.vertices:
         raise ValueError(f"{args.graph}: graph is empty; nourishing number undefined")
@@ -167,7 +203,7 @@ def _cmd_nourish(args) -> tuple[list[dict], dict, int, str | None]:
         "clique_number": len(clique),
         "max_clique": list(clique),
     }
-    return [gin], outcome, EXIT_OK, None
+    return [gin], outcome, EXIT_OK, {}
 
 
 def _predict_kappa(op: str, graphs: list[Graph], kappas: list[int | None]) -> tuple[int | None, str, list[str]]:
@@ -190,7 +226,7 @@ def _predict_kappa(op: str, graphs: list[Graph], kappas: list[int | None]) -> tu
     return None, "none", notes
 
 
-def _cmd_ops(args) -> tuple[list[dict], dict, int, str | None]:
+def _cmd_ops(args) -> tuple[list[dict], dict, int, dict[str, str]]:
     op = args.op
     arity, operation = OPS[op]
     if len(args.graphs) != arity:
@@ -235,17 +271,18 @@ def _cmd_ops(args) -> tuple[list[dict], dict, int, str | None]:
     if not args.output:
         outcome["graph_text"] = text
     failed = (agrees is False) or (edge_check is False)
-    return inputs, outcome, EXIT_PROPERTY_FAILED if failed else EXIT_OK, text
+    files = {args.output: text} if args.output else {}
+    return inputs, outcome, EXIT_PROPERTY_FAILED if failed else EXIT_OK, files
 
 
-def _cmd_oracle(args) -> tuple[list[dict], dict, int, str | None]:
+def _cmd_oracle(args) -> tuple[list[dict], dict, int, dict[str, str]]:
     if args.oracle_cmd == "lemma":
         check = oraclemod.lemma_oracle(args.max)
         outcome = {"check": "lemma", **check.to_dict()}
         outcome["verdict"] = (
             "agrees on all pairs" if check.ok else "DISAGREEMENT FOUND"
         )
-        return [], outcome, EXIT_OK if check.ok else EXIT_PROPERTY_FAILED, None
+        return [], outcome, EXIT_OK if check.ok else EXIT_PROPERTY_FAILED, {}
 
     g, gin = _load(args.graph, read_graph)
     cfg = oraclemod.OracleConfig(
@@ -265,11 +302,11 @@ def _cmd_oracle(args) -> tuple[list[dict], dict, int, str | None]:
         }
         if outcome["agree"] is False and args.bundle_dir:
             oraclemod.write_bundle(args.bundle_dir, "minchain-disagreement", g, result.witness, outcome)
-        return [gin], outcome, EXIT_PROPERTY_FAILED if outcome["agree"] is False else EXIT_OK, None
+        return [gin], outcome, EXIT_PROPERTY_FAILED if outcome["agree"] is False else EXIT_OK, {}
 
     result = oraclemod.exists_concurrent(g, cfg)
     outcome = {"check": "concurrent", **result.to_dict()}
-    return [gin], outcome, EXIT_OK if result.all_witnesses_pairwise_disjoint else EXIT_PROPERTY_FAILED, None
+    return [gin], outcome, EXIT_OK if result.all_witnesses_pairwise_disjoint else EXIT_PROPERTY_FAILED, {}
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +388,14 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        inputs, outcome, code, artifact = globals()[f"_cmd_{args.command}"](args)
+        inputs, outcome, code, files = globals()[f"_cmd_{args.command}"](args)
         # `--output` gets the command's artifact, else the outcome block, which
         # the text format prints too: it is serialised once.
-        block = to_json(outcome) if args.format == "text" or (args.output and artifact is None) else None
-        if args.output:
-            Path(args.output).write_text(block + "\n" if artifact is None else artifact, encoding="utf-8")
+        report = args.output and args.output not in files
+        block = to_json(outcome) if args.format == "text" or report else None
+        if report:
+            files[args.output] = block + "\n"
+        _write_files(files)
         _emit(args.command, inputs, outcome, args.format, started, block)
         return code
     except InternalCheckError as exc:

@@ -54,7 +54,7 @@ CORONA_SEP = "⊙"
 def _check_name(name: str) -> str:
     if not isinstance(name, str) or not name:
         raise ValueError(f"vertex name must be a non-empty string, got {name!r}")
-    if any(c.isspace() for c in name):
+    if name.split() != [name]:  # whitespace, by str.isspace, anywhere in it
         raise ValueError(f"vertex name {name!r} contains whitespace")
     # The text format would read these back as a header, a vertex line or a
     # comment, so such a graph could not round-trip through its file.
@@ -206,15 +206,17 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     adjacent in the other.  |V| = p1*p2 and |E| = p1*q2 + p2*q1.
     Names of valid graphs joined by PRODUCT_SEP are valid; a collision
     between them is refused."""
-    name = {}
-    for u in g1.vertices:
-        for v in g2.vertices:
-            name[(u, v)] = f"{u}{PRODUCT_SEP}{v}"
-    vertices = frozenset(name.values())
-    if len(vertices) != len(name):
+    # One row of product names per vertex of g1, row[u][v] the name of
+    # (u, v); every name is built once and every edge takes its ends from the
+    # rows.  All rows list g2's vertices in one order, so zipping two rows
+    # pairs the names of one column.
+    row = {u: {v: f"{u}{PRODUCT_SEP}{v}" for v in g2.vertices} for u in g1.vertices}
+    vertices = frozenset(chain.from_iterable(r.values() for r in row.values()))
+    if len(vertices) != len(g1.vertices) * len(g2.vertices):
         raise ValueError("product vertex naming collides; rename inputs first")
-    edges = [(name[(u, a)], name[(u, b)]) for u in g1.vertices for a, b in g2.edges]
-    edges += [(name[(a, v)], name[(b, v)]) for a, b in g1.edges for v in g2.vertices]
+    edges = [(r[a], r[b]) for r in row.values() for a, b in g2.edges]
+    for a, b in g1.edges:
+        edges += zip(row[a].values(), row[b].values())
     return Graph._trusted(vertices, edges)
 
 
@@ -437,10 +439,20 @@ def read_graph(text: str) -> Graph:
 
 
 def write_graph(g: Graph) -> str:
-    """Deterministic writer: header, sorted vertex lines, sorted edges."""
-    lines = [f"p {len(g.vertices)} {len(g.edges)}"]
-    lines.extend(f"v {v}" for v in g.sorted_vertices())
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    """Deterministic writer: header, sorted vertex lines, sorted edges.
+
+    The edges come in the order of `sorted(g.edges)` without sorting them
+    all: each vertex by name, then its later neighbours by name."""
+    verts = g.sorted_vertices()
+    adj = g._adj
+    lines = [f"p {len(verts)} {len(g.edges)}"]
+    lines += [f"v {v}" for v in verts]
+    for u in verts:
+        later = [w for w in adj[u] if w > u]
+        if later:
+            later.sort()
+            # u's edge lines, `u v` for each later neighbour v, as one string
+            lines.append(f"{u} " + f"\n{u} ".join(later))
     return "\n".join(lines) + "\n"
 
 

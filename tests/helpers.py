@@ -26,6 +26,7 @@ from iasi import (
     verify,
 )
 from iasi.errors import parse_natural
+from iasi.graph import PRODUCT_SEP
 
 
 def from_networkx(G, prefix: str = "v") -> Graph:
@@ -319,6 +320,40 @@ def reference_read_graph(text: str) -> Graph:
             f"file has {len(g.vertices)} / {len(g.edges)}"
         )
     return g
+
+
+def reference_check_name(name: str) -> str:
+    """`graph._check_name` testing each character with `str.isspace`."""
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"vertex name must be a non-empty string, got {name!r}")
+    if any(c.isspace() for c in name):
+        raise ValueError(f"vertex name {name!r} contains whitespace")
+    if name in ("p", "v") or name.startswith("#"):
+        raise ValueError(f"vertex name {name!r} is reserved by the graph file format")
+    return name
+
+
+def reference_cartesian_product(g1: Graph, g2: Graph) -> Graph:
+    """`graph.cartesian_product` with each product name keyed by its (u, v)
+    pair, looked up by that tuple at each end of each edge."""
+    name = {}
+    for u in g1.vertices:
+        for v in g2.vertices:
+            name[(u, v)] = f"{u}{PRODUCT_SEP}{v}"
+    vertices = frozenset(name.values())
+    if len(vertices) != len(name):
+        raise ValueError("product vertex naming collides; rename inputs first")
+    edges = [(name[(u, a)], name[(u, b)]) for u in g1.vertices for a, b in g2.edges]
+    edges += [(name[(a, v)], name[(b, v)]) for a, b in g1.edges for v in g2.vertices]
+    return Graph._trusted(vertices, edges)
+
+
+def reference_write_graph(g: Graph) -> str:
+    """`graph.write_graph` by one sort of all the edges."""
+    lines = [f"p {len(g.vertices)} {len(g.edges)}"]
+    lines.extend(f"v {v}" for v in g.sorted_vertices())
+    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    return "\n".join(lines) + "\n"
 
 
 def reference_chain_extension(space, used: int) -> tuple[int, int]:

@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from iasi.cli import main  # noqa: E402
-from iasi.graph import read_graph  # noqa: E402
+from iasi.graph import cartesian_product, corona, read_graph  # noqa: E402
 from iasi.labeling import read_labeling  # noqa: E402
 
 
@@ -132,10 +132,18 @@ def checks(directory: Path) -> None:
         got = outcome(["oracle", "concurrent", graph, "--max", "6"])
         assert (got["witnesses_found"], got["all_witnesses_pairwise_disjoint"]) == (38976, True), got
 
-    # K2 x K2 and K2 corona K2 through `Graph._trusted`, and
+    # K2 x P3 and K2 corona P3 through `Graph._trusted` and the edge walk
+    # of `write_graph`, each file re-read and checked against the outcome's
+    # counts and the library's own product or corona of the inputs.
+    factors = [read_graph(Path(path).read_text(encoding="utf-8")) for path in (k2, p3)]
+    for op, build in (("product", cartesian_product), ("corona", corona)):
+        target = directory / f"{op}.graph"
+        got = outcome(["ops", op, k2, p3, "--output", str(target)])
+        g = read_graph(target.read_text(encoding="utf-8"))
+        assert (len(g.vertices), len(g.edges)) == (got["vertices"], got["edges"]), (op, got)
+        assert g == build(*factors), op
+
     # nourish --output against the outcome it prints.
-    for op in ("product", "corona"):
-        assert run(["ops", op, k2, k2])[0] == 0, op
     report = directory / "nourish.json"
     printed = outcome(["nourish", k2, "--output", str(report)])
     written = json.loads(report.read_text(encoding="utf-8"))

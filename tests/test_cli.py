@@ -428,6 +428,45 @@ def test_trace_into_missing_directory_exits_two(files, capsys):
     assert capsys.readouterr() == ("", f"error: {target}: No such file or directory\n")
 
 
+@pytest.mark.parametrize(
+    "output, trace, bad, reason",
+    [
+        ("missing/o.lab", "t.json", "missing/o.lab", "No such file or directory"),
+        ("o.lab", "missing/t.json", "missing/t.json", "No such file or directory"),
+        # A directory is written in place, not renamed onto, and fails there.
+        ("dir", "t.json", "dir", "Is a directory"),
+        ("o.lab", "dir", "dir", "Is a directory"),
+    ],
+)
+def test_construct_writes_neither_file_when_one_write_fails(files, capsys, output, trace, bad, reason):
+    tmp = files[3]
+    argv = _argv(files, "construct")
+    (tmp / "dir").mkdir()
+    before = sorted(os.listdir(tmp))
+    assert main([*argv, "--output", str(tmp / output), "--trace", str(tmp / trace)]) == 2
+    assert capsys.readouterr() == ("", f"error: {tmp / bad}: {reason}\n")
+    # Neither target nor any temp file is left.
+    assert sorted(os.listdir(tmp)) == before and os.listdir(tmp / "dir") == []
+
+
+def test_construct_writes_both_files_and_no_temp(files, capsys):
+    tmp = files[3]
+    argv = [*_argv(files, "construct"), "--format", "json"]
+    before = os.listdir(tmp)
+    assert main(argv) == 0
+    printed = _printed_outcome(capsys, "json")
+    assert main([*argv, "--output", str(tmp / "o.lab"), "--trace", str(tmp / "t.json")]) == 0
+    assert (tmp / "o.lab").read_text(encoding="utf-8") == printed["labeling_text"]
+    assert json.loads((tmp / "t.json").read_text(encoding="utf-8")) == printed["trace"]
+    assert sorted(os.listdir(tmp)) == sorted([*before, "o.lab", "t.json"])
+    # A symlinked target is written through, not replaced.
+    (tmp / "link.lab").symlink_to(tmp / "o.lab")
+    (tmp / "o.lab").write_text("old", encoding="utf-8")
+    assert main([*argv, "--output", str(tmp / "link.lab")]) == 0
+    assert (tmp / "link.lab").is_symlink()
+    assert (tmp / "o.lab").read_text(encoding="utf-8") == printed["labeling_text"]
+
+
 def _printed_outcome(capsys, fmt: str) -> dict:
     """The outcome block of the report just printed in `fmt`."""
     if fmt == "text":

@@ -13,7 +13,10 @@ from helpers import (
     is_triangle_free,
     maximal_cliques,
     random_graph,
+    reference_cartesian_product,
+    reference_check_name,
     reference_max_clique,
+    reference_write_graph,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +39,9 @@ from iasi import (
     read_graph,
     star_graph,
     union,
+    write_graph,
 )
+from iasi.graph import _check_name
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +58,29 @@ def test_rejects_whitespace_and_empty_names():
         Graph(["a b"])
     with pytest.raises(ValueError):
         Graph([""])
+
+
+def _result(f, *args):
+    """What `f(*args)` returns, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_check_name_agrees_with_the_per_character_scan():
+    # Every whitespace code point, alone, doubled and embedded, and other
+    # characters: the first 0x250 and a seeded sample of the rest.
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    rng = random.Random(29)
+    others = [chr(c) for c in range(0x250)]
+    others += [chr(rng.randrange(sys.maxunicode + 1)) for _ in range(3000)]
+    names = [s for c in spaces for s in (c, c * 2, f"a{c}b", f"{c}a", f"a{c}")]
+    names += [s for c in others if not c.isspace() for s in (c, f"a{c}b", f"{c}a")]
+    names += ["", "p", "v", "#", "#a", "a#", "pv", None, 3]
+    assert len(spaces) >= 25
+    for name in names:
+        assert _result(_check_name, name) == _result(reference_check_name, name), name
 
 
 def test_rejects_undeclared_endpoint():
@@ -298,6 +326,79 @@ def test_product_orders_edges_whose_names_sort_against_their_factors():
 # Names where one is a prefix of another, so a name built from them can
 # sort against the order of its parts.
 _PREFIXED_NAMES = ["a", "ab", "abc", "b", "x", "x1", "x10", "x100", "x2", "1", "10", "9"]
+# Names holding the product and corona separators.
+_SEPARATED_NAMES = ["x×", "×1", "a×b", "b×", "⊙", "a⊙0:b", "a⊙0:", "0:b"]
+
+
+def _factor_pairs():
+    """Random factor pairs, and pairs of factors whose names are prefixes
+    of one another or hold a separator, edgeless or on one vertex."""
+    rng = random.Random(29)
+    pairs = [
+        tuple(random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.9]), p) for p in "ab")
+        for _ in range(40)
+    ]
+    special = [
+        Graph(["a1", "a10", "a100", "a2"], [("a1", "a10"), ("a10", "a100"), ("a2", "a1")]),
+        Graph(_SEPARATED_NAMES, [("x×", "×1"), ("×1", "a⊙0:b"), ("a×b", "b×"), ("⊙", "0:b")]),
+        Graph(["k"]),
+        Graph(["e1", "e10", "e2"]),
+        path_graph(3, "a1"),
+    ]
+    pairs += [(g, h) for g in special for h in special]
+    return pairs
+
+
+def test_product_matches_the_tuple_keyed_reference():
+    built = 0
+    for g1, g2 in _factor_pairs():
+        want, got = _result(reference_cartesian_product, g1, g2), _result(cartesian_product, g1, g2)
+        assert got == want
+        if isinstance(got, Graph):
+            built += 1
+            assert got._adj == want._adj
+    assert built > 60
+
+
+def test_product_collision_raises_the_reference_error():
+    g1, g2 = Graph(["a", "a×b"], [("a", "a×b")]), Graph(["c", "b×c"])
+    want = _result(reference_cartesian_product, g1, g2)
+    assert want == "product vertex naming collides; rename inputs first"
+    assert _result(cartesian_product, g1, g2) == want
+
+
+def _written_graphs():
+    """Operation results on the factor pairs, and graphs with isolated
+    vertices or no edges."""
+    graphs = [Graph([]), Graph(["a"]), Graph(["b", "a10", "a1"]), Graph(["a", "b", "c"], [("c", "a")])]
+    for g1, g2 in _factor_pairs():
+        graphs += [_result(cartesian_product, g1, g2), _result(corona, g1, g2)]
+        if g1.vertices.isdisjoint(g2.vertices):
+            graphs.append(join(g1, g2))
+    return [g for g in graphs if isinstance(g, Graph)]
+
+
+def test_write_graph_matches_the_sorting_reference():
+    graphs = _written_graphs()
+    assert len(graphs) > 150 and any(g.isolated_vertices() for g in graphs)
+    for g in graphs:
+        text = write_graph(g)
+        assert text == reference_write_graph(g)
+        assert read_graph(text) == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_product_and_writer_match_their_references_on_awkward_names(data):
+    names = _PREFIXED_NAMES + _SEPARATED_NAMES
+    g1, g2 = data.draw(_named_graphs(names)), data.draw(_named_graphs(names))
+    want, got = _result(reference_cartesian_product, g1, g2), _result(cartesian_product, g1, g2)
+    assert got == want
+    if isinstance(got, Graph):
+        assert got._adj == want._adj
+        assert write_graph(got) == reference_write_graph(got)
+    for g in (g1, g2):
+        assert write_graph(g) == reference_write_graph(g)
 
 
 @st.composite
