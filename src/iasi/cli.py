@@ -174,7 +174,7 @@ def _cmd_construct(args) -> tuple[list[dict], dict, int, dict[str, str]]:
     text = write_labeling(labeling)
     outcome = {
         "vertices": len(g.vertices),
-        "edges": len(g.edges),
+        "edges": g._edge_count(),
         "mode": spec.mode,
         "seed": spec.seed,
         "color_classes": len(trace["classes"]),
@@ -248,17 +248,18 @@ def _cmd_ops(args) -> tuple[list[dict], dict, int, dict[str, str]]:
         agrees = kappa_result >= predicted if kind == "lower-bound" else kappa_result == predicted
 
     p = [len(g.vertices) for g in graphs]
-    q = [len(g.edges) for g in graphs]
+    q = [g._edge_count() for g in graphs]
+    m = result._edge_count()
     edge_check: bool | None = None
     if op == "product":
-        edge_check = len(result.edges) == p[0] * q[1] + p[1] * q[0]
+        edge_check = m == p[0] * q[1] + p[1] * q[0]
     elif op == "corona":
-        edge_check = len(result.edges) == q[0] + p[0] * q[1] + p[0] * p[1]
+        edge_check = m == q[0] + p[0] * q[1] + p[0] * p[1]
 
     outcome = {
         "op": op,
         "vertices": len(result.vertices),
-        "edges": len(result.edges),
+        "edges": m,
         "kappa_inputs": kappas,
         "kappa_computed": kappa_result,
         "kappa_predicted": predicted,

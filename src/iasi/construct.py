@@ -170,7 +170,7 @@ def _greedy_coloring(g: Graph, seed: int, preset: dict[str, int] | None = None) 
 
 
 def _color_classes(g: Graph, spec: ConstructionSpec) -> list[list[str]]:
-    if spec.mode == "clique-cover" and g.edges:
+    if spec.mode == "clique-cover" and g._edge_count():
         seed_clique = max_clique(g)
         preset = {v: i for i, v in enumerate(seed_clique)}
         colors = _greedy_coloring(g, spec.seed, preset)

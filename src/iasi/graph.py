@@ -1,10 +1,10 @@
 """Finite simple graphs and the operations studied by the library.
 
-Vertices are opaque string names; a graph is an immutable (vertices, edges)
-pair.  Every graph, checked by the constructor or not, is built by one
-private builder, `Graph._trusted`, the only code that stores each edge as
-(u, v) with u < v, drops repeats and fills each vertex's neighbours; the
-constructor, `read_graph` and every derivation of valid graphs call it.
+Vertices are opaque string names; an immutable graph is its neighbour table,
+each vertex to the frozenset of its neighbours, filled straight from vertex
+pairs by one private builder, `Graph._trusted`, which the constructor,
+`read_graph` and every derivation of valid graphs call.  The edge set, each
+edge once as (u, v) with u < v, is derived from the table on first use.
 The constructor and `read_graph` keep one string object per name, so the
 per-edge lookups of verification and clique search match by identity.
 Besides the five binary operations (union, intersection, join,
@@ -66,7 +66,7 @@ def _check_name(name: str) -> str:
 class Graph:
     """Immutable finite simple graph with string vertex identifiers."""
 
-    __slots__ = ("vertices", "edges", "_adj")
+    __slots__ = ("vertices", "_adj", "_edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         vs = frozenset(_check_name(v) for v in vertices)
@@ -91,38 +91,51 @@ class Graph:
         tuple of two distinct ones among them, in either order and possibly
         repeated.
 
-        The one place a graph is built: each edge is stored once as (u, v)
-        with u < v, and each vertex's neighbours are filled from the edges.
+        The one place a graph is built, as its neighbour table only: repeats
+        and reversed pairs collapse in each vertex's frozenset of neighbours.
         """
         vs = frozenset(vertices)
-        es = frozenset([e if e[0] < e[1] else e[::-1] for e in pairs])
         adj: dict[str, list[str]] = {v: [] for v in vs}
-        for u, v in es:
+        for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
         g = object.__new__(cls)
         object.__setattr__(g, "vertices", vs)
-        object.__setattr__(g, "edges", es)
         object.__setattr__(g, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
+        object.__setattr__(g, "_edges", None)
         return g
+
+    @property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """Each edge once as (u, v) with u < v, derived on first use and kept."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(self._pairs()))
+        return self._edges
+
+    def _pairs(self) -> list[tuple[str, str]]:
+        adj = self._adj
+        return [(u, v) for u in adj for v in adj[u] if u < v]
+
+    def _edge_count(self) -> int:
+        return sum(map(len, self._adj.values())) // 2
 
     __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self):
-        return Graph._trusted, (self.vertices, self.edges)
+        return Graph._trusted, (self.vertices, self._pairs())
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.vertices == other.vertices
-            and self.edges == other.edges
+            and self._adj == other._adj
         )
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
 
     def __repr__(self) -> str:
-        return f"Graph(|V|={len(self.vertices)}, |E|={len(self.edges)})"
+        return f"Graph(|V|={len(self.vertices)}, |E|={self._edge_count()})"
 
     def neighbors(self, v: str) -> frozenset[str]:
         return self._adj[v]
@@ -131,7 +144,7 @@ class Graph:
         return sorted(self.vertices)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges)
+        return sorted(self._pairs())
 
     def isolated_vertices(self) -> list[str]:
         return sorted(v for v in self.vertices if not self._adj[v])
@@ -142,7 +155,7 @@ class Graph:
         missing = ks - self.vertices
         if missing:
             raise ValueError(f"not vertices of this graph: {sorted(missing)}")
-        return Graph._trusted(ks, (e for e in self.edges if e[0] in ks and e[1] in ks))
+        return Graph._trusted(ks, (e for e in self._pairs() if e[0] in ks and e[1] in ks))
 
     def relabel(self, mapping: Mapping[str, str] | Callable[[str], str]) -> "Graph":
         """New graph with every vertex renamed through `mapping` (must stay injective)."""
@@ -150,7 +163,7 @@ class Graph:
         new = {v: _check_name(f(v)) for v in self.vertices}
         if len(set(new.values())) != len(new):
             raise ValueError("relabeling is not injective")
-        return Graph._trusted(new.values(), ((new[u], new[v]) for u, v in self.edges))
+        return Graph._trusted(new.values(), ((new[u], new[v]) for u, v in self._pairs()))
 
     def rename(self, prefix: str) -> "Graph":
         """Prefix every vertex name; the stock way to force disjointness before a union."""
@@ -193,12 +206,12 @@ def join(g1: Graph, g2: Graph) -> Graph:
     if clash:
         raise ValueError(f"join requires disjoint vertex names; shared: {sorted(clash)}")
     cross = ((u, v) for u in g1.vertices for v in g2.vertices)
-    return Graph._trusted(g1.vertices | g2.vertices, chain(g1.edges, g2.edges, cross))
+    return Graph._trusted(g1.vertices | g2.vertices, chain(g1._pairs(), g2._pairs(), cross))
 
 
 def complement(g: Graph) -> Graph:
-    vs = g.sorted_vertices()
-    return Graph._trusted(vs, (e for e in combinations(vs, 2) if e not in g.edges))
+    adj = g._adj
+    return Graph._trusted(adj, ((u, v) for u, v in combinations(adj, 2) if v not in adj[u]))
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
@@ -214,8 +227,8 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     vertices = frozenset(chain.from_iterable(r.values() for r in row.values()))
     if len(vertices) != len(g1.vertices) * len(g2.vertices):
         raise ValueError("product vertex naming collides; rename inputs first")
-    edges = [(r[a], r[b]) for r in row.values() for a, b in g2.edges]
-    for a, b in g1.edges:
+    edges = [(r[a], r[b]) for r in row.values() for a, b in g2._pairs()]
+    for a, b in g1._pairs():
         edges += zip(row[a].values(), row[b].values())
     return Graph._trusted(vertices, edges)
 
@@ -226,14 +239,14 @@ def corona(g1: Graph, g2: Graph) -> Graph:
     A copy's name that is already taken is refused."""
     roots = g1.sorted_vertices()
     vertices = set(g1.vertices)
-    edges = list(g1.edges)
+    edges, pairs2 = g1._pairs(), g2._pairs()
     for i, u in enumerate(roots):
         copy = {w: f"{u}{CORONA_SEP}{i}:{w}" for w in g2.vertices}
         names = frozenset(copy.values())
         if vertices & names:
             raise ValueError("corona vertex naming collides; rename inputs first")
         vertices |= names
-        edges += [(copy[a], copy[b]) for a, b in g2.edges]
+        edges += [(copy[a], copy[b]) for a, b in pairs2]
         edges += [(u, cw) for cw in names]
     return Graph._trusted(vertices, edges)
 
@@ -391,18 +404,21 @@ def read_graph(text: str) -> Graph:
     """
     names: dict[str, str] = {}  # each name, as first read, in order of appearance
     pairs: list[tuple[str, str]] = []
+    own, add = names.setdefault, pairs.append
     header: tuple[int, int] | None = None
     header_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
+        if len(tokens) == 2:
+            u, v = tokens
+            if u != v and u != "p" and u != "v" and u[0] != "#":  # an edge line
+                add((own(u, u), own(v, v)))
+                continue
         if not tokens or tokens[0][0] == "#":
             continue
         first = tokens[0]
-        if len(tokens) == 2 and first != "p" and first != "v":
-            u, v = tokens
-            if u == v:
-                raise ParseError(f"self-loop at {u!r}", line=lineno)
-            pairs.append((names.setdefault(u, u), names.setdefault(v, v)))
+        if len(tokens) == 2 and first != "p" and first != "v":  # the fast path took all but u == v
+            raise ParseError(f"self-loop at {first!r}", line=lineno)
         elif first == "p":
             if header is not None:
                 raise ParseError("duplicate p header", line=lineno)
@@ -429,10 +445,10 @@ def read_graph(text: str) -> Graph:
             )
             raise ParseError(str(exc), line=lineno) from None
     g = Graph._trusted(names, pairs)
-    if header is not None and header != (len(g.vertices), len(g.edges)):
+    if header is not None and header != (len(g.vertices), g._edge_count()):
         raise ParseError(
             f"header says {header[0]} vertices / {header[1]} edges, "
-            f"file has {len(g.vertices)} / {len(g.edges)}",
+            f"file has {len(g.vertices)} / {g._edge_count()}",
             line=header_line,
         )
     return g
@@ -445,7 +461,7 @@ def write_graph(g: Graph) -> str:
     all: each vertex by name, then its later neighbours by name."""
     verts = g.sorted_vertices()
     adj = g._adj
-    lines = [f"p {len(verts)} {len(g.edges)}"]
+    lines = [f"p {len(verts)} {g._edge_count()}"]
     lines += [f"v {v}" for v in verts]
     for u in verts:
         later = [w for w in adj[u] if w > u]

@@ -282,11 +282,8 @@ def chain_report(g: Graph, f: Labeling) -> ChainReport:
 
     carriers = sorted(v for v in g.vertices if len(diffs[v]) > 0)
     aux_edges = [(u, v) for u, v in combinations(carriers, 2) if diffs[u].isdisjoint(diffs[v])]
-    if carriers:
-        aux = Graph._trusted(carriers, aux_edges)
-        chain = list(graphmod.max_clique(aux))
-    else:
-        chain = []
+    aux = Graph._trusted(carriers, aux_edges)
+    chain = list(graphmod.max_clique(aux)) if carriers else []
 
     relation = [((u, v), diffs[u].isdisjoint(diffs[v])) for u, v in g.sorted_edges()]
     return ChainReport(max_chain=chain, max_chain_length=len(chain), per_edge_relation=relation)
@@ -350,7 +347,7 @@ def _named_lines(text: str, form: str, what: str) -> Iterator[tuple[int, str, st
         if not sep:
             raise ParseError(f"expected 'name: {form}'", line=lineno)
         name = name.strip()
-        if not name or any(c.isspace() for c in name):
+        if name.split() != [name]:  # empty, or whitespace by str.isspace in it
             raise ParseError(f"bad vertex name {name!r}", line=lineno)
         if name in seen:
             raise ParseError(f"duplicate {what} for vertex {name!r}", line=lineno)

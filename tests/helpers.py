@@ -333,6 +333,26 @@ def reference_check_name(name: str) -> str:
     return name
 
 
+def reference_named_lines(text: str, form: str, what: str):
+    """`labeling._named_lines` testing each character of a name with
+    `str.isspace`."""
+    seen: set[str] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, sep, rest = raw.rpartition(":")
+        if not sep:
+            raise ParseError(f"expected 'name: {form}'", line=lineno)
+        name = name.strip()
+        if not name or any(c.isspace() for c in name):
+            raise ParseError(f"bad vertex name {name!r}", line=lineno)
+        if name in seen:
+            raise ParseError(f"duplicate {what} for vertex {name!r}", line=lineno)
+        seen.add(name)
+        yield lineno, name, rest, len(raw) - len(rest)
+
+
 def reference_cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """`graph.cartesian_product` with each product name keyed by its (u, v)
     pair, looked up by that tuple at each end of each edge."""
@@ -346,6 +366,23 @@ def reference_cartesian_product(g1: Graph, g2: Graph) -> Graph:
     edges = [(name[(u, a)], name[(u, b)]) for u in g1.vertices for a, b in g2.edges]
     edges += [(name[(a, v)], name[(b, v)]) for a, b in g1.edges for v in g2.vertices]
     return Graph._trusted(vertices, edges)
+
+
+def reference_trusted(vertices, pairs) -> Graph:
+    """`Graph._trusted` edge set first: each pair is oriented u < v, the
+    oriented pairs are frozen into the edge set, and each vertex's
+    neighbours are filled from that set."""
+    vs = frozenset(vertices)
+    es = frozenset([e if e[0] < e[1] else e[::-1] for e in pairs])
+    adj: dict[str, list[str]] = {v: [] for v in vs}
+    for u, v in es:
+        adj[u].append(v)
+        adj[v].append(u)
+    g = object.__new__(Graph)
+    object.__setattr__(g, "vertices", vs)
+    object.__setattr__(g, "_edges", es)
+    object.__setattr__(g, "_adj", {v: frozenset(ns) for v, ns in adj.items()})
+    return g
 
 
 def reference_write_graph(g: Graph) -> str:

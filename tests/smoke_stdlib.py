@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from iasi.cli import main  # noqa: E402
-from iasi.graph import cartesian_product, corona, read_graph  # noqa: E402
+from iasi.graph import Graph, cartesian_product, corona, read_graph, write_graph  # noqa: E402
 from iasi.labeling import read_labeling  # noqa: E402
 
 
@@ -134,14 +134,21 @@ def checks(directory: Path) -> None:
 
     # K2 x P3 and K2 corona P3 through `Graph._trusted` and the edge walk
     # of `write_graph`, each file re-read and checked against the outcome's
-    # counts and the library's own product or corona of the inputs.
+    # counts and the library's own product or corona of the inputs.  The
+    # library's graph is written before its edge set is first derived: the
+    # `p` line counts from the neighbour table, and the edge set derived
+    # after it rebuilds the same graph through the checking constructor.
     factors = [read_graph(Path(path).read_text(encoding="utf-8")) for path in (k2, p3)]
     for op, build in (("product", cartesian_product), ("corona", corona)):
         target = directory / f"{op}.graph"
         got = outcome(["ops", op, k2, p3, "--output", str(target)])
         g = read_graph(target.read_text(encoding="utf-8"))
         assert (len(g.vertices), len(g.edges)) == (got["vertices"], got["edges"]), (op, got)
-        assert g == build(*factors), op
+        r = build(*factors)
+        text = write_graph(r)
+        assert r._edges is None and read_graph(text) == r == g, op
+        assert text.split("\n", 1)[0] == f"p {len(r.vertices)} {len(r.edges)}", (op, text)
+        assert Graph(r.vertices, r.edges) == r, op
 
     # nourish --output against the outcome it prints.
     report = directory / "nourish.json"

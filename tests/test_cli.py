@@ -11,10 +11,13 @@ from iasi import (
     ConstructionSpec,
     Graph,
     OracleConfig,
+    cartesian_product,
     chain_report,
+    complement,
     complete_graph,
     construct_strong,
     cycle_graph,
+    max_clique,
     min_max_chain,
     path_graph,
     petersen_graph,
@@ -678,6 +681,32 @@ def test_verify_concurrent_verifies_each_graph_once(files, capsys, monkeypatch):
     monkeypatch.setattr(labelingmod, "verify", counting)
     assert main(["verify", gp, fp, "--concurrent"]) == 0
     assert calls == [3, 3]
+
+
+def test_reading_writing_searching_and_building_derive_no_edge_set(files, capsys, monkeypatch):
+    import iasi.graph as graphmod
+
+    _, _, raw, tmp = files
+    g = read_graph(write_graph(petersen_graph()))
+    h = read_graph("p 4 4\na b\nb c\nc d\nd a\n")
+    write_graph(g)
+    max_clique(g)
+    verify(g, construct_strong(g))
+    product = cartesian_product(g, h)
+    write_graph(product)
+    graphs = [g, h, complement(g), product]
+    # `ops product` through the CLI: its two inputs and its result.
+    real = graphmod.cartesian_product
+
+    def recording(g1, g2):
+        graphs.extend([g1, g2, real(g1, g2)])
+        return graphs[-1]
+
+    monkeypatch.setattr(graphmod, "cartesian_product", recording)
+    a, b = raw("a.g", write_graph(g)), raw("b.g", write_graph(h))
+    assert main(["ops", "product", a, b, "--output", str(tmp / "p.g")]) == 0
+    assert len(graphs) == 7
+    assert [x._edges for x in graphs] == [None] * 7
 
 
 def test_each_input_is_read_once(files, capsys, monkeypatch):

@@ -151,6 +151,20 @@ def _message(exc: ParseError) -> str:
 @example("p 2 1\nb a\n")
 @example("p 3 1\na b\n")
 @example("v pv\na pv\n")
+# Line shapes at the edge of the two-token fast path.
+@example("ab ab\n")
+@example("ab\tab\n")
+@example("p 3\nab cd\n")
+@example("p 1 2 3\nab cd\n")
+@example("ab cd\nv\n")
+@example("v ab cd\n")
+@example("#ab cd\nab cd\n")
+@example("ab #cd\n")
+@example("ab cd\nx y z\n")
+@example("ab cd\n a   b   c \n")
+@example(" \t \nab cd\r\n\u3000\r\nv ef\r\n")
+@example("ab cd\x1ccd ef\u2028ef ab\x1c")
+@example("p 3 3\nab cd\ncd ab\nv ef\n")
 def test_read_graph_agrees_with_the_reference_parser(text):
     want, got = _parse(reference_read_graph, text), _parse(read_graph, text)
     if isinstance(want, Graph):

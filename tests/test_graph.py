@@ -1,4 +1,5 @@
 import inspect
+import pickle
 import random
 import sys
 from itertools import combinations
@@ -16,6 +17,8 @@ from helpers import (
     reference_cartesian_product,
     reference_check_name,
     reference_max_clique,
+    reference_named_lines,
+    reference_trusted,
     reference_write_graph,
 )
 from hypothesis import given, settings
@@ -37,10 +40,13 @@ from iasi import (
     path_graph,
     petersen_graph,
     read_graph,
+    read_labeling,
     star_graph,
     union,
     write_graph,
 )
+from iasi import labeling as labelingmod
+from iasi.cli import _read_cards
 from iasi.graph import _check_name
 
 
@@ -68,9 +74,10 @@ def _result(f, *args):
         return str(exc)
 
 
-def test_check_name_agrees_with_the_per_character_scan():
+def test_check_name_agrees_with_the_per_character_scan(monkeypatch):
     # Every whitespace code point, alone, doubled and embedded, and other
-    # characters: the first 0x250 and a seeded sample of the rest.
+    # characters: the first 0x250 and a seeded sample of the rest.  The
+    # labeling and cards readers see each name on line 2 of a file.
     spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
     rng = random.Random(29)
     others = [chr(c) for c in range(0x250)]
@@ -81,6 +88,14 @@ def test_check_name_agrees_with_the_per_character_scan():
     assert len(spaces) >= 25
     for name in names:
         assert _result(_check_name, name) == _result(reference_check_name, name), name
+    texts = [(read_labeling, f"a: {{1}}\n{name}: {{2}}\n") for name in names if isinstance(name, str)]
+    texts += [(_read_cards, f"a: 1\n{name}: 2\n") for name in names if isinstance(name, str)]
+    got = [_result(read, text) for read, text in texts]
+    monkeypatch.setattr(labelingmod, "_named_lines", reference_named_lines)
+    want = [_result(read, text) for read, text in texts]
+    assert any("bad vertex name" in w for w in want if isinstance(w, str))
+    for (_, text), g, w in zip(texts, got, want):
+        assert g == w, text
 
 
 def test_rejects_undeclared_endpoint():
@@ -387,6 +402,28 @@ def test_write_graph_matches_the_sorting_reference():
         assert read_graph(text) == g
 
 
+def test_trusted_builds_what_the_edge_set_first_reference_builds():
+    # Seeded pair lists over names that sort against their parts: repeats,
+    # both orientations, isolated vertices and no pairs at all.
+    rng = random.Random(30)
+    pool = _PREFIXED_NAMES + _SEPARATED_NAMES + ["a1", "a10"]
+    cases = [([], []), (["a"], []), (["a1", "a10", "a2"], [("a10", "a1"), ("a1", "a10")] * 2)]
+    for _ in range(300):
+        vs = rng.sample(pool, rng.randint(2, len(pool)))
+        possible = list(combinations(vs, 2))
+        picks = rng.choices(possible, k=rng.randint(0, len(possible)))
+        cases.append((vs, [e if rng.random() < 0.5 else e[::-1] for e in picks]))
+    assert sum(1 for vs, pairs in cases if len(set(map(frozenset, pairs))) < len(pairs)) > 200
+    for vs, pairs in cases:
+        got, want = Graph._trusted(vs, pairs), reference_trusted(vs, pairs)
+        assert got._edges is None
+        assert (got.vertices, got._adj) == (want.vertices, want._adj)
+        assert got.edges == want.edges and type(got.edges) is frozenset
+        assert got == want and hash(got) == hash(want)
+        own = {v: v for v in got.vertices}
+        assert all(own[x] is x for e in got.edges for x in e)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_product_and_writer_match_their_references_on_awkward_names(data):
@@ -440,8 +477,12 @@ def test_operations_build_what_the_validating_constructor_would(data, op):
         h = g1.rename(data.draw(st.sampled_from(["x", "x1", "1"])))
     else:
         h = _BINARY[op](g1, g2)
+    assert h._edges is None
     checked = Graph(h.vertices, h.edges)
-    assert h == checked
+    assert h == checked and hash(h) == hash(checked)
+    assert h.edges is h.edges
+    copy = pickle.loads(pickle.dumps(h))
+    assert copy == h and copy._adj == h._adj and copy.edges == h.edges
     assert all(u < v for u, v in h.edges)
     assert isinstance(h.vertices, frozenset) and isinstance(h.edges, frozenset)
     assert h._adj.keys() == checked._adj.keys()
