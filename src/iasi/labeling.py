@@ -4,20 +4,22 @@ A labeling assigns a nonempty IntSet to every vertex.  It is an integer
 additive set-indexer (IASI) when the vertex map and the induced edge map
 uv -> f(u) + f(v) are both injective, and a *strong* IASI when additionally
 every edge sumset has cardinality |f(u)| * |f(v)|.  The verifier recomputes
-everything from scratch and reports every violation it finds, because the
-reports double as evidence when checking structural theorems.
+everything and reports every violation, as evidence for structural theorems.
+It reads strength from difference sets and keys edge injectivity by each
+sumset's minimum, then its fingerprint.  A text as `write_labeling` writes
+it is read one regex match per line, any other text line by line.
 
 The chain machinery looks at difference sets: vertices whose difference
-sets are nonempty and pairwise disjoint form a chain; the longest chain a
-labeling admits is the clique number of an auxiliary disjointness graph.
-Vertices with singleton labels (empty difference set) are excluded from
-chains; with them every family would be vacuously disjoint and chain
-lengths would stop measuring anything.
+sets are nonempty and pairwise disjoint form a chain, and the longest chain
+is the clique number of an auxiliary disjointness graph.  Singleton labels
+(empty difference set) are left out, or every family would be disjoint.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
+from operator import ge
 from typing import Iterator, Mapping
 
 from . import graph as graphmod
@@ -155,13 +157,14 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
 def _verify(g: Graph, f: Labeling) -> tuple[VerificationReport, list[int]]:
     """`verify`, isolated vertices accepted (an edgeless operand of a
     product or corona is still a valid input there), plus the sumset
-    cardinality of each edge in sorted order.
+    cardinality of each weak edge in sorted order.
 
-    An edge is strong iff the difference sets of its ends are disjoint.
-    Edge injectivity groups the edges by the fingerprint (min, max, size,
-    sum) of their sumsets, which a strong edge's labels give without
-    building the set; sumsets are built only for weak edges and for edges
-    whose fingerprint is shared, and only equal sets are reported."""
+    An edge is strong iff its ends' difference sets are disjoint.  Equal
+    sumsets have equal minima, so edges are keyed by f(u).min + f(v).min
+    first: if no two share one, as with `construct`'s Sidon bases, nothing
+    more is built.  Edges that do are grouped by the rest of the fingerprint
+    (max, size, sum), read from the labels for a strong edge, and their
+    sumsets compared only where a fingerprint is shared."""
     _check_total(g, f)
 
     witnesses: list[str] = []
@@ -176,71 +179,57 @@ def _verify(g: Graph, f: Labeling) -> tuple[VerificationReport, list[int]]:
             vertex_injective = False
             witnesses.append(f"vertices {', '.join(vs)} share the label {label}")
 
-    # Per vertex: min, max, size, sum and difference set of its label.
-    facts = {}
-    for v in verts:
-        label = f[v]
-        e = label.elements
-        facts[v] = (e[0], e[-1], len(e), sum(e), diff_set(label))
-
-    cards: list[int] = []
+    facts = {v: (f[v].elements[0], diff_set(f[v])) for v in verts}
     strong_edges: list[tuple[Edge, bool]] = []
-    weak: list[tuple[Edge, int]] = []
-    sums: dict[Edge, IntSet] = {}
-    # Fingerprint -> its first edge; a repeated fingerprint also gets the
-    # list of all its edges, so a unique one allocates nothing more.
-    by_key: dict[tuple[int, int, int, int], Edge] = {}
-    repeats: dict[tuple[int, int, int, int], list[Edge]] = {}
+    mins: list[int] = []
     # The edges in sorted order: each vertex by name, then its later
     # neighbours by name.
     adj = g._adj
     for u in verts:
-        lo_u, hi_u, n_u, s_u, d_u = facts[u]
+        lo_u, d_u = facts[u]
         for v in sorted([w for w in adj[u] if w > u]):
-            e = (u, v)
-            lo_v, hi_v, n_v, s_v, d_v = facts[v]
-            strong = d_u.isdisjoint(d_v)
-            if strong:
-                # Every a + b is distinct, so the sumset's fingerprint is exact.
-                card = n_u * n_v
-                key = (lo_u + lo_v, hi_u + hi_v, card, n_v * s_u + n_u * s_v)
-            else:
-                s = sums[e] = sumset(f[u], f[v])
-                el = s.elements
-                card = len(el)
-                key = (el[0], el[-1], card, sum(el))
-                weak.append((e, card))
-            cards.append(card)
-            strong_edges.append((e, strong))
-            first = by_key.setdefault(key, e)
-            if first is not e:
-                group = repeats.get(key)
-                if group is None:
-                    repeats[key] = [first, e]
-                else:
-                    group.append(e)
+            lo_v, d_v = facts[v]
+            strong_edges.append(((u, v), d_u.isdisjoint(d_v)))
+            mins.append(lo_u + lo_v)
+    weak = [e for e, strong in strong_edges if not strong]
+    sums = {e: sumset(f[e[0]], f[e[1]]) for e in weak}
 
-    # Equal sumsets have equal fingerprints, so only a shared fingerprint
-    # can hide a shared sumset.
+    # Only a shared minimum, and then a shared fingerprint, can hide a shared sumset.
     shared: list[tuple[list[Edge], IntSet]] = []
-    for group in repeats.values():
-        by_sum: dict[IntSet, list[Edge]] = {}
-        for e in group:
-            s = sums.get(e)
-            if s is None:
-                s = sums[e] = sumset(f[e[0]], f[e[1]])
-            by_sum.setdefault(s, []).append(e)
-        shared.extend((es, s) for s, es in by_sum.items() if len(es) > 1)
+    if len(set(mins)) < len(mins):
+        by_min: dict[int, list[tuple[Edge, bool]]] = {}
+        for row, lo in zip(strong_edges, mins):
+            by_min.setdefault(lo, []).append(row)
+        by_key: dict[tuple[int, int, int, int], list[Edge]] = {}
+        for lo, rows in by_min.items():
+            for e, strong in rows if len(rows) > 1 else ():
+                if strong:
+                    # Every a + b is distinct, so the fingerprint is exact.
+                    a, b = f[e[0]].elements, f[e[1]].elements
+                    key = (lo, a[-1] + b[-1], len(a) * len(b), len(b) * sum(a) + len(a) * sum(b))
+                else:
+                    el = sums[e].elements
+                    key = (lo, el[-1], len(el), sum(el))
+                by_key.setdefault(key, []).append(e)
+        for group in by_key.values():
+            if len(group) > 1:
+                by_sum: dict[IntSet, list[Edge]] = {}
+                for e in group:
+                    s = sums.get(e)
+                    if s is None:
+                        s = sums[e] = sumset(f[e[0]], f[e[1]])
+                    by_sum.setdefault(s, []).append(e)
+                shared.extend((es, s) for s, es in by_sum.items() if len(es) > 1)
     edge_injective = not shared
     for es, s in sorted(shared, key=lambda pair: pair[0]):
         names = ", ".join(f"({u},{v})" for u, v in es)
         witnesses.append(f"edges {names} share the sumset {s}")
 
-    for (u, v), card in weak:
-        shared_diffs = sorted(facts[u][4] & facts[v][4])
+    for u, v in weak:
+        shared_diffs = sorted(facts[u][1] & facts[v][1])
         witnesses.append(
-            f"edge ({u},{v}) is not strong: |{f[u]}+{f[v]}| = {card} "
-            f"< {facts[u][2] * facts[v][2]}; shared differences "
+            f"edge ({u},{v}) is not strong: |{f[u]}+{f[v]}| = {len(sums[u, v])} "
+            f"< {len(f[u]) * len(f[v])}; shared differences "
             f"{{{','.join(map(str, shared_diffs))}}}"
         )
 
@@ -252,7 +241,7 @@ def _verify(g: Graph, f: Labeling) -> tuple[VerificationReport, list[int]]:
         is_iasi=is_iasi,
         is_strong=is_iasi and not weak,
         witnesses=witnesses,
-    ), cards
+    ), [len(sums[e]) for e in weak]
 
 
 def verify_uniform(g: Graph, f: Labeling) -> tuple[int | None, int | None]:
@@ -260,10 +249,10 @@ def verify_uniform(g: Graph, f: Labeling) -> tuple[int | None, int | None]:
     cardinality if the edges agree on one, l the common vertex cardinality;
     None where they disagree."""
     _check_no_isolated(g)
-    report, cards = _verify(g, f)
+    report, weak_cards = _verify(g, f)
     if not report.is_iasi:
         raise ValueError("labeling is not an IASI: " + "; ".join(report.witnesses))
-    edge_cards = set(cards)
+    edge_cards = {len(f[u]) * len(f[v]) for (u, v), ok in report.strong_edges if ok}.union(weak_cards)
     vertex_cards = {len(f[v]) for v in g.vertices}
     k = edge_cards.pop() if len(edge_cards) == 1 else None
     l = vertex_cards.pop() if len(vertex_cards) == 1 else None
@@ -355,8 +344,34 @@ def _named_lines(text: str, form: str, what: str) -> Iterator[tuple[int, str, st
         yield lineno, name, rest, len(raw) - len(rest)
 
 
+# A line as `write_labeling` writes it: a name without whitespace (\s is
+# str.isspace) that opens no comment, then ASCII-digit elements.
+_CANONICAL = re.compile(r"([^\s#]\S*): \{([0-9]+(?:,[0-9]+)*)\}").fullmatch
+
+
 def read_labeling(text: str) -> Labeling:
-    """Parse `name: {a,b,c}` lines; `#` comments and blank lines allowed."""
+    """Parse `name: {a,b,c}` lines; `#` comments and blank lines allowed.
+
+    A text of canonical lines only, elements strictly increasing and no
+    name repeated, is read one match per line; any other goes through
+    `_read_lines`, so every error is its error at its line and column."""
+    assignment: dict[str, IntSet] = {}
+    for line in text.splitlines():
+        m = _CANONICAL(line)
+        if m is None or m[1] in assignment:
+            return _read_lines(text)
+        try:
+            elements = tuple(map(int, m[2].split(",")))
+        except ValueError:  # past the integer-string limit
+            return _read_lines(text)
+        if any(map(ge, elements, elements[1:])):
+            return _read_lines(text)
+        assignment[m[1]] = IntSet._trusted(elements)
+    return Labeling(assignment)
+
+
+def _read_lines(text: str) -> Labeling:
+    """`read_labeling` of any text, line by line through `parse_int_set`."""
     assignment: dict[str, IntSet] = {}
     for lineno, name, rest, col in _named_lines(text, "{elements}", "label"):
         label = assignment[name] = parse_int_set(rest, line=lineno, col_offset=col)

@@ -16,6 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from iasi.cli import main  # noqa: E402
+from iasi.errors import ParseError  # noqa: E402
 from iasi.graph import Graph, cartesian_product, corona, read_graph, write_graph  # noqa: E402
 from iasi.labeling import read_labeling  # noqa: E402
 
@@ -163,7 +164,18 @@ def checks(directory: Path) -> None:
     labeling = directory / "k4.labeling"
     built = outcome(["construct", k4, "--output", str(labeling)])
     assert built["labeling_file"] == str(labeling) and "labeling_text" not in built, built
-    assert sorted(read_labeling(labeling.read_text(encoding="utf-8")).vertices()) == list("abcd")
+    # Read as written, one match per line, and hand-edited, line by line,
+    # where a bad element is reported at its line and column.
+    text = labeling.read_text(encoding="utf-8")
+    assert sorted(read_labeling(text).vertices()) == list("abcd")
+    edited = "# K4\n" + text.replace(": {", " :  { ").replace(",", " , ")
+    assert edited != text and read_labeling(edited) == read_labeling(text)
+    try:
+        read_labeling(text + "e : {2,x}\n")
+    except ParseError as exc:
+        assert (exc.line, exc.column, exc.message) == (5, 8, "invalid set element 'x'"), exc
+    else:
+        raise AssertionError("a bad element was read")
     assert run(["verify", k4, str(labeling), "--strong"])[0] == 0
     union = directory / "union.graph"
     got = outcome(["ops", "union", k2, str(directory / "p4.graph"), "--output", str(union)])

@@ -5,6 +5,7 @@ from helpers import random_graph, reference_read_graph
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import iasi.labeling as labelingmod
 from iasi import (
     Graph,
     IntSet,
@@ -235,6 +236,42 @@ def test_labeling_round_trips_names_containing_colons():
     assert read_labeling(write_labeling(f)) == f
 
 
+# Lines on either side of the canonical shape `name: {a,b,...}`.
+LABELING_LINES = [
+    "#a: {1}", " a: {1}", "a: {1} ", "a:{1}", "a:  {1}", "a: { 1,2 }", "a: {1, 2}", "a: {1,,2}",
+    "a: {1,}", "a: {2,1}", "a: {1,1}", "a: {}", "a: {007}", "a: {0,010}", "a: {٣}", "a: {²}",
+    "a: {+1}", "a: {1_0}", "a: {1," + "7" * 5000 + "}", "a⊙0:b: {1}", "a:: {1}", "a: {1}: {2}",
+    "a\u3000b: {1}", "a\x1cb: {1}", "a\u2028b: {1}", "a\u00a0: {1}", "a: {1}\r\nz: {2}\r",
+    "a: {1}\nb: {3}\na: {2}", "a: {1}\n\n\n", "a: {1}\n# note", "{1}: {2}", ": {1}", "a",
+]
+
+
+def _read_or_error(read, text):
+    try:
+        return read(text)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.column
+
+
+@pytest.mark.parametrize("line", LABELING_LINES)
+def test_canonical_labeling_reader_agrees_with_the_line_reader(line):
+    # Alone, closed by a newline, and after or before a canonical line.
+    for text in (line, line + "\n", "x: {0}\n" + line + "\n", line + "\ny: {5}\n"):
+        want = _read_or_error(labelingmod._read_lines, text)
+        assert _read_or_error(read_labeling, text) == want, text
+
+
+def _line_reader_refused(text):
+    raise AssertionError(f"not read as canonical: {text!r}")
+
+
+@pytest.mark.parametrize("text", ["", "a: {007}\n", "a⊙0:b: {1}\na:: {2,9}\n"])
+def test_canonical_texts_are_not_read_line_by_line(text, monkeypatch):
+    want = labelingmod._read_lines(text)
+    monkeypatch.setattr(labelingmod, "_read_lines", _line_reader_refused)
+    assert read_labeling(text) == want
+
+
 def test_labeling_parse_error_position():
     with pytest.raises(ParseError) as exc:
         read_labeling("a: {1,2}\nb: {4,3}\n")
@@ -297,3 +334,18 @@ def test_graph_write_then_read_is_identity(g):
 def test_labeling_write_then_read_is_identity(assignment):
     f = Labeling(assignment)
     assert read_labeling(write_labeling(f)) == f
+
+
+@given(
+    st.dictionaries(
+        vertex_names,
+        st.frozensets(st.integers(min_value=0), min_size=1, max_size=5).map(IntSet),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_written_labelings_take_the_canonical_path(assignment):
+    f = Labeling(assignment)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(labelingmod, "_read_lines", _line_reader_refused)
+        assert read_labeling(write_labeling(f)) == f

@@ -227,6 +227,60 @@ def test_verify_colliding_fingerprints_of_distinct_sumsets(monkeypatch):
     assert len(calls) == 2
 
 
+def _counting_sumset(monkeypatch) -> list:
+    """Record each `sumset` call `labeling` makes."""
+    calls = []
+    real = labelingmod.sumset
+    monkeypatch.setattr(labelingmod, "sumset", lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+THREE_EDGES = Graph(["a", "b", "c", "d", "e", "h"], [("a", "b"), ("c", "d"), ("e", "h")])
+
+
+@pytest.mark.parametrize(
+    "g, f",
+    [
+        # Both sumsets have minimum 0; their maxima are 8 and 3.
+        (TWO_EDGES, lab(a=[0, 3], b=[0, 5], c=[0, 1], d=[0, 2])),
+        # {0,3,4} and {1,2,4} differ in their minima alone; {0,7,9,16}
+        # shares the first one's minimum.
+        (THREE_EDGES, lab(a=[0], b=[0, 3, 4], c=[0, 1, 3], d=[1], e=[0, 7], h=[0, 9])),
+    ],
+)
+def test_verify_shared_minimum_with_distinct_fingerprints_builds_no_sumset(g, f, monkeypatch):
+    report = _same_as_reference(g, f)
+    assert report.is_strong
+    calls = _counting_sumset(monkeypatch)
+    assert verify(g, f) == report
+    assert calls == []
+
+
+def test_verify_of_a_constructed_labeling_builds_no_sumset(monkeypatch):
+    # The Sidon bases make the edge-sumset minima pairwise distinct.
+    g = random_graph(random.Random(31), 40, 0.3)
+    f = construct_strong(g, ConstructionSpec(cardinalities=3, seed=7))
+    calls = _counting_sumset(monkeypatch)
+    assert verify(g, f).is_strong
+    assert calls == []
+    assert verify_uniform(g, f) == (9, 3)
+    assert calls == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    p=st.sampled_from([0.3, 0.6, 0.9]),
+    labels=st.lists(st.frozensets(st.integers(1, 6), max_size=3), min_size=7, max_size=7),
+)
+def test_verify_matches_the_sumset_reference_when_every_label_holds_0(seed, n, p, labels):
+    # Every edge sumset has minimum 0, so every edge goes to the fingerprint.
+    g = random_graph(random.Random(seed), n, p)
+    f = Labeling({v: IntSet(labels[i] | {0}) for i, v in enumerate(g.sorted_vertices())})
+    _same_as_reference(g, f)
+
+
 def test_verify_strong_edges_with_one_sumset():
     report = _same_as_reference(TWO_EDGES, lab(a=[1, 4], b=[0, 5], c=[0, 3], d=[1, 6]))
     assert not report.edge_injective
