@@ -1,6 +1,6 @@
 """Shared exception types, the number-token check every parser uses, the
 result-record base, the attribute guard of the immutable types, and the JSON
-writer every document goes through."""
+writer every document goes through, which knows report rows by their type."""
 
 from json.encoder import encode_basestring_ascii
 
@@ -81,12 +81,11 @@ def to_json(obj) -> str:
     return "".join(out)
 
 
-def _is_edge_row(x) -> bool:
-    """Whether `x` is a ((u, v), ok) row of a report: str names, bool flag."""
-    return (
-        type(x) is tuple and len(x) == 2 and type(x[1]) is bool
-        and type(e := x[0]) is tuple and len(e) == 2 and type(e[0]) is type(e[1]) is str
-    )
+class _EdgeRows(list):
+    """The verifier's ((u, v), ok) report rows, str names and bool flag each,
+    which `to_json` writes from one template without testing them."""
+
+    __slots__ = ()
 
 
 def _write(obj, newline: str, out: list[str]) -> None:
@@ -98,9 +97,9 @@ def _write(obj, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + "  "
-        if all(map(_is_edge_row, obj)):
-            # One f-string per row from templates of this list; each row
-            # carries the separator before it, the first row's comma dropped.
+        if type(obj) is _EdgeRows:
+            # One f-string per row; each row carries the separator before
+            # it, the first row's comma dropped.
             i1, i2 = inner + "  ", inner + "    "
             head, mid = f",{inner}[{i1}[{i2}", f",{i2}"
             tails = (f"{i1}],{i1}false{inner}]", f"{i1}],{i1}true{inner}]")

@@ -144,7 +144,19 @@ class Graph:
         return sorted(self.vertices)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self._pairs())
+        return [(u, v) for u, later in self._forward().items() for v in later]
+
+    def _forward(self) -> dict[str, list[str]]:
+        """Each vertex in name order to its later neighbours in name order,
+        the edges of `sorted(self.edges)`: v, walked in name order, joins
+        the list of each smaller neighbour, so no list needs a sort."""
+        adj = self._adj
+        later: dict[str, list[str]] = {v: [] for v in sorted(adj)}
+        for v in later:
+            for u in adj[v]:
+                if u < v:
+                    later[u].append(v)
+        return later
 
     def isolated_vertices(self) -> list[str]:
         return sorted(v for v in self.vertices if not self._adj[v])
@@ -457,18 +469,12 @@ def read_graph(text: str) -> Graph:
 def write_graph(g: Graph) -> str:
     """Deterministic writer: header, sorted vertex lines, sorted edges.
 
-    The edges come in the order of `sorted(g.edges)` without sorting them
-    all: each vertex by name, then its later neighbours by name."""
-    verts = g.sorted_vertices()
-    adj = g._adj
-    lines = [f"p {len(verts)} {g._edge_count()}"]
-    lines += [f"v {v}" for v in verts]
-    for u in verts:
-        later = [w for w in adj[u] if w > u]
-        if later:
-            later.sort()
-            # u's edge lines, `u v` for each later neighbour v, as one string
-            lines.append(f"{u} " + f"\n{u} ".join(later))
+    The edges come in the order of `sorted(g.edges)` from `Graph._forward`,
+    each vertex's lines written as one string."""
+    forward = g._forward()
+    lines = [f"p {len(forward)} {g._edge_count()}", *(f"v {v}" for v in forward)]
+    # u's edge lines, `u v` for each later neighbour v, as one string
+    lines += [f"{u} " + f"\n{u} ".join(later) for u, later in forward.items() if later]
     return "\n".join(lines) + "\n"
 
 

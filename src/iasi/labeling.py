@@ -23,7 +23,7 @@ from operator import ge
 from typing import Iterator, Mapping
 
 from . import graph as graphmod
-from .errors import InternalCheckError, ParseError, _immutable, _Record
+from .errors import InternalCheckError, ParseError, _EdgeRows, _immutable, _Record
 from .graph import Graph, clique_number, complement
 from .setalg import IntSet, diff_set, parse_int_set, scale, sumset
 
@@ -157,7 +157,7 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
 def _verify(g: Graph, f: Labeling) -> tuple[VerificationReport, list[int]]:
     """`verify`, isolated vertices accepted (an edgeless operand of a
     product or corona is still a valid input there), plus the sumset
-    cardinality of each weak edge in sorted order.
+    cardinality of each weak edge, both in the sorted order of `Graph._forward`.
 
     An edge is strong iff its ends' difference sets are disjoint.  Equal
     sumsets have equal minima, so edges are keyed by f(u).min + f(v).min
@@ -166,28 +166,23 @@ def _verify(g: Graph, f: Labeling) -> tuple[VerificationReport, list[int]]:
     (max, size, sum), read from the labels for a strong edge, and their
     sumsets compared only where a fingerprint is shared."""
     _check_total(g, f)
+    forward = g._forward()
 
     witnesses: list[str] = []
-    verts = g.sorted_vertices()
-
     by_label: dict[IntSet, list[str]] = {}
-    for v in verts:
+    for v in forward:
         by_label.setdefault(f[v], []).append(v)
-    vertex_injective = True
-    for label, vs in sorted(by_label.items(), key=lambda kv: kv[1]):
+    vertex_injective = len(by_label) == len(forward)
+    for label, vs in () if vertex_injective else sorted(by_label.items(), key=lambda kv: kv[1]):
         if len(vs) > 1:
-            vertex_injective = False
             witnesses.append(f"vertices {', '.join(vs)} share the label {label}")
 
-    facts = {v: (f[v].elements[0], diff_set(f[v])) for v in verts}
-    strong_edges: list[tuple[Edge, bool]] = []
+    facts = {v: (f[v].elements[0], diff_set(f[v])) for v in forward}
+    strong_edges: list[tuple[Edge, bool]] = _EdgeRows()
     mins: list[int] = []
-    # The edges in sorted order: each vertex by name, then its later
-    # neighbours by name.
-    adj = g._adj
-    for u in verts:
+    for u, later in forward.items():
         lo_u, d_u = facts[u]
-        for v in sorted([w for w in adj[u] if w > u]):
+        for v in later:
             lo_v, d_v = facts[v]
             strong_edges.append(((u, v), d_u.isdisjoint(d_v)))
             mins.append(lo_u + lo_v)

@@ -246,7 +246,7 @@ def reference_verify(g: Graph, f: Labeling) -> tuple[VerificationReport, dict]:
             vertex_injective = False
             witnesses.append(f"vertices {', '.join(vs)} share the label {label}")
 
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)  # not `g.sorted_edges()`, the walk `verify` shares
     edge_sums = {e: sumset(f[e[0]], f[e[1]]) for e in edges}
     by_sum: dict = {}
     for e in edges:
@@ -386,10 +386,11 @@ def reference_trusted(vertices, pairs) -> Graph:
 
 
 def reference_write_graph(g: Graph) -> str:
-    """`graph.write_graph` by one sort of all the edges."""
+    """`graph.write_graph` by one sort of all the edges, not through the
+    sorted walk `Graph._forward` the writer and `Graph.sorted_edges` share."""
     lines = [f"p {len(g.vertices)} {len(g.edges)}"]
-    lines.extend(f"v {v}" for v in g.sorted_vertices())
-    lines.extend(f"{u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"v {v}" for v in sorted(g.vertices))
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 

@@ -84,6 +84,17 @@ def checks(directory: Path) -> None:
     assert report["strong_edges"] == [[["a", "é"], True], [["c", "é"], False]], report
     assert out[:end] == json.dumps(doc, indent=2, sort_keys=True), out
 
+    # The concurrent report, which prints two row lists: a path a-é-c-d,
+    # strong on itself and weak on two edges of its complement.
+    p4e = write(directory, "p4e.graph", "p 4 3\na é\né c\nc d\n")
+    p4e_labeling = write(directory, "p4e.labeling", "a: {0,1}\né: {0,2}\nc: {0,4}\nd: {0,1,3}\n")
+    code, out = run(["verify", p4e, p4e_labeling, "--concurrent", "--format", "json"])
+    doc, end = json.JSONDecoder().raw_decode(out)
+    got = doc["outcome"]
+    assert code == 1 and got["report"]["is_strong"] and got["complement_report"]["witnesses"], got
+    assert [ok for _, ok in got["complement_report"]["strong_edges"]] == [True, False, False], got
+    assert out[:end] == json.dumps(doc, indent=2, sort_keys=True), out
+
     # κ by exhaustive search, which sweeps one labeling per automorphism
     # orbit, against the value and count of the full sweep: K4 (every vertex
     # in vertex 0's orbit), K1,3 with a leaf as vertex 0, and C5, whose

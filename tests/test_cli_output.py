@@ -5,14 +5,16 @@ anything."""
 import gc
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from iasi import Graph, Labeling, verify, write_graph
+from iasi import Graph, Labeling, complement, verify, write_graph, write_labeling
+from iasi import cli as climod
 from iasi.cli import main
-from iasi.errors import to_json
+from iasi.errors import _EdgeRows, to_json
 from iasi.setalg import IntSet
 
 strings = st.text(
@@ -83,6 +85,44 @@ def test_dumps_leaves_a_long_list_ending_in_a_near_row_to_the_general_path(last)
 def test_dumps_refuses_a_long_row_list_ending_in_a_float():
     with pytest.raises(TypeError):
         to_json([*ROWS, 1.5])
+
+
+def _verify_outcome(tmp_path, mode: str) -> dict:
+    """The outcome `iasi verify` builds, before it is written: a seeded
+    G(30, 0.5) with names that need escaping, `v10` sorting before `v2`,
+    and labels that make some edges weak."""
+    rng = random.Random(32)
+    names = [f"v{i}" if i % 4 else f"é{i}\"" for i in range(30)]
+    g = Graph(names, [])
+    while not g.edges or complement(g).isolated_vertices() or g.isolated_vertices():
+        g = Graph(names, [e for e in combinations(names, 2) if rng.random() < 0.5])
+    labels = {v: IntSet(rng.sample(range(40), rng.randint(1, 3))) for v in names}
+    gp, fp = tmp_path / "g.graph", tmp_path / "f.labeling"
+    gp.write_text(write_graph(g), encoding="utf-8")
+    fp.write_text(write_labeling(Labeling(labels)), encoding="utf-8")
+    args = climod._parser().parse_args(["verify", str(gp), str(fp), mode])
+    return climod._cmd_verify(args)[1]
+
+
+@pytest.mark.parametrize("mode", ["--strong", "--concurrent"])
+def test_dumps_writes_a_verify_outcome_as_json_dumps_whatever_list_holds_its_rows(tmp_path, mode):
+    outcome = _verify_outcome(tmp_path, mode)
+    reports = [outcome[k] for k in ("report", "complement_report") if k in outcome]
+    assert len(reports) == (2 if mode == "--concurrent" else 1)
+    assert all(type(r["strong_edges"]) is _EdgeRows for r in reports)
+    rows = [ok for r in reports for _, ok in r["strong_edges"]]
+    assert True in rows and False in rows
+    want = json.dumps(outcome, indent=2, sort_keys=True)
+    assert to_json(outcome) == want
+    # The same rows in a plain list go through the general path, to the same text.
+    for r in reports:
+        r["strong_edges"] = list(r["strong_edges"])
+    assert to_json(outcome) == want
+    # The typed list holding no rows.
+    for r in reports:
+        r["strong_edges"] = _EdgeRows()
+    assert to_json(outcome) == json.dumps(outcome, indent=2, sort_keys=True)
+    assert to_json(_EdgeRows()) == to_json([]) == "[]"
 
 
 @pytest.mark.parametrize("mode", [[], ["--strong"], ["--concurrent"]])

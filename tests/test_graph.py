@@ -26,6 +26,8 @@ from hypothesis import strategies as st
 
 from iasi import (
     Graph,
+    IntSet,
+    Labeling,
     ParseError,
     cartesian_product,
     clique_number,
@@ -43,6 +45,7 @@ from iasi import (
     read_labeling,
     star_graph,
     union,
+    verify,
     write_graph,
 )
 from iasi import labeling as labelingmod
@@ -436,6 +439,43 @@ def test_product_and_writer_match_their_references_on_awkward_names(data):
         assert write_graph(got) == reference_write_graph(got)
     for g in (g1, g2):
         assert write_graph(g) == reference_write_graph(g)
+
+
+# Names whose string order is not their numeric order (`v10` < `v2`),
+# non-ASCII names, and names holding the product and corona separators.
+_WALKED_NAMES = [*_PREFIXED_NAMES, *_SEPARATED_NAMES, "v2", "v10", "é", "λ1", "λ10", "Ω", "😀", "Z"]
+
+
+@st.composite
+def _walked_graphs(draw):
+    """A drawn graph, its edgeless copy, or its product or corona with a
+    second one; isolated vertices allowed."""
+    g = draw(_named_graphs(_WALKED_NAMES))
+    op = draw(st.sampled_from(["graph", "edgeless", "product", "corona"]))
+    if op == "edgeless":
+        return Graph(g.vertices)
+    if op in ("product", "corona"):
+        build = cartesian_product if op == "product" else corona
+        built = _result(build, g, draw(_named_graphs(_WALKED_NAMES)))
+        return built if isinstance(built, Graph) else g  # a naming collision leaves g
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_walked_graphs(), data=st.data())
+def test_every_sorted_walk_of_the_edges_gives_the_order_of_sorted_edges(g, data):
+    # The graph's own walk, the writer's edge lines and the verifier's rows,
+    # each against one sort of the edge set.
+    want = sorted(g.edges)
+    assert g.sorted_edges() == want
+    lines = write_graph(g).splitlines()
+    assert lines[1 + len(g.vertices):] == [f"{u} {v}" for u, v in want]
+    labels = st.lists(st.integers(0, 9), min_size=1, max_size=3).map(IntSet)
+    f = Labeling({v: data.draw(labels) for v in sorted(g.vertices)})
+    rows = labelingmod._verify(g, f)[0].strong_edges
+    assert [e for e, _ in rows] == want
+    if want and not g.isolated_vertices():
+        assert verify(g, f).strong_edges == rows
 
 
 @st.composite
