@@ -3,16 +3,14 @@
 A labeling of a graph's vertices by finite sets of non-negative integers is
 a strong set-indexer when the vertex map and the induced edge-sumset map
 are injective and every edge sumset has maximal cardinality.  The package
-verifies such labelings, constructs them for arbitrary graphs (including
-product- and corona-aware scaled-copy constructions), computes nourishing
-numbers through clique analysis, and cross-checks the structural theory
-against exhaustive brute-force oracles on tiny instances.
+verifies such labelings, constructs them for every graph without isolated
+vertices (products and coronas included), computes nourishing numbers
+through clique analysis, and cross-checks the structural theory against
+exhaustive brute-force oracles on tiny instances.
 """
 
 from .construct import (
     ConstructionSpec,
-    construct_for_corona,
-    construct_for_product,
     construct_strong,
     construct_strong_traced,
 )

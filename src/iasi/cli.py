@@ -5,9 +5,10 @@ report whose `outcome` block is stable, machine-parseable text (sorted
 keys, no timestamps); wall-clock timing is printed outside that block so
 golden-file comparisons stay byte-exact.  Each `_cmd_<command>` handler
 returns its input records, outcome, exit code and the files it writes, by
-path (construct's labeling and trace, ops' graph); when none of them is
-`--output`, the outcome block is written there.  `main` alone starts the
-clock, writes the files, all of them or none, and prints the report.
+path (construct's labeling and trace, ops' graph, minchain's bundle); when
+none of them is `--output`, the outcome block is written there.  `main`
+alone starts the clock, writes the files, all of them or none, and prints
+the report.
 
 Exit codes are a contract:
   0  success / requested property holds
@@ -301,9 +302,11 @@ def _cmd_oracle(args) -> tuple[list[dict], dict, int, dict[str, str]]:
             "clique_number": omega,
             "agree": None if result.exhausted else result.value == omega,
         }
+        files = {}
         if outcome["agree"] is False and args.bundle_dir:
-            oraclemod.write_bundle(args.bundle_dir, "minchain-disagreement", g, result.witness, outcome)
-        return [gin], outcome, EXIT_PROPERTY_FAILED if outcome["agree"] is False else EXIT_OK, {}
+            Path(args.bundle_dir).mkdir(parents=True, exist_ok=True)
+            files = oraclemod._bundle_texts(args.bundle_dir, "minchain-disagreement", g, result.witness, outcome)
+        return [gin], outcome, EXIT_PROPERTY_FAILED if outcome["agree"] is False else EXIT_OK, files
 
     result = oraclemod.exists_concurrent(g, cfg)
     outcome = {"check": "concurrent", **result.to_dict()}

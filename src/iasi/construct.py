@@ -16,13 +16,6 @@ The existence of strong labelings becomes an explicit recipe:
    past the largest possible in-label spread: pairwise-distinct base sums
    make the edge-sumset minima pairwise distinct, which forces the edge map
    to be injective, and distinct bases make the vertex map injective.
-
-Products and coronas share one scaled-copy recipe: multiplying a strong
-labeling by r keeps it strong, multiplying different copies by different
-primes larger than every label element keeps the copies' difference sets
-disjoint, and shifting copy i to a multiple bases[i] of one block keeps the
-copies apart.  The two differ only in the bases: Sidon terms for a product,
-0 for the host and then odd multiples for a corona.
 """
 
 from __future__ import annotations
@@ -30,16 +23,14 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import InternalCheckError, _immutable, _Record
-from .graph import CORONA_SEP, PRODUCT_SEP, Graph, cartesian_product, corona, max_clique
-from .labeling import Labeling, _check_no_isolated, _verify, verify
-from .setalg import IntSet, scale
+from .graph import Graph, max_clique
+from .labeling import Labeling, _check_no_isolated, verify
+from .setalg import IntSet
 
 __all__ = [
     "ConstructionSpec",
     "construct_strong",
     "construct_strong_traced",
-    "construct_for_product",
-    "construct_for_corona",
     "sidon_bases",
     "primes_above",
 ]
@@ -239,68 +230,3 @@ def construct_strong_traced(g: Graph, spec: ConstructionSpec) -> tuple[Labeling,
 
 def construct_strong(g: Graph, spec: ConstructionSpec | None = None) -> Labeling:
     return construct_strong_traced(g, spec or ConstructionSpec())[0]
-
-
-# ---------------------------------------------------------------------------
-# scaled copies for products and coronas
-# ---------------------------------------------------------------------------
-
-def _scaled_copies(parts: list[tuple[Labeling, dict[str, str]]], bases: list[int]) -> Labeling:
-    """Copy i of `parts`, a labeling and new names for the vertices it copies,
-    as r_i . f plus bases[i] blocks.  r_0 = 1 and the rest are primes above
-    every label element, so the copies' difference sets are disjoint; a block
-    is wider than any copy's sumsets, so `bases` decides which can meet."""
-    m = max(f[v].max for f, names in parts for v in names)
-    multipliers = [1] + primes_above(max(m, 1), len(parts) - 1)
-    block = 2 * multipliers[-1] * max(m, 1) + 1
-    return Labeling({
-        new: scale(r, f[v]).translated(base * block)
-        for (f, names), r, base in zip(parts, multipliers, bases) for v, new in names.items()
-    })
-
-
-def construct_for_product(g1: Graph, f1: Labeling, g2: Graph) -> Labeling:
-    """Strong labeling of the Cartesian product from a strong labeling of g1.
-
-    Copy i of g1 (one per vertex of g2, in sorted order) is a scaled copy of
-    f1, so the product edges between corresponding vertices are strong.  Its
-    base is the i-th Erdős–Turán Sidon term (`sidon_bases`): Sidon base sums
-    are distinct, which keeps both vertex and edge maps injective across
-    copies.
-    """
-    if not g1.vertices or not g2.vertices:
-        raise ValueError("product factors must both be nonempty")
-    if not _verify(g1, f1)[0].is_strong:
-        raise ValueError("f1 is not a strong labeling of g1")
-
-    parts = [(f1, {v: f"{v}{PRODUCT_SEP}{c}" for v in g1.vertices}) for c in g2.sorted_vertices()]
-    out = _scaled_copies(parts, sidon_bases(len(parts)))
-
-    if not _verify(cartesian_product(g1, g2), out)[0].is_strong:
-        raise InternalCheckError("product labeling failed self-verification")
-    return out
-
-
-def construct_for_corona(g1: Graph, f1: Labeling, g2: Graph, f2: Labeling) -> Labeling:
-    """Strong labeling of the corona from strong labelings of both factors.
-
-    g1 keeps f1 (copy 0, base 0).  The copy of g2 hung on the i-th vertex of
-    g1 is a scaled copy of f2 at base 2i + 1: copies sit at odd multiples of
-    the block and their internal sums at even ones, so no two edge sumsets
-    can coincide across contexts.
-    """
-    if not g1.vertices or not g2.vertices:
-        raise ValueError("corona factors must both be nonempty")
-    if not _verify(g1, f1)[0].is_strong:
-        raise ValueError("f1 is not a strong labeling of g1")
-    if not _verify(g2, f2)[0].is_strong:
-        raise ValueError("f2 is not a strong labeling of g2")
-
-    roots = g1.sorted_vertices()
-    parts = [(f1, {v: v for v in g1.vertices})]
-    parts += [(f2, {w: f"{u}{CORONA_SEP}{i}:{w}" for w in g2.vertices}) for i, u in enumerate(roots)]
-    out = _scaled_copies(parts, [0, *range(1, 2 * len(roots), 2)])
-
-    if not _verify(corona(g1, g2), out)[0].is_strong:
-        raise InternalCheckError("corona labeling failed self-verification")
-    return out

@@ -155,9 +155,9 @@ def verify(g: Graph, f: Labeling) -> VerificationReport:
 
 
 def _verify(g: Graph, f: Labeling) -> tuple[VerificationReport, list[int]]:
-    """`verify`, isolated vertices accepted (an edgeless operand of a
-    product or corona is still a valid input there), plus the sumset
-    cardinality of each weak edge, both in the sorted order of `Graph._forward`.
+    """`verify` without its isolated-vertex check, which each caller makes
+    first, plus the sumset cardinality of each weak edge, which
+    `verify_uniform` reads, both in the sorted order of `Graph._forward`.
 
     An edge is strong iff its ends' difference sets are disjoint.  Equal
     sumsets have equal minima, so edges are keyed by f(u).min + f(v).min

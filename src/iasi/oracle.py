@@ -657,6 +657,17 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
     )
 
 
+def _bundle_texts(directory: str | Path, name: str, g: Graph, f: Labeling | None, report: dict) -> dict[str, str]:
+    """The text of each file of a (graph, labeling, report) evidence bundle,
+    by path; the report is written by `to_json`, so it holds what that takes."""
+    out = Path(directory)
+    texts = {str(out / f"{name}.graph.txt"): write_graph(g)}
+    if f is not None:
+        texts[str(out / f"{name}.labeling.txt")] = write_labeling(f)
+    texts[str(out / f"{name}.report.json")] = to_json(report) + "\n"
+    return texts
+
+
 def write_bundle(
     directory: str | Path,
     name: str,
@@ -664,17 +675,9 @@ def write_bundle(
     f: Labeling | None,
     report: dict,
 ) -> list[Path]:
-    """Serialize a (graph, labeling, report) evidence bundle to a directory.
-    The report is written by `to_json`, so it holds what that takes."""
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = [out / f"{name}.graph.txt"]
-    paths[0].write_text(write_graph(g), encoding="utf-8")
-    if f is not None:
-        p = out / f"{name}.labeling.txt"
-        p.write_text(write_labeling(f), encoding="utf-8")
-        paths.append(p)
-    rp = out / f"{name}.report.json"
-    rp.write_text(to_json(report) + "\n", encoding="utf-8")
-    paths.append(rp)
-    return paths
+    """Serialize a (graph, labeling, report) evidence bundle to a directory."""
+    texts = _bundle_texts(directory, name, g, f, report)
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    for path, text in texts.items():
+        Path(path).write_text(text, encoding="utf-8")
+    return [Path(path) for path in texts]

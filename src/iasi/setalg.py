@@ -94,14 +94,6 @@ class IntSet:
             raise ValueError("empty set has no maximum")
         return self.elements[-1]
 
-    def translated(self, offset: int) -> "IntSet":
-        """The set {x + offset}; offset may be negative if no element drops below 0."""
-        if not isinstance(offset, int):
-            raise ValueError(f"offset {offset!r} is not an integer")
-        if self.elements and self.elements[0] + offset < 0:
-            raise ValueError(f"set element {self.elements[0] + offset} is negative")
-        return IntSet._trusted(tuple(x + offset for x in self.elements))
-
 
 def _require_nonempty(a: IntSet, what: str) -> None:
     if len(a) == 0:

@@ -15,6 +15,7 @@ import networkx as nx
 
 from iasi import (
     Graph,
+    IntSet,
     Labeling,
     ParseError,
     VerificationReport,
@@ -22,11 +23,13 @@ from iasi import (
     complement,
     diff_set,
     is_strong_pair,
+    scale,
     sumset,
     verify,
 )
+from iasi.construct import primes_above, sidon_bases
 from iasi.errors import parse_natural
-from iasi.graph import PRODUCT_SEP
+from iasi.graph import CORONA_SEP, PRODUCT_SEP
 
 
 def from_networkx(G, prefix: str = "v") -> Graph:
@@ -366,6 +369,35 @@ def reference_cartesian_product(g1: Graph, g2: Graph) -> Graph:
     edges = [(name[(u, a)], name[(u, b)]) for u in g1.vertices for a, b in g2.edges]
     edges += [(name[(a, v)], name[(b, v)]) for a, b in g1.edges for v in g2.vertices]
     return Graph._trusted(vertices, edges)
+
+
+def scaled_copy_labeling(g1: Graph, f1: Labeling, g2: Graph, f2: Labeling | None = None) -> Labeling:
+    """The paper's scaled-copy labeling of g1□g2 (f2 None) or of g1⊙g2, from
+    strong labelings of the factors: the second proof that products and
+    coronas admit strong IASIs, kept as a reference for `construct_strong`.
+
+    Copy i is r_i·f plus bases[i] blocks.  r_0 = 1 and the rest are primes
+    above every label element, so the copies' difference sets are disjoint;
+    a block is wider than any copy's sumsets, so the bases decide which can
+    meet.  A product's copies of f1, one per vertex of g2 in sorted order,
+    sit at Sidon terms; a corona keeps f1 at 0 and hangs the copy of f2 on
+    the i-th vertex of g1 at 2i + 1, so copies and their internal sums
+    (odd and even multiples) never meet."""
+    if f2 is None:
+        parts = [(f1, {v: f"{v}{PRODUCT_SEP}{c}" for v in g1.vertices}) for c in g2.sorted_vertices()]
+        bases = sidon_bases(len(parts))
+    else:
+        roots = g1.sorted_vertices()
+        parts = [(f1, {v: v for v in g1.vertices})]
+        parts += [(f2, {w: f"{u}{CORONA_SEP}{i}:{w}" for w in g2.vertices}) for i, u in enumerate(roots)]
+        bases = [0, *range(1, 2 * len(roots), 2)]
+    m = max(1, *(f[v].max for f, names in parts for v in names))
+    multipliers = [1] + primes_above(m, len(parts) - 1)
+    block = 2 * multipliers[-1] * m + 1
+    return Labeling({
+        new: IntSet(x + base * block for x in scale(r, f[v]))
+        for (f, names), r, base in zip(parts, multipliers, bases) for v, new in names.items()
+    })
 
 
 def reference_trusted(vertices, pairs) -> Graph:

@@ -354,6 +354,19 @@ def test_oracle_minchain_disagreement_writes_a_bundle(files, capsys):
     assert verify(g, f).is_strong and chain_report(g, f).max_chain_length == 3
 
 
+def test_oracle_minchain_failed_output_write_leaves_no_bundle(files, capsys):
+    # The bundle is written with `--output`, all or none: a report that
+    # cannot be written leaves the bundle directory empty.
+    graph_file, _, _, tmp = files
+    gp = graph_file("c5.g", cycle_graph(5))
+    bundle = tmp / "bundle"
+    argv = ["oracle", "minchain", gp, "--cards", "2", "--max", "6", "--bundle-dir", str(bundle)]
+    assert main([*argv, "--output", str(tmp / "missing" / "report.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "missing" in captured.err
+    assert list(bundle.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["lemma", "minchain", "concurrent"])
 def test_oracle_universe_above_limit_exits_two(files, capsys, command):
     graph_file, _, _, _ = files

@@ -4,6 +4,7 @@ anything."""
 
 import gc
 import json
+import os
 import random
 from itertools import combinations
 
@@ -42,13 +43,27 @@ documents = st.recursive(
 )
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """`got == want`, failing with the first offset where they differ and
+    about 80 characters around it: pytest's own report of a failed `==`
+    diffs the two strings, which for a 1 MB document runs for minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        lo, hi = max(at - 40, 0), at + 40
+        pytest.fail(
+            f"texts differ at offset {at} (lengths {len(got)} and {len(want)}):\n"
+            f"  got:  {got[lo:hi]!r}\n  want: {want[lo:hi]!r}",
+            pytrace=False,
+        )
+
+
 @given(documents)
 @example({})
 @example([])
 @example({"": [(), {}, []], "b": {"c": ""}, "a": [True, False, None, -0, 2**70]})
 @example({"strong_edges": [(("a", "b"), True), (('"', "é\n"), False), (["a", "b"], True), "x"]})
 def test_dumps_writes_the_bytes_of_json_dumps(doc):
-    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert_same_text(to_json(doc), json.dumps(doc, indent=2, sort_keys=True))
 
 
 @pytest.mark.parametrize("doc", [1.5, {1: "a"}, [{"a": {2}}], b"x"])
@@ -70,7 +85,7 @@ def test_dumps_writes_a_large_verify_report_as_json_dumps():
     doc = {"property": "strong", "holds": report.is_strong, "report": report.to_dict()}
     rows = doc["report"]["strong_edges"]
     assert len(rows) == 10_000 and not all(ok for _, ok in rows) and doc["report"]["witnesses"]
-    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert_same_text(to_json(doc), json.dumps(doc, indent=2, sort_keys=True))
 
 
 ROWS = [((f"u{i}", f"é{i}"), i % 3 == 0) for i in range(9_999)]
@@ -79,7 +94,7 @@ ROWS = [((f"u{i}", f"é{i}"), i % 3 == 0) for i in range(9_999)]
 @pytest.mark.parametrize("last", [(("a", "b"), 1), (["a", "b"], True), ("ab", True)])
 def test_dumps_leaves_a_long_list_ending_in_a_near_row_to_the_general_path(last):
     doc = {"strong_edges": [*ROWS, last]}
-    assert to_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+    assert_same_text(to_json(doc), json.dumps(doc, indent=2, sort_keys=True))
 
 
 def test_dumps_refuses_a_long_row_list_ending_in_a_float():
@@ -113,15 +128,15 @@ def test_dumps_writes_a_verify_outcome_as_json_dumps_whatever_list_holds_its_row
     rows = [ok for r in reports for _, ok in r["strong_edges"]]
     assert True in rows and False in rows
     want = json.dumps(outcome, indent=2, sort_keys=True)
-    assert to_json(outcome) == want
+    assert_same_text(to_json(outcome), want)
     # The same rows in a plain list go through the general path, to the same text.
     for r in reports:
         r["strong_edges"] = list(r["strong_edges"])
-    assert to_json(outcome) == want
+    assert_same_text(to_json(outcome), want)
     # The typed list holding no rows.
     for r in reports:
         r["strong_edges"] = _EdgeRows()
-    assert to_json(outcome) == json.dumps(outcome, indent=2, sort_keys=True)
+    assert_same_text(to_json(outcome), json.dumps(outcome, indent=2, sort_keys=True))
     assert to_json(_EdgeRows()) == to_json([]) == "[]"
 
 

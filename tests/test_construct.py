@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import connected_atlas, random_graph
+from helpers import connected_atlas, random_graph, scaled_copy_labeling
 
 import iasi.construct as constructmod
 
@@ -15,8 +15,6 @@ from iasi import (
     clique_number,
     complete_bipartite_graph,
     complete_graph,
-    construct_for_corona,
-    construct_for_product,
     construct_strong,
     construct_strong_traced,
     corona,
@@ -186,14 +184,14 @@ def test_scaled_labeling_stays_strong():
 def test_product_construction_k2_k2():
     g1, g2 = complete_graph(2, "a"), complete_graph(2, "b")
     f1 = construct_strong(g1, ConstructionSpec(cardinalities=2))
-    f = construct_for_product(g1, f1, g2)
+    f = scaled_copy_labeling(g1, f1, g2)
     assert verify(cartesian_product(g1, g2), f).is_strong
 
 
 def test_product_with_k1_keeps_labels():
     g1 = path_graph(3)
     f1 = construct_strong(g1, ConstructionSpec(cardinalities=2))
-    f = construct_for_product(g1, f1, Graph(["w"]))
+    f = scaled_copy_labeling(g1, f1, Graph(["w"]))
     for v in g1.vertices:
         assert f[f"{v}×w"] == f1[v]
 
@@ -202,16 +200,9 @@ def test_product_construction_p3_p2():
     g1, g2 = path_graph(3, "a"), path_graph(2, "b")
     f1 = construct_strong(g1, ConstructionSpec(cardinalities=2))
     product = cartesian_product(g1, g2)
-    f = construct_for_product(g1, f1, g2)
+    f = scaled_copy_labeling(g1, f1, g2)
     assert verify(product, f).is_strong
     assert clique_number(product) == 2
-
-
-def test_product_construction_rejects_weak_input():
-    g1 = Graph(["a", "b"], [("a", "b")])
-    weak = Labeling({"a": IntSet([1, 2]), "b": IntSet([3, 4])})
-    with pytest.raises(ValueError):
-        construct_for_product(g1, weak, complete_graph(2, "w"))
 
 
 def test_corona_construction_examples():
@@ -229,7 +220,7 @@ def test_corona_construction_examples():
             {v: IntSet([0, 2]) for v in g2.vertices}
         )
         result = corona(g1, g2)
-        f = construct_for_corona(g1, f1, g2, f2)
+        f = scaled_copy_labeling(g1, f1, g2, f2)
         assert verify(result, f).is_strong
 
 
@@ -237,17 +228,9 @@ def test_corona_construction_keeps_host_labels():
     g1, g2 = complete_graph(2, "a"), complete_graph(2, "b")
     f1 = construct_strong(g1, ConstructionSpec(cardinalities=2))
     f2 = construct_strong(g2, ConstructionSpec(cardinalities=2))
-    f = construct_for_corona(g1, f1, g2, f2)
+    f = scaled_copy_labeling(g1, f1, g2, f2)
     for v in g1.vertices:
         assert f[v] == f1[v]
-
-
-def test_corona_construction_rejects_weak_input():
-    g = complete_graph(2, "a")
-    f1 = construct_strong(g, ConstructionSpec(cardinalities=2))
-    weak = Labeling({"b0": IntSet([1, 2]), "b1": IntSet([3, 4])})
-    with pytest.raises(ValueError):
-        construct_for_corona(g, f1, complete_graph(2, "b"), weak)
 
 
 def _texts(f):
@@ -259,34 +242,52 @@ def test_scaled_copy_labelings_are_pinned():
         return construct_strong(g, ConstructionSpec(cardinalities=2))
 
     k2a, k2b, p3, p2 = complete_graph(2, "a"), complete_graph(2, "b"), path_graph(3, "a"), path_graph(2, "b")
-    assert _texts(construct_for_product(k2a, strong(k2a), k2b)) == {
+    assert _texts(scaled_copy_labeling(k2a, strong(k2a), k2b)) == {
         "a0×b0": "{0,3}", "a0×b1": "{32455,32632}", "a1×b0": "{50,55}", "a1×b1": "{35405,35700}",
     }
-    assert _texts(construct_for_product(p3, strong(p3), p2)) == {
+    assert _texts(scaled_copy_labeling(p3, strong(p3), p2)) == {
         "a0×b0": "{0,3}", "a0×b1": "{182215,182626}", "a1×b0": "{70,75}",
         "a1×b1": "{191805,192490}", "a2×b0": "{130,133}", "a2×b1": "{200025,200436}",
     }
     # An edgeless second factor: one copy of f1 per vertex, no edges between them.
-    assert _texts(construct_for_product(p2, strong(p2), Graph(["w0", "w1"]))) == {
+    assert _texts(scaled_copy_labeling(p2, strong(p2), Graph(["w0", "w1"]))) == {
         "b0×w0": "{0,3}", "b0×w1": "{32455,32632}", "b1×w0": "{50,55}", "b1×w1": "{35405,35700}",
     }
     c4, w = cycle_graph(4, "a"), Labeling({"w": IntSet([0, 2])})
-    assert _texts(construct_for_corona(c4, strong(c4), Graph(["w"]), w)) == {
+    assert _texts(scaled_copy_labeling(c4, strong(c4), Graph(["w"]), w)) == {
         "a0": "{0,3}", "a0⊙0:w": "{247711,248405}", "a1": "{110,115}", "a1⊙1:w": "{743133,743831}",
         "a2": "{240,243}", "a2⊙2:w": "{1238555,1239261}", "a3": "{340,345}",
         "a3⊙3:w": "{1733977,1734695}",
     }
     p2a, k3 = path_graph(2, "a"), complete_graph(3, "b")
-    assert _texts(construct_for_corona(p2a, strong(p2a), k3, strong(k3))) == {
+    assert _texts(scaled_copy_labeling(p2a, strong(p2a), k3, strong(k3))) == {
         "a0": "{0,3}", "a0⊙0:b0": "{72955,73528}", "a0⊙0:b1": "{91673,92628}",
         "a0⊙0:b2": "{107717,109054}", "a1": "{50,55}", "a1⊙1:b0": "{218865,219444}",
         "a1⊙1:b1": "{237779,238744}", "a1⊙1:b2": "{253991,255342}",
     }
     # Edgeless operands on both sides.
-    assert _texts(construct_for_corona(Graph(["a"]), Labeling({"a": IntSet([0, 1])}), Graph(["w"]), w)) == {
+    assert _texts(scaled_copy_labeling(Graph(["a"]), Labeling({"a": IntSet([0, 1])}), Graph(["w"]), w)) == {
         "a": "{0,1}", "a⊙0:w": "{13,19}",
     }
 
+
+def test_construct_strong_on_the_result_has_shorter_chains_than_the_scaled_copies():
+    """Why the library labels a product or corona only by `construct_strong`
+    on the result graph: the scaled copies' chain grows with the number of
+    copies, while one coloring of the result keeps it near ω, with smaller
+    labels."""
+    k3a, k3b, pet, k2 = complete_graph(3, "a"), complete_graph(3, "b"), petersen_graph(), complete_graph(2, "b")
+    cases = [
+        (cartesian_product(k3a, k3b), scaled_copy_labeling(k3a, construct_strong(k3a), k3b), 3, 9),
+        (cartesian_product(pet, k2), scaled_copy_labeling(pet, construct_strong(pet), k2), 2, 8),
+        (corona(pet, k2), scaled_copy_labeling(pet, construct_strong(pet), k2, construct_strong(k2)), 3, 24),
+    ]
+    for g, recipe, omega, recipe_chain in cases:
+        assert clique_number(g) == omega and verify(g, recipe).is_strong
+        assert chain_report(g, recipe).max_chain_length == recipe_chain
+        f = construct_strong(g)
+        assert chain_report(g, f).max_chain_length <= 4
+        assert f.max_element() < recipe.max_element()
 
 def test_corona_kappa_matches_formula():
     g1, g2 = complete_graph(2, "a"), complete_graph(2, "b")
@@ -302,27 +303,12 @@ def test_spec_rejects_cardinalities_for_non_vertices():
     assert ConstructionSpec(cardinalities={"v0": 2, "v1": 3}).resolve(g) == {"v0": 2, "v1": 3}
 
 
-def _strong_k2(prefix):
-    g = complete_graph(2, prefix)
-    return g, construct_strong(g)
-
-
-def _weak_k2(prefix):
-    return Labeling({f"{prefix}0": IntSet([1, 2]), f"{prefix}1": IntSet([3, 4])})
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
         pytest.param(lambda: ConstructionSpec(cardinalities={"v0": 2, "v1": 0}),
                      "cardinality of 'v1' must be at least 1", id="mapped-cardinality-below-1"),
         pytest.param(lambda: construct_strong(Graph([])), "empty graph", id="empty-graph"),
-        pytest.param(lambda: construct_for_product(*_strong_k2("a"), Graph([])),
-                     "product factors must both be nonempty", id="product-empty-factor"),
-        pytest.param(lambda: construct_for_corona(Graph([]), Labeling({}), *_strong_k2("b")),
-                     "corona factors must both be nonempty", id="corona-empty-factor"),
-        pytest.param(lambda: construct_for_corona(complete_graph(2, "a"), _weak_k2("a"), *_strong_k2("b")),
-                     "f1 is not a strong labeling", id="corona-weak-host"),
     ],
 )
 def test_construct_refuses(call, message):
@@ -330,25 +316,11 @@ def test_construct_refuses(call, message):
         call()
 
 
-def _one_label(f):
-    """f with every vertex given the label {0,1}: never strong on an edge."""
-    return Labeling({v: IntSet([0, 1]) for v in f.vertices()})
-
-
-@pytest.mark.parametrize(
-    "target, broken, call",
-    [
-        # the verifier is handed a labeling that repeats one label
-        pytest.param("verify", lambda real: lambda g, f: real(g, _one_label(f)),
-                     lambda: construct_strong(path_graph(3)), id="construct"),
-        # the scaled copies collapse to one label
-        pytest.param("_scaled_copies", lambda real: lambda *args: _one_label(real(*args)),
-                     lambda: construct_for_product(*_strong_k2("a"), complete_graph(2, "b")), id="product"),
-        pytest.param("_scaled_copies", lambda real: lambda *args: _one_label(real(*args)),
-                     lambda: construct_for_corona(*_strong_k2("a"), *_strong_k2("b")), id="corona"),
-    ],
-)
-def test_construct_self_verification_fires(monkeypatch, target, broken, call):
-    monkeypatch.setattr(constructmod, target, broken(getattr(constructmod, target)))
+def test_construct_self_verification_fires(monkeypatch):
+    # the verifier is handed a labeling that repeats one label
+    real = constructmod.verify
+    monkeypatch.setattr(
+        constructmod, "verify", lambda g, f: real(g, Labeling({v: IntSet([0, 1]) for v in f.vertices()}))
+    )
     with pytest.raises(InternalCheckError, match="verification"):
-        call()
+        construct_strong(path_graph(3))

@@ -3,10 +3,12 @@ a module has none, the public functions and classes it defines), the names
 the `iasi` package exports, the public attributes of `Graph` and
 `Labeling`, the parameters of `min_max_chain`, the reprs of the result
 types and what importing `iasi` loads.  Adding or removing a public name is
-a deliberate edit here and in the README's library layout."""
+a deliberate edit here and in the README's library layout, whose rows are
+checked against these lists."""
 
 import importlib
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,8 +47,7 @@ ALL = {
         "read_labeling", "write_labeling",
     ],
     "construct": [
-        "ConstructionSpec", "construct_strong", "construct_strong_traced",
-        "construct_for_product", "construct_for_corona", "sidon_bases", "primes_above",
+        "ConstructionSpec", "construct_strong", "construct_strong_traced", "sidon_bases", "primes_above",
     ],
     "oracle": [
         "OracleConfig", "LemmaCheck", "MinChainResult", "ConcurrentSearch",
@@ -69,7 +70,6 @@ EXPORTS = [
     "chain_report", "nourishing_number", "verify_concurrent_strong",
     "read_labeling", "write_labeling",
     "ConstructionSpec", "construct_strong", "construct_strong_traced",
-    "construct_for_product", "construct_for_corona",
     "OracleConfig", "LemmaCheck", "MinChainResult", "ConcurrentSearch",
     "lemma_oracle", "min_max_chain", "exists_concurrent", "write_bundle",
     "ParseError", "InternalCheckError",
@@ -111,6 +111,19 @@ def test_package_exports_exactly_the_pinned_names():
         if not name.startswith("_") and not isinstance(obj, ModuleType)
     }
     assert exported == set(EXPORTS)
+
+
+def test_readme_library_table_opens_each_row_with_the_pinned_names():
+    """Each `iasi.*` row's opening names, the backticked ones before its
+    first `;` or `:`, are its module's pinned list, in order."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    layout = readme[readme.index("## Library layout"):]
+    rows = dict(re.findall(r"^\| `iasi\.(\w+)` +\| (.*) \|$", layout, re.M))
+    pinned = {**ALL, **DEFINED}
+    assert rows.keys() == pinned.keys()
+    for name, cell in rows.items():
+        opening = re.split(r"[;:]", cell, maxsplit=1)[0]
+        assert re.findall(r"`([^`]+)`", opening) == pinned[name], name
 
 
 def test_graph_and_labeling_keep_only_their_pinned_methods():
