@@ -289,6 +289,7 @@ def test_construct_strong_on_the_result_has_shorter_chains_than_the_scaled_copie
         assert chain_report(g, f).max_chain_length <= 4
         assert f.max_element() < recipe.max_element()
 
+
 def test_corona_kappa_matches_formula():
     g1, g2 = complete_graph(2, "a"), complete_graph(2, "b")
     assert clique_number(corona(g1, g2)) == 3
@@ -309,6 +310,15 @@ def test_spec_rejects_cardinalities_for_non_vertices():
         pytest.param(lambda: ConstructionSpec(cardinalities={"v0": 2, "v1": 0}),
                      "cardinality of 'v1' must be at least 1", id="mapped-cardinality-below-1"),
         pytest.param(lambda: construct_strong(Graph([])), "empty graph", id="empty-graph"),
+        # a product or corona is labeled by construct_strong on the result graph
+        pytest.param(lambda: construct_strong(cartesian_product(complete_graph(2, "a"), Graph([]))),
+                     "empty graph", id="product-empty-factor"),
+        pytest.param(lambda: construct_strong(cartesian_product(Graph(["a"]), Graph(["w"]))),
+                     r"isolated vertices: \['a×w'\]", id="product-isolated-vertex"),
+        pytest.param(lambda: construct_strong(corona(Graph([]), complete_graph(2, "b"))),
+                     "empty graph", id="corona-empty-factor"),
+        pytest.param(lambda: construct_strong(corona(Graph(["a", "b"]), Graph([]))),
+                     r"isolated vertices: \['a', 'b'\]", id="corona-isolated-host"),
     ],
 )
 def test_construct_refuses(call, message):
@@ -316,11 +326,20 @@ def test_construct_refuses(call, message):
         call()
 
 
-def test_construct_self_verification_fires(monkeypatch):
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: construct_strong(path_graph(3)), id="construct"),
+        pytest.param(lambda: construct_strong(cartesian_product(complete_graph(2, "a"), complete_graph(2, "b"))),
+                     id="product"),
+        pytest.param(lambda: construct_strong(corona(complete_graph(2, "a"), complete_graph(2, "b"))), id="corona"),
+    ],
+)
+def test_construct_self_verification_fires(monkeypatch, call):
     # the verifier is handed a labeling that repeats one label
     real = constructmod.verify
     monkeypatch.setattr(
         constructmod, "verify", lambda g, f: real(g, Labeling({v: IntSet([0, 1]) for v in f.vertices()}))
     )
     with pytest.raises(InternalCheckError, match="verification"):
-        construct_strong(path_graph(3))
+        call()
