@@ -54,7 +54,6 @@ from .oracle import (
     exists_concurrent,
     lemma_oracle,
     min_max_chain,
-    write_bundle,
 )
 from .setalg import IntSet, diff_set, is_strong_pair, scale, sumset
 

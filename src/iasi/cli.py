@@ -305,7 +305,10 @@ def _cmd_oracle(args) -> tuple[list[dict], dict, int, dict[str, str]]:
         files = {}
         if outcome["agree"] is False and args.bundle_dir:
             Path(args.bundle_dir).mkdir(parents=True, exist_ok=True)
-            files = oraclemod._bundle_texts(args.bundle_dir, "minchain-disagreement", g, result.witness, outcome)
+            stem = str(Path(args.bundle_dir) / "minchain-disagreement")
+            files = {f"{stem}.graph.txt": write_graph(g),
+                     f"{stem}.labeling.txt": write_labeling(result.witness),
+                     f"{stem}.report.json": to_json(outcome) + "\n"}
         return [gin], outcome, EXIT_PROPERTY_FAILED if outcome["agree"] is False else EXIT_OK, files
 
     result = oraclemod.exists_concurrent(g, cfg)

@@ -131,13 +131,12 @@ def _bfs_order(g: Graph, seed: int) -> list[str]:
         root = comp[seed % len(comp)]
         seen = {root}
         queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
+        for v in queue:  # the list grows as it is walked, so it is the BFS queue
             for w in sorted(g.neighbors(v)):
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
+        order += queue
     return order
 
 

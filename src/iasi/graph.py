@@ -161,14 +161,6 @@ class Graph:
     def isolated_vertices(self) -> list[str]:
         return sorted(v for v in self.vertices if not self._adj[v])
 
-    def induced(self, keep: Iterable[str]) -> "Graph":
-        """Subgraph induced by the given vertices."""
-        ks = set(keep)
-        missing = ks - self.vertices
-        if missing:
-            raise ValueError(f"not vertices of this graph: {sorted(missing)}")
-        return Graph._trusted(ks, (e for e in self._pairs() if e[0] in ks and e[1] in ks))
-
     def relabel(self, mapping: Mapping[str, str] | Callable[[str], str]) -> "Graph":
         """New graph with every vertex renamed through `mapping` (must stay injective)."""
         f = mapping if callable(mapping) else mapping.__getitem__
@@ -176,10 +168,6 @@ class Graph:
         if len(set(new.values())) != len(new):
             raise ValueError("relabeling is not injective")
         return Graph._trusted(new.values(), ((new[u], new[v]) for u, v in self._pairs()))
-
-    def rename(self, prefix: str) -> "Graph":
-        """Prefix every vertex name; the stock way to force disjointness before a union."""
-        return self.relabel(lambda v: prefix + v)
 
     def components(self) -> list[list[str]]:
         """Connected components, each sorted, listed by smallest member."""
@@ -239,7 +227,8 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     vertices = frozenset(chain.from_iterable(r.values() for r in row.values()))
     if len(vertices) != len(g1.vertices) * len(g2.vertices):
         raise ValueError("product vertex naming collides; rename inputs first")
-    edges = [(r[a], r[b]) for r in row.values() for a, b in g2._pairs()]
+    pairs2 = g2._pairs()
+    edges = [(r[a], r[b]) for r in row.values() for a, b in pairs2]
     for a, b in g1._pairs():
         edges += zip(row[a].values(), row[b].values())
     return Graph._trusted(vertices, edges)

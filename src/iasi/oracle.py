@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .errors import InternalCheckError, _immutable, _Record, to_json
+from .errors import InternalCheckError, _immutable, _Record
 from .graph import Graph, complement, write_graph
 from .labeling import (
     Labeling,
@@ -29,7 +29,6 @@ from .labeling import (
     chain_report,
     verify,
     verify_concurrent_strong,
-    write_labeling,
 )
 from .setalg import IntSet, diff_set
 
@@ -41,7 +40,6 @@ __all__ = [
     "lemma_oracle",
     "min_max_chain",
     "exists_concurrent",
-    "write_bundle",
     "CHECKPOINT_ENV",
 ]
 
@@ -656,28 +654,3 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
         disjointness_counterexample=None if bad is None else _labeling(space.labels, verts, bad),
     )
 
-
-def _bundle_texts(directory: str | Path, name: str, g: Graph, f: Labeling | None, report: dict) -> dict[str, str]:
-    """The text of each file of a (graph, labeling, report) evidence bundle,
-    by path; the report is written by `to_json`, so it holds what that takes."""
-    out = Path(directory)
-    texts = {str(out / f"{name}.graph.txt"): write_graph(g)}
-    if f is not None:
-        texts[str(out / f"{name}.labeling.txt")] = write_labeling(f)
-    texts[str(out / f"{name}.report.json")] = to_json(report) + "\n"
-    return texts
-
-
-def write_bundle(
-    directory: str | Path,
-    name: str,
-    g: Graph,
-    f: Labeling | None,
-    report: dict,
-) -> list[Path]:
-    """Serialize a (graph, labeling, report) evidence bundle to a directory."""
-    texts = _bundle_texts(directory, name, g, f, report)
-    Path(directory).mkdir(parents=True, exist_ok=True)
-    for path, text in texts.items():
-        Path(path).write_text(text, encoding="utf-8")
-    return [Path(path) for path in texts]

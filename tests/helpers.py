@@ -170,12 +170,10 @@ def random_induced_subgraph(rng: random.Random, g: Graph, tries: int = 50) -> Gr
     verts = g.sorted_vertices()
     for _ in range(tries):
         k = rng.randint(2, len(verts))
-        sub = g.induced(rng.sample(verts, k))
-        live = [v for v in sub.vertices if sub.neighbors(v)]
-        if len(live) >= 2:
-            trimmed = sub.induced(live)
-            if trimmed.edges:
-                return trimmed
+        keep = set(rng.sample(verts, k))
+        edges = [e for e in g.edges if e[0] in keep and e[1] in keep]
+        if edges:  # the vertices the edges touch induce the same edges
+            return Graph({v for e in edges for v in e}, edges)
     return None
 
 

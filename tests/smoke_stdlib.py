@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from iasi.cli import main  # noqa: E402
 from iasi.errors import ParseError  # noqa: E402
 from iasi.graph import Graph, cartesian_product, corona, read_graph, write_graph  # noqa: E402
-from iasi.labeling import read_labeling  # noqa: E402
+from iasi.labeling import chain_report, read_labeling, verify  # noqa: E402
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -101,7 +101,10 @@ def checks(directory: Path) -> None:
     # rotations are the first symmetries here that swap no twins.  C5's
     # minimum is 3 against ω = 2, the pinned pentagon case, so it exits 1.
     # P4 and the paw are named so that the search order, which every oracle
-    # sweeps in, is not the sorted one.
+    # sweeps in, is not the sorted one.  Every run gets one bundle directory,
+    # so C5's disagreement alone writes there: its graph, a witness strong on
+    # it with longest chain 3, and the report.
+    bundle = directory / "bundle"
     write(directory, "k4.graph", "p 4 6\na b\na c\na d\nb c\nb d\nc d\n")
     write(directory, "k13.graph", "p 4 3\nc a\nc b\nc d\n")
     write(directory, "c5.graph", "p 5 5\na b\nb c\nc d\nd e\na e\n")
@@ -111,8 +114,16 @@ def checks(directory: Path) -> None:
         ("k4", "5", 4, 6576, 0), ("k13", "5", 2, 17136, 0), ("c5", "6", 3, 938980, 1),
         ("p4", "6", 2, 82264, 0), ("paw", "6", 3, 65912, 0),
     ]:
-        got = outcome(["oracle", "minchain", str(directory / f"{name}.graph"), "--max", top], code)
+        graph = str(directory / f"{name}.graph")
+        got = outcome(["oracle", "minchain", graph, "--max", top, "--bundle-dir", str(bundle)], code)
         assert (got["value"], got["strong_labelings"]) == (value, count), (name, got)
+    stem = bundle / "minchain-disagreement"
+    names = ["graph.txt", "labeling.txt", "report.json"]
+    assert sorted(bundle.iterdir()) == [Path(f"{stem}.{x}") for x in names], list(bundle.iterdir())
+    g = read_graph(Path(f"{stem}.graph.txt").read_text(encoding="utf-8"))
+    f = read_labeling(Path(f"{stem}.labeling.txt").read_text(encoding="utf-8"))
+    assert g == read_graph((directory / "c5.graph").read_text(encoding="utf-8")), g
+    assert verify(g, f).is_strong and chain_report(g, f).max_chain_length == 3, f
 
     # A minchain checkpoint round trip through $IASI_ORACLE_CHECKPOINT_DIR,
     # the one switch: a sweep writes one file, a second run resumes from it

@@ -18,12 +18,11 @@ from iasi import (
     read_graph,
     read_labeling,
     verify,
-    write_bundle,
     write_graph,
 )
 import iasi.oracle as oraclemod
 from iasi.cli import main
-from iasi.errors import InternalCheckError
+from iasi.errors import InternalCheckError, to_json
 
 
 K2 = Graph(["a", "b"], [("a", "b")])
@@ -384,10 +383,19 @@ def test_concurrent_rejects_isolated_complement():
 # ---------------------------------------------------------------------------
 
 def test_write_bundle_round_trips(tmp_path):
-    g = path_graph(3)
-    result = min_max_chain(g, OracleConfig(universe_max=5))
-    paths = write_bundle(tmp_path, "case", g, result.witness, result.to_dict())
-    assert [p.name for p in paths] == ["case.graph.txt", "case.labeling.txt", "case.report.json"]
-    assert read_graph(paths[0].read_text()) == g
-    assert read_labeling(paths[1].read_text()) == result.witness
-    assert json.loads(paths[2].read_text())["value"] == result.value
+    # The CLI's minchain bundle reads back as the graph, the library's own
+    # witness, and a canonical report of the library's value.
+    g = cycle_graph(5)
+    gp = tmp_path / "c5.g"
+    gp.write_text(write_graph(g))
+    result = min_max_chain(g, OracleConfig(universe_max=6, min_card=2, max_card=2))
+    bundle = tmp_path / "bundle"
+    argv = ["oracle", "minchain", str(gp), "--cards", "2", "--max", "6", "--bundle-dir", str(bundle)]
+    assert main(argv) == 1
+    assert read_graph((bundle / "minchain-disagreement.graph.txt").read_text()) == g
+    assert read_labeling((bundle / "minchain-disagreement.labeling.txt").read_text()) == result.witness
+    report = (bundle / "minchain-disagreement.report.json").read_text()
+    doc = json.loads(report)
+    assert report == to_json(doc) + "\n"
+    assert {k: doc[k] for k in result.to_dict()} == result.to_dict()
+    assert (doc["value"], doc["agree"]) == (result.value, False)

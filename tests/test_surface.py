@@ -4,7 +4,8 @@ the `iasi` package exports, the public attributes of `Graph` and
 `Labeling`, the parameters of `min_max_chain`, the reprs of the result
 types and what importing `iasi` loads.  Adding or removing a public name is
 a deliberate edit here and in the README's library layout, whose rows are
-checked against these lists."""
+checked against these lists; the README's length and its table cells are
+capped too."""
 
 import importlib
 import inspect
@@ -51,8 +52,7 @@ ALL = {
     ],
     "oracle": [
         "OracleConfig", "LemmaCheck", "MinChainResult", "ConcurrentSearch",
-        "lemma_oracle", "min_max_chain", "exists_concurrent", "write_bundle",
-        "CHECKPOINT_ENV",
+        "lemma_oracle", "min_max_chain", "exists_concurrent", "CHECKPOINT_ENV",
     ],
 }
 # Modules without `__all__`: the public functions and classes each defines.
@@ -71,7 +71,7 @@ EXPORTS = [
     "read_labeling", "write_labeling",
     "ConstructionSpec", "construct_strong", "construct_strong_traced",
     "OracleConfig", "LemmaCheck", "MinChainResult", "ConcurrentSearch",
-    "lemma_oracle", "min_max_chain", "exists_concurrent", "write_bundle",
+    "lemma_oracle", "min_max_chain", "exists_concurrent",
     "ParseError", "InternalCheckError",
 ]
 
@@ -126,12 +126,21 @@ def test_readme_library_table_opens_each_row_with_the_pinned_names():
         assert re.findall(r"`([^`]+)`", opening) == pinned[name], name
 
 
+def test_readme_stays_within_its_word_and_cell_budgets():
+    """At most 2,500 words, and no library-table cell over 600 characters:
+    how the code works belongs in its docstrings, not in the README."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    assert len(readme.split()) <= 2500
+    cells = dict(re.findall(r"^\| `iasi\.(\w+)` +\| (.*) \|$", readme, re.M))
+    assert cells and {name: len(cell) for name, cell in cells.items() if len(cell) > 600} == {}
+
+
 def test_graph_and_labeling_keep_only_their_pinned_methods():
-    """Exact lists, so `Graph.has_edge`, `Graph.degree` and
-    `Labeling.relabeled`, which only tests called, stay out."""
+    """Exact lists, so `Graph.has_edge`, `Graph.degree`, `Graph.induced`,
+    `Graph.rename` and `Labeling.relabeled`, which only tests called, stay out."""
     assert _public(Graph) == [
-        "components", "edges", "induced", "isolated_vertices", "neighbors",
-        "relabel", "rename", "sorted_edges", "sorted_vertices", "vertices",
+        "components", "edges", "isolated_vertices", "neighbors",
+        "relabel", "sorted_edges", "sorted_vertices", "vertices",
     ]
     assert _public(Labeling) == ["items", "max_element", "scaled", "vertices"]
 
