@@ -4,11 +4,11 @@ Subcommands: verify, construct, nourish, ops, oracle.  Every run prints a
 report whose `outcome` block is stable, machine-parseable text (sorted
 keys, no timestamps); wall-clock timing is printed outside that block so
 golden-file comparisons stay byte-exact.  Each `_cmd_<command>` handler
-returns its input records, outcome, exit code and the files it writes, by
-path (construct's labeling and trace, ops' graph, minchain's bundle); when
-none of them is `--output`, the outcome block is written there.  `main`
-alone starts the clock, writes the files, all of them or none, and prints
-the report.
+returns its input records, outcome, exit code and the files it writes as
+(path, text) pairs (construct's labeling and trace, ops' graph, minchain's
+bundle directory and files); when none of them is `--output`, the outcome
+block is written there.  `main` alone starts the clock, writes the files,
+all of them or none and each once, and prints the report.
 
 Exit codes are a contract:
   0  success / requested property holds
@@ -88,35 +88,49 @@ def _emit(command: str, inputs: list[dict], outcome: dict, fmt: str, started: fl
         print(f"timing: {elapsed_ms:.1f} ms")
 
 
-def _write_files(files: dict[str, str]) -> None:
-    """Write every file, or none if one write fails.
+def _write_files(files: list[tuple[str, str | None]]) -> None:
+    """Write every (path, text) entry, or none if one write fails.
 
-    Each text goes to a new temp file beside its target (symlinks followed),
-    and the temps are renamed onto the targets only once all are written;
-    on a failure they are removed.  A target that exists and is not a
+    An entry whose text is None is a directory, made with its missing
+    parents; it comes before the files in it.  Two entries naming one path
+    (symlinks followed) are refused before anything is made.  Each text
+    goes to a new temp file beside its target, and the temps are renamed
+    onto the targets only once all are written; on a failure they and the
+    directories made are removed.  A target that exists and is not a
     regular file (a pipe, a terminal, a directory) cannot be renamed onto,
     so it is written in place, after the temps and before the renames.  An
     error names the target as given, not the temp."""
+    targets = [Path(path).resolve() for path, _ in files]
+    for i, (path, _) in enumerate(files):
+        if targets[i] in targets[:i]:
+            raise ValueError(f"{path}: the same file as another output")
+    made: list[Path] = []
     staged: list[tuple[str, Path, Path]] = []  # (path, temp, target)
-    in_place: list[str] = []
+    in_place: list[tuple[str, str]] = []
     path = None
     try:
-        for path, text in files.items():
-            target = Path(path).resolve()
-            if target.exists() and not target.is_file():
-                in_place.append(path)
-                continue
-            temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
-            with temp.open("x", encoding="utf-8") as out:
-                staged.append((path, temp, target))
-                out.write(text)
-        for path in in_place:
-            Path(path).write_text(files[path], encoding="utf-8")
+        for (path, text), target in zip(files, targets):
+            if text is None:
+                # A resolved path: its missing ancestors are the ones below the lowest that exists.
+                for directory in reversed([d for d in (target, *target.parents) if not d.exists()]):
+                    directory.mkdir()
+                    made.append(directory)
+            elif target.exists() and not target.is_file():
+                in_place.append((path, text))
+            else:
+                temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+                with temp.open("x", encoding="utf-8") as out:
+                    staged.append((path, temp, target))
+                    out.write(text)
+        for path, text in in_place:
+            Path(path).write_text(text, encoding="utf-8")
         for path, temp, target in staged:
             temp.replace(target)
     except BaseException as exc:
         for _, temp, _ in staged:
             temp.unlink(missing_ok=True)
+        for directory in reversed(made):
+            directory.rmdir()
         if isinstance(exc, OSError):
             exc.filename, exc.filename2 = path, None
         raise
@@ -126,7 +140,7 @@ def _write_files(files: dict[str, str]) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> tuple[list[dict], dict, int, dict[str, str]]:
+def _cmd_verify(args) -> tuple[list[dict], dict, int, list[tuple[str, str | None]]]:
     g, gin = _load(args.graph, read_graph)
     if not g.vertices:
         raise ValueError(f"{args.graph}: graph is empty; nothing to verify")
@@ -149,7 +163,7 @@ def _cmd_verify(args) -> tuple[list[dict], dict, int, dict[str, str]]:
         holds = report.is_strong if args.strong else report.is_iasi
         outcome = {"property": prop, "holds": holds, "report": report.to_dict()}
 
-    return [gin, fin], outcome, EXIT_OK if holds else EXIT_PROPERTY_FAILED, {}
+    return [gin, fin], outcome, EXIT_OK if holds else EXIT_PROPERTY_FAILED, []
 
 
 def _read_cards(text: str) -> dict[str, int]:
@@ -163,7 +177,7 @@ def _read_cards(text: str) -> dict[str, int]:
     return cards
 
 
-def _cmd_construct(args) -> tuple[list[dict], dict, int, dict[str, str]]:
+def _cmd_construct(args) -> tuple[list[dict], dict, int, list[tuple[str, str | None]]]:
     g, gin = _load(args.graph, read_graph)
     inputs, cards = [gin], args.cardinality
     if args.cards:
@@ -185,15 +199,15 @@ def _cmd_construct(args) -> tuple[list[dict], dict, int, dict[str, str]]:
         "labeling_file": args.output,
         "trace": trace,
     }
-    files = {args.trace: to_json(trace) + "\n"} if args.trace else {}
+    files = [(args.trace, to_json(trace) + "\n")] if args.trace else []
     if args.output:
-        files[args.output] = text
+        files.append((args.output, text))
     else:
         outcome["labeling_text"] = text
     return inputs, outcome, EXIT_OK, files
 
 
-def _cmd_nourish(args) -> tuple[list[dict], dict, int, dict[str, str]]:
+def _cmd_nourish(args) -> tuple[list[dict], dict, int, list[tuple[str, str | None]]]:
     g, gin = _load(args.graph, read_graph)
     if not g.vertices:
         raise ValueError(f"{args.graph}: graph is empty; nourishing number undefined")
@@ -204,7 +218,7 @@ def _cmd_nourish(args) -> tuple[list[dict], dict, int, dict[str, str]]:
         "clique_number": len(clique),
         "max_clique": list(clique),
     }
-    return [gin], outcome, EXIT_OK, {}
+    return [gin], outcome, EXIT_OK, []
 
 
 def _predict_kappa(op: str, graphs: list[Graph], kappas: list[int | None]) -> tuple[int | None, str, list[str]]:
@@ -227,7 +241,7 @@ def _predict_kappa(op: str, graphs: list[Graph], kappas: list[int | None]) -> tu
     return None, "none", notes
 
 
-def _cmd_ops(args) -> tuple[list[dict], dict, int, dict[str, str]]:
+def _cmd_ops(args) -> tuple[list[dict], dict, int, list[tuple[str, str | None]]]:
     op = args.op
     arity, operation = OPS[op]
     if len(args.graphs) != arity:
@@ -273,18 +287,18 @@ def _cmd_ops(args) -> tuple[list[dict], dict, int, dict[str, str]]:
     if not args.output:
         outcome["graph_text"] = text
     failed = (agrees is False) or (edge_check is False)
-    files = {args.output: text} if args.output else {}
+    files = [(args.output, text)] if args.output else []
     return inputs, outcome, EXIT_PROPERTY_FAILED if failed else EXIT_OK, files
 
 
-def _cmd_oracle(args) -> tuple[list[dict], dict, int, dict[str, str]]:
+def _cmd_oracle(args) -> tuple[list[dict], dict, int, list[tuple[str, str | None]]]:
     if args.oracle_cmd == "lemma":
         check = oraclemod.lemma_oracle(args.max)
         outcome = {"check": "lemma", **check.to_dict()}
         outcome["verdict"] = (
             "agrees on all pairs" if check.ok else "DISAGREEMENT FOUND"
         )
-        return [], outcome, EXIT_OK if check.ok else EXIT_PROPERTY_FAILED, {}
+        return [], outcome, EXIT_OK if check.ok else EXIT_PROPERTY_FAILED, []
 
     g, gin = _load(args.graph, read_graph)
     cfg = oraclemod.OracleConfig(
@@ -302,18 +316,18 @@ def _cmd_oracle(args) -> tuple[list[dict], dict, int, dict[str, str]]:
             "clique_number": omega,
             "agree": None if result.exhausted else result.value == omega,
         }
-        files = {}
+        files = []
         if outcome["agree"] is False and args.bundle_dir:
-            Path(args.bundle_dir).mkdir(parents=True, exist_ok=True)
             stem = str(Path(args.bundle_dir) / "minchain-disagreement")
-            files = {f"{stem}.graph.txt": write_graph(g),
-                     f"{stem}.labeling.txt": write_labeling(result.witness),
-                     f"{stem}.report.json": to_json(outcome) + "\n"}
+            files = [(args.bundle_dir, None),
+                     (f"{stem}.graph.txt", write_graph(g)),
+                     (f"{stem}.labeling.txt", write_labeling(result.witness)),
+                     (f"{stem}.report.json", to_json(outcome) + "\n")]
         return [gin], outcome, EXIT_PROPERTY_FAILED if outcome["agree"] is False else EXIT_OK, files
 
     result = oraclemod.exists_concurrent(g, cfg)
     outcome = {"check": "concurrent", **result.to_dict()}
-    return [gin], outcome, EXIT_OK if result.all_witnesses_pairwise_disjoint else EXIT_PROPERTY_FAILED, {}
+    return [gin], outcome, EXIT_OK if result.all_witnesses_pairwise_disjoint else EXIT_PROPERTY_FAILED, []
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +412,10 @@ def main(argv: list[str] | None = None) -> int:
         inputs, outcome, code, files = globals()[f"_cmd_{args.command}"](args)
         # `--output` gets the command's artifact, else the outcome block, which
         # the text format prints too: it is serialised once.
-        report = args.output and args.output not in files
+        report = args.output and all(path != args.output for path, _ in files)
         block = to_json(outcome) if args.format == "text" or report else None
         if report:
-            files[args.output] = block + "\n"
+            files.append((args.output, block + "\n"))
         _write_files(files)
         _emit(args.command, inputs, outcome, args.format, started, block)
         return code

@@ -18,14 +18,13 @@ is the clique number of an auxiliary disjointness graph.  Singleton labels
 from __future__ import annotations
 
 import re
-from itertools import combinations
 from operator import ge
 from typing import Iterator, Mapping
 
 from . import graph as graphmod
 from .errors import InternalCheckError, ParseError, _EdgeRows, _immutable, _Record
 from .graph import Graph, clique_number, complement
-from .setalg import IntSet, diff_set, parse_int_set, scale, sumset
+from .setalg import IntSet, _sharing, diff_set, parse_int_set, scale, sumset
 
 __all__ = [
     "Labeling",
@@ -259,17 +258,17 @@ def chain_report(g: Graph, f: Labeling) -> ChainReport:
 
     Builds the disjointness graph on the vertices with nonempty difference
     sets (edge iff disjoint) and reports its maximum clique, the longest
-    chain, plus the disjointness relation on each edge of g.
+    chain, plus the disjointness relation on each edge of g, both by `_sharing`.
     """
     _check_total(g, f)
-    diffs = {v: diff_set(f[v]) for v in g.vertices}
+    bit = {v: 1 << i for i, v in enumerate(g.sorted_vertices())}  # in name order
+    shared = dict(zip(bit, _sharing([diff_set(f[v]) for v in bit])))
 
-    carriers = sorted(v for v in g.vertices if len(diffs[v]) > 0)
-    aux_edges = [(u, v) for u, v in combinations(carriers, 2) if diffs[u].isdisjoint(diffs[v])]
-    aux = Graph._trusted(carriers, aux_edges)
-    chain = list(graphmod.max_clique(aux)) if carriers else []
+    carriers = [v for v in bit if shared[v] & bit[v]]
+    aux_edges = [(u, v) for i, u in enumerate(carriers) for v in carriers[i + 1:] if not shared[u] & bit[v]]
+    chain = list(graphmod.max_clique(Graph._trusted(carriers, aux_edges))) if carriers else []
 
-    relation = [((u, v), diffs[u].isdisjoint(diffs[v])) for u, v in g.sorted_edges()]
+    relation = [((u, v), not shared[u] & bit[v]) for u, v in g.sorted_edges()]
     return ChainReport(max_chain=chain, max_chain_length=len(chain), per_edge_relation=relation)
 
 
@@ -303,8 +302,7 @@ def _verify_concurrent(
     primary = rep_g.is_strong and rep_gbar.is_strong
 
     labels = [f[v] for v in g.sorted_vertices()]
-    diffs = [diff_set(s) for s in labels]
-    all_disjoint = all(d1.isdisjoint(d2) for d1, d2 in combinations(diffs, 2))
+    all_disjoint = all(row.bit_count() < 2 for row in _sharing([diff_set(s) for s in labels]))
     injective = len(set(labels)) == len(labels)
     direct = injective and all_disjoint and rep_g.edge_injective and rep_gbar.edge_injective
     if primary != direct:

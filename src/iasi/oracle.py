@@ -30,7 +30,7 @@ from .labeling import (
     verify,
     verify_concurrent_strong,
 )
-from .setalg import IntSet, diff_set
+from .setalg import IntSet, _sharing, diff_set
 
 __all__ = [
     "OracleConfig",
@@ -137,10 +137,10 @@ class _Space:
 
     `strong[i]` is a bitmask of the j with |L_i + L_j| == |L_i| * |L_j|
     (read from a product, the cardinality route); `ddisjoint[i]` marks the
-    j whose difference sets avoid L_i's (the difference route: the labels
-    holding none of D(L_i)'s differences).  The searches prune with the
-    former and audit with the latter, so a failure of the equivalence would
-    surface as a disagreement instead of being assumed away.
+    j whose difference sets avoid L_i's (the difference route: the j not in
+    L_i's row of the difference index `_sharing`).  The searches prune with
+    the former and audit with the latter, so a failure of the equivalence
+    would surface as a disagreement instead of being assumed away.
 
     Each label L becomes the 0/1 polynomial L(t) = sum of t^x over x in L,
     evaluated at t = 2^w with field width w = (universe_max + 1).bit_length().
@@ -174,18 +174,9 @@ class _Space:
         width = cfg.universe_max + 1
         self.mirror = [rank[int(f"{m:0{width}b}"[::-1], 2)] for m in masks]
 
-        diffs = [diff_set(s) for s in labels]
-        self.carriers = sum(bit for bit, d in zip(bits, diffs) if len(d) > 0)
-        holders: dict[int, int] = {}  # difference -> labels whose difference set holds it
-        for bit, d in zip(bits, diffs):
-            for x in d:
-                holders[x] = holders.get(x, 0) | bit
-        self.ddisjoint = []
-        for d in diffs:
-            shared = 0
-            for x in d:
-                shared |= holders[x]
-            self.ddisjoint.append(~shared & (1 << n) - 1)
+        shared = _sharing([diff_set(s) for s in labels])
+        self.carriers = sum(bit & row for bit, row in zip(bits, shared))
+        self.ddisjoint = [~row & (1 << n) - 1 for row in shared]
 
         w = width.bit_length()
         self.spread = spread = [sum(1 << w * x for x in s) for s in labels]

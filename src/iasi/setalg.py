@@ -12,6 +12,7 @@ assumed.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -120,6 +121,16 @@ def diff_set(a: IntSet) -> frozenset[int]:
     for singletons.  An edge uv is strong iff D(f(u)).isdisjoint(D(f(v)))."""
     _require_nonempty(a, "diff_set")
     return frozenset(y - x for x, y in combinations(a.elements, 2))
+
+
+def _sharing(diffs: list[frozenset[int]]) -> list[int]:
+    """The difference index: row i has bit j set when diffs[i] and diffs[j]
+    share a difference, so its own bit exactly when diffs[i] is nonempty."""
+    holders: dict[int, int] = {}  # difference -> the sets that hold it
+    for i, d in enumerate(diffs):
+        for x in d:
+            holders[x] = holders.get(x, 0) | 1 << i
+    return [reduce(int.__or__, map(holders.__getitem__, d), 0) for d in diffs]
 
 
 def is_strong_pair(a: IntSet, b: IntSet) -> bool:

@@ -454,6 +454,16 @@ def reference_chain_extension(space, used: int) -> tuple[int, int]:
     return best, up
 
 
+def reference_sharing(diffs: list[frozenset[int]]) -> list[int]:
+    """`setalg._sharing` by one `isdisjoint` test per ordered pair: row i
+    has bit j set when diffs[i] and diffs[j] are not disjoint (so bit i
+    when diffs[i] is nonempty)."""
+    return [
+        sum(1 << j for j, e in enumerate(diffs) if not d.isdisjoint(e))
+        for d in diffs
+    ]
+
+
 def reference_pair_table(cfg) -> tuple[list[int], list[dict[int, int]]]:
     """(strong, partners) with one product per unordered pair of labels, not
     per pair of translation classes as `oracle._Space` takes them: each

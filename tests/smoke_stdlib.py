@@ -125,6 +125,18 @@ def checks(directory: Path) -> None:
     assert g == read_graph((directory / "c5.graph").read_text(encoding="utf-8")), g
     assert verify(g, f).is_strong and chain_report(g, f).max_chain_length == 3, f
 
+    # Two refused writes that leave nothing: construct's --output and
+    # --trace naming one file, and C5's bundle into a new directory beside
+    # a report that cannot be written.
+    same, lost = directory / "same.out", directory / "lost" / "bundle"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run(["construct", k2, "--output", str(same), "--trace", str(same)]) == (2, "")
+        c5 = ["oracle", "minchain", str(directory / "c5.graph"), "--max", "5", "--bundle-dir", str(lost)]
+        assert run([*c5, "--output", str(directory / "missing" / "c5.json")]) == (2, "")
+    assert not same.exists() and not lost.parent.exists(), err.getvalue()
+    assert err.getvalue().count("error: ") == 2, err.getvalue()
+
     # A minchain checkpoint round trip through $IASI_ORACLE_CHECKPOINT_DIR,
     # the one switch: a sweep writes one file, a second run resumes from it
     # to the same outcome, and the file with its best chain out of range

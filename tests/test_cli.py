@@ -356,7 +356,7 @@ def test_oracle_minchain_disagreement_writes_a_bundle(files, capsys):
 
 def test_oracle_minchain_failed_output_write_leaves_no_bundle(files, capsys):
     # The bundle is written with `--output`, all or none: a report that
-    # cannot be written leaves the bundle directory empty.
+    # cannot be written leaves no bundle directory.
     graph_file, _, _, tmp = files
     gp = graph_file("c5.g", cycle_graph(5))
     bundle = tmp / "bundle"
@@ -364,7 +364,22 @@ def test_oracle_minchain_failed_output_write_leaves_no_bundle(files, capsys):
     assert main([*argv, "--output", str(tmp / "missing" / "report.json")]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "missing" in captured.err
-    assert list(bundle.iterdir()) == []
+    assert not bundle.exists()
+
+
+def test_oracle_minchain_bundle_makes_its_missing_parents_only_with_the_write(files, capsys):
+    graph_file, _, _, tmp = files
+    gp = graph_file("c5.g", cycle_graph(5))
+    bundle = tmp / "a" / "b" / "bundle"
+    argv = ["oracle", "minchain", gp, "--cards", "2", "--max", "6", "--bundle-dir", str(bundle)]
+    before = sorted(os.listdir(tmp))
+    assert main([*argv, "--output", str(tmp / "missing" / "report.json")]) == 2
+    assert capsys.readouterr().err == f"error: {tmp / 'missing' / 'report.json'}: No such file or directory\n"
+    assert sorted(os.listdir(tmp)) == before
+    assert main([*argv, "--output", str(tmp / "report.json")]) == 1
+    stem = bundle / "minchain-disagreement"
+    assert sorted(bundle.iterdir()) == [Path(f"{stem}.{x}") for x in ("graph.txt", "labeling.txt", "report.json")]
+    assert json.loads(Path(f"{stem}.report.json").read_text()) == json.loads((tmp / "report.json").read_text())
 
 
 @pytest.mark.parametrize("command", ["lemma", "minchain", "concurrent"])
@@ -463,6 +478,20 @@ def test_construct_writes_neither_file_when_one_write_fails(files, capsys, outpu
     assert capsys.readouterr() == ("", f"error: {tmp / bad}: {reason}\n")
     # Neither target nor any temp file is left.
     assert sorted(os.listdir(tmp)) == before and os.listdir(tmp / "dir") == []
+
+
+@pytest.mark.parametrize("output", ["x.out", "./x.out", "link.out"])
+def test_construct_refuses_two_outputs_to_one_file(files, capsys, monkeypatch, output):
+    # --output and --trace naming one file, by one string, by two spellings
+    # of one path or through a symlink, would leave only one of the texts.
+    tmp = files[3]
+    monkeypatch.chdir(tmp)
+    argv = _argv(files, "construct")
+    (tmp / "link.out").symlink_to(tmp / "x.out")
+    before = sorted(os.listdir(tmp))
+    assert main([*argv, "--output", output, "--trace", "x.out"]) == 2
+    assert capsys.readouterr() == ("", f"error: {output}: the same file as another output\n")
+    assert sorted(os.listdir(tmp)) == before and not (tmp / "x.out").exists()
 
 
 def test_construct_writes_both_files_and_no_temp(files, capsys):

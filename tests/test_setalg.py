@@ -2,12 +2,13 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from helpers import reference_sharing
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from iasi import IntSet, diff_set, is_strong_pair, scale, sumset
 from iasi.errors import ParseError
-from iasi.setalg import parse_int_set
+from iasi.setalg import _sharing, parse_int_set
 
 int_sets = st.frozensets(st.integers(0, 30), min_size=1, max_size=6).map(IntSet)
 
@@ -247,3 +248,27 @@ def test_intset_membership_and_plus(a, b):
     assert all(x in a for x in a.elements)
     assert a.max + 1 not in a and -1 not in a
     assert a + b == sumset(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the difference index
+# ---------------------------------------------------------------------------
+
+@st.composite
+def label_families(draw) -> list[IntSet]:
+    """1-12 labels over 0..12, some drawn again so that equal labels meet;
+    singletons (no differences) and pairs sharing a difference are common."""
+    labels = draw(st.lists(st.frozensets(st.integers(0, 12), min_size=1, max_size=4), min_size=1, max_size=12))
+    labels += draw(st.lists(st.sampled_from(labels), max_size=12 - len(labels)))
+    return [IntSet(s) for s in draw(st.permutations(labels))]
+
+
+@given(label_families())
+@example([IntSet([5])])
+@example([IntSet([0, 1]), IntSet([3]), IntSet([2, 3]), IntSet([0, 1]), IntSet([3]), IntSet([0, 2, 7])])
+def test_difference_index_matches_the_pairwise_reference(labels):
+    # Row i marks each label sharing a difference with label i: a singleton's
+    # row is empty, a repeated label with differences marks its copies, and a
+    # weak pair (here {0,1} and {2,3}, both holding 1) marks each other.
+    diffs = [diff_set(s) for s in labels]
+    assert _sharing(diffs) == reference_sharing(diffs)
