@@ -6,9 +6,10 @@ keys, no timestamps); wall-clock timing is printed outside that block so
 golden-file comparisons stay byte-exact.  Each `_cmd_<command>` handler
 returns its input records, outcome, exit code and the files it writes as
 (path, text) pairs (construct's labeling and trace, ops' graph, minchain's
-bundle directory and files); when none of them is `--output`, the outcome
-block is written there.  `main` alone starts the clock, writes the files,
-all of them or none and each once, and prints the report.
+bundle directory and files); construct and ops give `--output` their
+artifact, and every other command writes its outcome block there.  `main`
+alone starts the clock, writes the files, all of them or none and each
+once, and prints the report.
 
 Exit codes are a contract:
   0  success / requested property holds
@@ -410,9 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         inputs, outcome, code, files = globals()[f"_cmd_{args.command}"](args)
-        # `--output` gets the command's artifact, else the outcome block, which
-        # the text format prints too: it is serialised once.
-        report = args.output and all(path != args.output for path, _ in files)
+        # `--output` gets construct's or ops' artifact, else the outcome block,
+        # which the text format prints too: it is serialised once.
+        report = args.output and args.command not in ("construct", "ops")
         block = to_json(outcome) if args.format == "text" or report else None
         if report:
             files.append((args.output, block + "\n"))

@@ -11,11 +11,12 @@ The existence of strong labelings becomes an explicit recipe:
    is contained in {d_j, 2d_j, ...} with multipliers below every stride,
    so difference sets of distinct classes are disjoint by unique
    factorization and every (necessarily cross-class) edge is strong.
-3. Draw the base offsets b from the Erdős–Turán Sidon set
-   a_k = 2pk + (k^2 mod p), p the least prime >= the vertex count, scaled
-   past the largest possible in-label spread: pairwise-distinct base sums
-   make the edge-sumset minima pairwise distinct, which forces the edge map
-   to be injective, and distinct bases make the vertex map injective.
+3. Give the i-th vertex in name order the base b = a_i of the Erdős–Turán
+   Sidon set a_k = 2pk + (k^2 mod p), p the least prime >= the vertex
+   count.  Each label's minimum is its base, so the vertex minima are
+   distinct and the vertex map is injective; an edge's sumset has minimum
+   b_u + b_v, and the Sidon sums of distinct pairs are distinct, so the
+   edge map is injective too.
 """
 
 from __future__ import annotations
@@ -189,15 +190,10 @@ def construct_strong_traced(g: Graph, spec: ConstructionSpec) -> tuple[Labeling,
 
     cards = spec.resolve(g)
     classes = _color_classes(g, spec)
-    max_card = max(cards.values())
-    strides = primes_above(max_card, len(classes))
+    strides = primes_above(max(cards.values()), len(classes))
 
-    # Base offsets: one Sidon term per vertex (in sorted order), scaled so a
-    # whole arithmetic progression fits strictly between consecutive bases.
     verts = g.sorted_vertices()
-    separation = strides[-1] * max_card
-    sidon = sidon_bases(len(verts))
-    base = {v: sidon[i] * separation for i, v in enumerate(verts)}
+    base = dict(zip(verts, sidon_bases(len(verts))))
 
     stride_of: dict[str, int] = {}
     for j, cls in enumerate(classes):
@@ -220,7 +216,7 @@ def construct_strong_traced(g: Graph, spec: ConstructionSpec) -> tuple[Labeling,
         "seed": spec.seed,
         "classes": [list(cls) for cls in classes],
         "strides": strides,
-        "offsets": {v: base[v] for v in verts},
+        "offsets": base,
         "cardinalities": {v: cards[v] for v in verts},
         "max_label_element": labeling.max_element(),
     }

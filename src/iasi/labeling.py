@@ -191,20 +191,20 @@ def _verify(g: Graph, f: Labeling) -> tuple[VerificationReport, list[int]]:
     # Only a shared minimum, and then a shared fingerprint, can hide a shared sumset.
     shared: list[tuple[list[Edge], IntSet]] = []
     if len(set(mins)) < len(mins):
-        by_min: dict[int, list[tuple[Edge, bool]]] = {}
-        for row, lo in zip(strong_edges, mins):
-            by_min.setdefault(lo, []).append(row)
+        seen: set[int] = set()
+        twice = {lo for lo in mins if lo in seen or seen.add(lo)}  # minima of two or more edges
         by_key: dict[tuple[int, int, int, int], list[Edge]] = {}
-        for lo, rows in by_min.items():
-            for e, strong in rows if len(rows) > 1 else ():
-                if strong:
-                    # Every a + b is distinct, so the fingerprint is exact.
-                    a, b = f[e[0]].elements, f[e[1]].elements
-                    key = (lo, a[-1] + b[-1], len(a) * len(b), len(b) * sum(a) + len(a) * sum(b))
-                else:
-                    el = sums[e].elements
-                    key = (lo, el[-1], len(el), sum(el))
-                by_key.setdefault(key, []).append(e)
+        for (e, strong), lo in zip(strong_edges, mins):
+            if lo not in twice:
+                continue
+            if strong:
+                # Every a + b is distinct, so the fingerprint is exact.
+                a, b = f[e[0]].elements, f[e[1]].elements
+                key = (lo, a[-1] + b[-1], len(a) * len(b), len(b) * sum(a) + len(a) * sum(b))
+            else:
+                el = sums[e].elements
+                key = (lo, el[-1], len(el), sum(el))
+            by_key.setdefault(key, []).append(e)
         for group in by_key.values():
             if len(group) > 1:
                 by_sum: dict[IntSet, list[Edge]] = {}

@@ -382,6 +382,19 @@ def test_oracle_minchain_bundle_makes_its_missing_parents_only_with_the_write(fi
     assert json.loads(Path(f"{stem}.report.json").read_text()) == json.loads((tmp / "report.json").read_text())
 
 
+@pytest.mark.parametrize("output", ["bundle/minchain-disagreement.graph.txt", "./bundle/minchain-disagreement.graph.txt"])
+def test_oracle_minchain_refuses_its_report_onto_a_bundle_file(files, capsys, monkeypatch, output):
+    # `--output` gets minchain's report, never one of its bundle files, however
+    # the path is spelled; nothing is written.
+    graph_file, _, _, tmp = files
+    gp = graph_file("c5.g", cycle_graph(5))
+    monkeypatch.chdir(tmp)
+    before = sorted(os.listdir(tmp))
+    assert main(["oracle", "minchain", gp, "--max", "5", "--bundle-dir", "bundle", "--output", output]) == 2
+    assert capsys.readouterr() == ("", f"error: {output}: the same file as another output\n")
+    assert sorted(os.listdir(tmp)) == before
+
+
 @pytest.mark.parametrize("command", ["lemma", "minchain", "concurrent"])
 def test_oracle_universe_above_limit_exits_two(files, capsys, command):
     graph_file, _, _, _ = files

@@ -64,13 +64,12 @@ def test_sidon_bases_property():
         assert _is_sidon(terms), count
 
 
-def test_offsets_are_scaled_sidon_bases():
+def test_offsets_are_the_sidon_bases():
     g = petersen_graph()
     cards = {v: 1 + i % 3 for i, v in enumerate(g.sorted_vertices())}
     f, trace = construct_strong_traced(g, ConstructionSpec(cardinalities=cards))
-    separation = trace["strides"][-1] * max(cards.values())
     bases = sidon_bases(len(g.vertices))
-    assert trace["offsets"] == {v: bases[i] * separation for i, v in enumerate(g.sorted_vertices())}
+    assert trace["offsets"] == {v: bases[i] for i, v in enumerate(g.sorted_vertices())}
     assert all(f[v].min == trace["offsets"][v] for v in g.vertices)
 
 
@@ -79,10 +78,9 @@ def test_large_sparse_graph_stays_below_erdos_turan_bound(mode):
     g = random_graph(random.Random(400), 400, 0.05)
     f, trace = construct_strong_traced(g, ConstructionSpec(cardinalities=3, seed=1, mode=mode))
     assert verify(g, f).is_strong
-    # Largest base < 2p^2 and each label spans less than one separation.
-    separation = trace["strides"][-1] * 3
+    # Largest base < 2p^2, and a label spans (c - 1) strides past its base.
     p = _least_prime_at_least(400)
-    assert trace["max_label_element"] < 2 * p * p * separation
+    assert trace["max_label_element"] < 2 * p * p + (3 - 1) * trace["strides"][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +241,26 @@ def test_scaled_copy_labelings_are_pinned():
 
     k2a, k2b, p3, p2 = complete_graph(2, "a"), complete_graph(2, "b"), path_graph(3, "a"), path_graph(2, "b")
     assert _texts(scaled_copy_labeling(k2a, strong(k2a), k2b)) == {
-        "a0×b0": "{0,3}", "a0×b1": "{32455,32632}", "a1×b0": "{50,55}", "a1×b1": "{35405,35700}",
+        "a0×b0": "{0,3}", "a0×b1": "{1105,1138}", "a1×b0": "{5,10}", "a1×b1": "{1160,1215}",
     }
     assert _texts(scaled_copy_labeling(p3, strong(p3), p2)) == {
-        "a0×b0": "{0,3}", "a0×b1": "{182215,182626}", "a1×b0": "{70,75}",
-        "a1×b1": "{191805,192490}", "a2×b0": "{130,133}", "a2×b1": "{200025,200436}",
+        "a0×b0": "{0,3}", "a0×b1": "{2725,2776}", "a1×b0": "{7,12}",
+        "a1×b1": "{2844,2929}", "a2×b0": "{13,16}", "a2×b1": "{2946,2997}",
     }
     # An edgeless second factor: one copy of f1 per vertex, no edges between them.
     assert _texts(scaled_copy_labeling(p2, strong(p2), Graph(["w0", "w1"]))) == {
-        "b0×w0": "{0,3}", "b0×w1": "{32455,32632}", "b1×w0": "{50,55}", "b1×w1": "{35405,35700}",
+        "b0×w0": "{0,3}", "b0×w1": "{1105,1138}", "b1×w0": "{5,10}", "b1×w1": "{1160,1215}",
     }
     c4, w = cycle_graph(4, "a"), Labeling({"w": IntSet([0, 2])})
     assert _texts(scaled_copy_labeling(c4, strong(c4), Graph(["w"]), w)) == {
-        "a0": "{0,3}", "a0⊙0:w": "{247711,248405}", "a1": "{110,115}", "a1⊙1:w": "{743133,743831}",
-        "a2": "{240,243}", "a2⊙2:w": "{1238555,1239261}", "a3": "{340,345}",
-        "a3⊙3:w": "{1733977,1734695}",
+        "a0": "{0,3}", "a0⊙0:w": "{4135,4217}", "a1": "{11,16}", "a1⊙1:w": "{12405,12491}",
+        "a2": "{24,27}", "a2⊙2:w": "{20675,20769}", "a3": "{34,39}", "a3⊙3:w": "{28945,29051}",
     }
     p2a, k3 = path_graph(2, "a"), complete_graph(3, "b")
     assert _texts(scaled_copy_labeling(p2a, strong(p2a), k3, strong(k3))) == {
-        "a0": "{0,3}", "a0⊙0:b0": "{72955,73528}", "a0⊙0:b1": "{91673,92628}",
-        "a0⊙0:b2": "{107717,109054}", "a1": "{50,55}", "a1⊙1:b0": "{218865,219444}",
-        "a1⊙1:b1": "{237779,238744}", "a1⊙1:b2": "{253991,255342}",
+        "a0": "{0,3}", "a0⊙0:b0": "{1161,1230}", "a0⊙0:b1": "{1322,1437}",
+        "a0⊙0:b2": "{1460,1621}", "a1": "{5,10}", "a1⊙1:b0": "{3483,3570}",
+        "a1⊙1:b1": "{3686,3831}", "a1⊙1:b2": "{3860,4063}",
     }
     # Edgeless operands on both sides.
     assert _texts(scaled_copy_labeling(Graph(["a"]), Labeling({"a": IntSet([0, 1])}), Graph(["w"]), w)) == {

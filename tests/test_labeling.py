@@ -42,6 +42,7 @@ from iasi import (
     verify_concurrent_strong,
     verify_uniform,
 )
+from iasi.construct import sidon_bases
 from iasi.errors import InternalCheckError
 
 
@@ -257,13 +258,29 @@ def test_verify_shared_minimum_with_distinct_fingerprints_builds_no_sumset(g, f,
 
 
 def test_verify_of_a_constructed_labeling_builds_no_sumset(monkeypatch):
-    # The Sidon bases make the edge-sumset minima pairwise distinct.
+    # Each label's minimum is its vertex's Sidon base, so the edge-sumset
+    # minima are pairwise distinct Sidon sums.
     g = random_graph(random.Random(31), 40, 0.3)
     f = construct_strong(g, ConstructionSpec(cardinalities=3, seed=7))
     calls = _counting_sumset(monkeypatch)
     assert verify(g, f).is_strong
     assert calls == []
     assert verify_uniform(g, f) == (9, 3)
+    assert calls == []
+    # construct's own verify counts too: every output takes the distinct-minima
+    # path.  The dense graph runs in coloring mode only: clique-cover's ω search
+    # on it takes tens of seconds.
+    rng = random.Random(36)
+    sparse, dense = random_graph(rng, 400, 0.05), random_graph(rng, 160, 0.9)
+    cases = [(g, mode) for g in (*connected_atlas(2, 7), petersen_graph(), sparse)
+             for mode in ("coloring", "clique-cover")] + [(dense, "coloring")]
+    for g, mode in cases:
+        verts = g.sorted_vertices()
+        for cards in (2, {v: 1 + i % 3 for i, v in enumerate(verts)}):
+            f = construct_strong(g, ConstructionSpec(cardinalities=cards, mode=mode))
+            assert [f[v].min for v in verts] == sidon_bases(len(verts))
+            edge_minima = [f[u].min + f[v].min for u, v in g.edges]
+            assert len(set(edge_minima)) == len(edge_minima)
     assert calls == []
 
 
