@@ -267,7 +267,7 @@ def _sweep(
     space: _Space,
     verts: list[str],
     graphs: tuple[Graph, ...],
-    leaf: Callable[[list[int], int, int, int], None],
+    leaf: Callable[[list[int], int, list[tuple[int, int, int]]], None],
     start: int = 0,
 ) -> Iterator[int]:
     """Sweep the injective labelings of `verts` (n >= 2, any order) by label
@@ -289,16 +289,21 @@ def _sweep(
     labeling with a property both symmetries keep is swept; counts do not
     depend on the order, which only decides where the rules prune.
 
-    `leaf(assign, used, mask, count)` gets, in lexicographic order, each
-    assignment of vertices 0..n-2 (`assign`, reused: copy it to keep it)
-    that some label completes; `used` marks its labels, `mask` those vertex
-    n-1 can take, `count` the labelings they stand for.  A vertex's
-    candidates are the unused labels its orbit rules allow that are strong
-    with each earlier neighbour (an edge is checked at its later end), minus
-    the partners whose sum with it is already taken in that graph.  A sum is
-    keyed by its product (`_Space`); `partners[i]` maps the key of each
-    strong L_i + L_j to the bit of j, unique as L_i(t)X(t) = L_i(t)Y(t)
-    gives X = Y, so two new edges at one vertex never share a sum."""
+    `leaf(assign, used, batch)` gets, in lexicographic order, each
+    assignment of vertices 0..n-3 (`assign[:n-2]`, reused: copy it to keep
+    it) that some labels complete; `used` marks its labels.  `batch` holds
+    (x, mask, count) for each label x of vertex n-2 that some label
+    completes, in ascending x: `mask` marks those vertex n-1 can take,
+    `count` the labelings they stand for.  So the leaves come in
+    lexicographic order, and the first with a property is the
+    lexicographically first labeling with it.  A vertex's candidates are the
+    unused labels its orbit rules allow that are strong with each earlier
+    neighbour (an edge is checked at its later end), minus the partners
+    whose sum with it is already taken in that graph.  A sum is keyed by its
+    product (`_Space`); `partners[i]` maps the key of each strong L_i + L_j
+    to the bit of j, unique as L_i(t)X(t) = L_i(t)Y(t) gives X = Y, so two
+    new edges at one vertex never share a sum.  The frame placing vertex n-2
+    finds n-1's candidates too, the rules not involving n-2's label once."""
     n = len(verts)
     last = n - 1
     pos = {v: k for k, v in enumerate(verts)}
@@ -329,20 +334,56 @@ def _sweep(
             allowed &= strong[assign[p]]
             for s in sums[h]:
                 allowed &= ~row.get(s, 0)
-        if k == last:
-            if allowed:
-                count = weight * allowed.bit_count()
-                leaf(assign, used, allowed, count - weight // 2 if allowed & halves[k] else count)
+        if k < last - 1:
+            while allowed:
+                bit = allowed & -allowed
+                x = assign[k] = bit.bit_length() - 1
+                for h, p in earlier[k]:
+                    sums[h].append(spread[assign[p]] * spread[x])
+                search(k + 1, used | bit, weight // 2 if bit == halves[k] else weight)
+                for h, _ in earlier[k]:
+                    sums[h].pop()
+                allowed ^= bit
             return
+        # k = n-2.  Vertex n-1's rules that do not involve k's label:
+        rest = gate[last] & ~used
+        top = above[last]
+        if top and top != k:
+            rest &= -2 << assign[top]
+        rows: list[list[dict]] = [[] for _ in graphs]  # per graph: partners of n-1's neighbours but k
+        joined = []  # the sums taken in each graph where k-(n-1) is an edge
+        for h, p in earlier[last]:
+            if p == k:
+                joined.append(sums[h])
+                continue
+            row = partners[assign[p]]
+            rows[h].append(row)
+            rest &= strong[assign[p]]
+            for s in sums[h]:
+                rest &= ~row.get(s, 0)
+        # k's new sums against those rows (against x's own they meet only used labels)
+        fresh = [(spread[assign[p]], rows[h]) for h, p in earlier[k] if rows[h]]
+        batch = []
         while allowed:
             bit = allowed & -allowed
-            x = assign[k] = bit.bit_length() - 1
-            for h, p in earlier[k]:
-                sums[h].append(spread[assign[p]] * spread[x])
-            search(k + 1, used | bit, weight // 2 if bit == halves[k] else weight)
-            for h, _ in earlier[k]:
-                sums[h].pop()
+            x = bit.bit_length() - 1
+            mask = rest & ~bit
+            if top and top == k:
+                mask &= -2 << x
+            for sp, others in fresh:
+                key = sp * spread[x]
+                for row in others:
+                    mask &= ~row.get(key, 0)
+            for taken in joined:
+                mask &= strong[x]
+                for s in taken:
+                    mask &= ~partners[x].get(s, 0)
+            if mask:
+                w = weight // 2 if bit == halves[k] else weight
+                batch.append((x, mask, w * mask.bit_count() - (w // 2 if mask & halves[last] else 0)))
             allowed ^= bit
+        if batch:
+            leaf(assign, used, batch)
 
     for first, image in enumerate(mirror):
         if first < start or image < first:
@@ -351,8 +392,8 @@ def _sweep(
         outside = sum(1 << b for b, m in enumerate(mirror) if min(b, m) > first)
         for w in orbits[0]:
             gate[w], halves[w] = outside | tie, tie
-        assign[0] = first
-        search(1, 1 << first, 2 * group if tie else group)
+        gate[0] = 1 << first
+        search(0, 0, 2 * group if tie else group)
         yield first + 1
 
 
@@ -401,16 +442,18 @@ class MinChainResult(_Record):
         }
 
 
-def _checkpoint_path(key: str) -> Path | None:
+def _checkpoint_path(g: Graph, cfg: OracleConfig) -> tuple[str, Path] | tuple[None, None]:
+    """(key, file) of g's minchain checkpoint, or Nones: no checkpoint directory."""
     directory = os.environ.get(CHECKPOINT_ENV)
     if not directory:
-        return None
+        return None, None
+    key = hashlib.sha256((write_graph(g) + repr(cfg)).encode("utf-8")).hexdigest()[:16]
     path = Path(directory)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot use oracle checkpoint directory {path}: {exc}") from exc
-    return path / f"minchain-{key}.json"
+    return key, path / f"minchain-{key}.json"
 
 
 def _labeling(labels: list[IntSet], verts: list[str], assign) -> Labeling:
@@ -496,16 +539,16 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
     A chain never shrinks as labels join.  So once a minimum is known, a
     partial labeling whose placed labels already hold a chain that long has
     no completion below it: its leaves are counted and not measured.  The
-    placed labels' chain comes from the facts of all but the last of them,
-    cached like the rest.  n - 1 labels hold no chain longer than n - 1, so
-    the test is skipped while the minimum is above that."""
+    placed labels' chain comes from the facts of the prefix a batch shares,
+    read once per batch and cached like the rest.  n - 1 labels hold no
+    chain longer than n - 1, so the test is skipped while the minimum is
+    above that."""
     verts = _search_vertices(g, cfg)
     space = _Space(cfg)
     labels = space.labels
     total = len(labels)
 
-    ckpt_key = hashlib.sha256((write_graph(g) + repr(cfg)).encode("utf-8")).hexdigest()[:16]
-    ckpt = _checkpoint_path(ckpt_key)
+    ckpt_key, ckpt = _checkpoint_path(g, cfg)
     start = 0  # the next partition to sweep
     best: int | None = None
     best_assign: list[int] | None = None
@@ -527,20 +570,19 @@ def min_max_chain(g: Graph, cfg: OracleConfig) -> MinChainResult:
             known = chains[used] = _chain_extension(space, used)
         return known
 
-    def leaf(assign: list[int], used: int, mask: int, count: int) -> None:
+    def leaf(assign: list[int], used: int, batch: list[tuple[int, int, int]]) -> None:
         nonlocal best, best_assign, strong_count
-        strong_count += count
-        if best is not None and best <= last:
-            x = assign[last - 1]
-            c, up = facts(used ^ 1 << x)
-            if c + (up >> x & 1) >= best:
-                return
-        c, up = facts(used)
-        shorter = mask & ~up
-        chain = c if shorter else c + 1
-        if best is None or chain < best:
-            best = chain
-            best_assign = [*assign[:last], _lowest(shorter or mask)]
+        prefix = facts(used) if best is not None and best <= last else None
+        for x, mask, count in batch:
+            strong_count += count
+            if prefix and prefix[0] + (prefix[1] >> x & 1) >= best:
+                continue
+            c, up = facts(used | 1 << x)
+            shorter = mask & ~up
+            chain = c if shorter else c + 1
+            if best is None or chain < best:
+                best = chain
+                best_assign = [*assign[:last - 1], x, _lowest(shorter or mask)]
 
     def save() -> None:
         state = {"version": CHECKPOINT_VERSION, "key": ckpt_key, "next": start,
@@ -611,24 +653,27 @@ def exists_concurrent(g: Graph, cfg: OracleConfig) -> ConcurrentSearch:
     bad: tuple[int, ...] | None = None
     sample: list[tuple[int, ...]] = []
 
-    def leaf(assign: list[int], used: int, mask: int, weighted: int) -> None:
+    def leaf(assign: list[int], used: int, batch: list[tuple[int, int, int]]) -> None:
         nonlocal count, seen, audit, bad
-        if bad is None:
-            reach = -1  # labels difference-disjoint from every assigned one
-            for a in assign[:last]:
-                reach &= space.ddisjoint[a] | 1 << a
-            flawed = mask if used & ~reach else mask & ~reach
-            if flawed:
-                bad = (*assign[:last], _lowest(flawed))
-        found = mask.bit_count()
-        while audit <= seen + found:
-            rest = mask
-            for _ in range(audit - seen - 1):
-                rest &= rest - 1
-            sample.append((*assign[:last], _lowest(rest)))
-            audit = audit + 1 if audit < 8 else audit << 1
-        seen += found
-        count += weighted
+        prefix = assign[:last - 1]
+        reach = -1  # labels difference-disjoint from every label of the prefix
+        for a in prefix:
+            reach &= space.ddisjoint[a] | 1 << a
+        for x, mask, weighted in batch:
+            if bad is None:
+                apart = reach & (space.ddisjoint[x] | 1 << x)
+                flawed = mask if (used | 1 << x) & ~apart else mask & ~apart
+                if flawed:
+                    bad = (*prefix, x, _lowest(flawed))
+            found = mask.bit_count()
+            while audit <= seen + found:
+                rest = mask
+                for _ in range(audit - seen - 1):
+                    rest &= rest - 1
+                sample.append((*prefix, x, _lowest(rest)))
+                audit = audit + 1 if audit < 8 else audit << 1
+            seen += found
+            count += weighted
 
     for _ in _sweep(space, verts, (g, gbar), leaf):
         pass

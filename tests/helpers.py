@@ -7,9 +7,11 @@ independent to be checked against.
 
 from __future__ import annotations
 
+import math
 import random
 from functools import cache, lru_cache, wraps
 from itertools import combinations, permutations
+from typing import Callable, Iterator
 
 import networkx as nx
 
@@ -30,6 +32,7 @@ from iasi import (
 from iasi.construct import primes_above, sidon_bases
 from iasi.errors import parse_natural
 from iasi.graph import CORONA_SEP, PRODUCT_SEP
+from iasi.oracle import _orbits, _Space
 
 
 def from_networkx(G, prefix: str = "v") -> Graph:
@@ -452,6 +455,101 @@ def reference_chain_extension(space, used: int) -> tuple[int, int]:
             best, up = size, 0
         up |= reach & outside
     return best, up
+
+
+# The per-leaf sweep that `oracle._sweep` replaced, kept verbatim (but for
+# its name) as the reference the batched sweep's leaves are diffed against.
+def reference_sweep(
+    space: _Space,
+    verts: list[str],
+    graphs: tuple[Graph, ...],
+    leaf: Callable[[list[int], int, int, int], None],
+    start: int = 0,
+) -> Iterator[int]:
+    """Sweep the injective labelings of `verts` (n >= 2, any order) by label
+    index strong on each of `graphs` (a graph, or it and its complement):
+    every edge a strong pair, each graph's edge sumsets distinct.  Partitions
+    below `start`, and their mirrors, are skipped; after each other one, a,
+    yield a + 1, below which every partition and its mirror is then counted.
+
+    Aut(G) of the first graph (of its complement too) and the mirror
+    x -> universe_max - x of every label keep strength, edge sumsets and
+    difference sets, so one labeling per orbit is swept (`_orbits`): each
+    w in orbit[k], k >= 1, has a higher label than k; vertex 0 has the
+    lower label a of a mirror pair, its orbit-mates labels b with
+    min(b, mirror b) > a or b = mirror a (a tie).  Only the identity fixes
+    an injective labeling, so a swept one counts |Aut(G)|, twice that
+    unless a is its own mirror or at a tie (its mirror image's orbit is
+    swept here then).  Partition a holds the labelings whose least min(b,
+    mirror b) over vertex 0's orbit is a.  The lexicographically first
+    labeling with a property both symmetries keep is swept; counts do not
+    depend on the order, which only decides where the rules prune.
+
+    `leaf(assign, used, mask, count)` gets, in lexicographic order, each
+    assignment of vertices 0..n-2 (`assign`, reused: copy it to keep it)
+    that some label completes; `used` marks its labels, `mask` those vertex
+    n-1 can take, `count` the labelings they stand for.  A vertex's
+    candidates are the unused labels its orbit rules allow that are strong
+    with each earlier neighbour (an edge is checked at its later end), minus
+    the partners whose sum with it is already taken in that graph.  A sum is
+    keyed by its product (`_Space`); `partners[i]` maps the key of each
+    strong L_i + L_j to the bit of j, unique as L_i(t)X(t) = L_i(t)Y(t)
+    gives X = Y, so two new edges at one vertex never share a sum."""
+    n = len(verts)
+    last = n - 1
+    pos = {v: k for k, v in enumerate(verts)}
+    # earlier[k]: (graph, neighbour) for each edge from vertex k to an earlier vertex
+    earlier: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for h, graph in enumerate(graphs):
+        for a, b in sorted(sorted((pos[u], pos[v])) for u, v in graph.edges):
+            earlier[b].append((h, a))
+    orbits = _orbits(graphs[0], verts)
+    group = math.prod(1 + len(orbit) for orbit in orbits)
+    # above[w]: the last k >= 1 with w in orbit[k], whose label w's must exceed
+    above = [max([k for k in range(1, w) if w in orbits[k]], default=0) for w in range(n)]
+    strong, spread, mirror = space.strong, space.spread, space.mirror
+    partners = [{si * spread[j]: 1 << j for j in range(len(mirror)) if row >> j & 1}
+                for si, row in zip(spread, strong)]
+    full_mask = (1 << len(mirror)) - 1
+    sums: list[list[int]] = [[] for _ in graphs]  # edge sumset keys taken, per graph
+    assign = [0] * n
+    gate = [full_mask] * n  # the labels each vertex may take in this partition
+    halves = [0] * n  # at vertex 0's orbit-mates, the tie label's bit if it halves the count
+
+    def search(k: int, used: int, weight: int) -> None:
+        allowed = gate[k] & ~used
+        if above[k]:
+            allowed &= -2 << assign[above[k]]
+        for h, p in earlier[k]:
+            row = partners[assign[p]]
+            allowed &= strong[assign[p]]
+            for s in sums[h]:
+                allowed &= ~row.get(s, 0)
+        if k == last:
+            if allowed:
+                count = weight * allowed.bit_count()
+                leaf(assign, used, allowed, count - weight // 2 if allowed & halves[k] else count)
+            return
+        while allowed:
+            bit = allowed & -allowed
+            x = assign[k] = bit.bit_length() - 1
+            for h, p in earlier[k]:
+                sums[h].append(spread[assign[p]] * spread[x])
+            search(k + 1, used | bit, weight // 2 if bit == halves[k] else weight)
+            for h, _ in earlier[k]:
+                sums[h].pop()
+            allowed ^= bit
+
+    for first, image in enumerate(mirror):
+        if first < start or image < first:
+            continue
+        tie = 1 << image if first < image else 0
+        outside = sum(1 << b for b, m in enumerate(mirror) if min(b, m) > first)
+        for w in orbits[0]:
+            gate[w], halves[w] = outside | tie, tie
+        assign[0] = first
+        search(1, 1 << first, 2 * group if tie else group)
+        yield first + 1
 
 
 def reference_sharing(diffs: list[frozenset[int]]) -> list[int]:

@@ -125,6 +125,13 @@ def checks(directory: Path) -> None:
     assert g == read_graph((directory / "c5.graph").read_text(encoding="utf-8")), g
     assert verify(g, f).is_strong and chain_report(g, f).max_chain_length == 3, f
 
+    # The sweep's shapes at its last two vertices: K2, where vertex 0 is
+    # the one placed before them, and P3, against the counts of the full
+    # sweep.
+    for graph, count in ((k2, 644), (p3, 14252)):
+        got = outcome(["oracle", "minchain", graph, "--max", "7"])
+        assert (got["value"], got["strong_labelings"]) == (2, count), (graph, got)
+
     # Two refused writes that leave nothing: construct's --output and
     # --trace naming one file, and C5's bundle into a new directory beside
     # a report that cannot be written.

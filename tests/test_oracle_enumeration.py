@@ -18,6 +18,7 @@ from helpers import (
     naive_min_max_chain,
     random_graph,
     reference_chain_extension,
+    reference_sweep,
     stabiliser_orbits,
     strong_labelings,
 )
@@ -29,6 +30,7 @@ from iasi import (
     Graph,
     OracleConfig,
     chain_report,
+    complement,
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
@@ -182,15 +184,58 @@ def _sweep_totals(g: Graph, order: list[str], space) -> tuple[int, int]:
     in `order`, each leaf's chain from the subset scan."""
     count, least = 0, len(order)
 
-    def leaf(assign, used, mask, weighted):
+    def leaf(assign, used, batch):
         nonlocal count, least
-        count += weighted
-        c, up = reference_chain_extension(space, used)
-        least = min(least, c if mask & ~up else c + 1)
+        for x, mask, weighted in batch:
+            count += weighted
+            c, up = reference_chain_extension(space, used | 1 << x)
+            least = min(least, c if mask & ~up else c + 1)
 
     for _ in oraclemod._sweep(space, order, (g,), leaf):
         pass
     return count, least
+
+
+def _batched_leaves(space, order, graphs, start=0):
+    """(leaves, yielded partition numbers) of `_sweep`, each batch item
+    flattened into the per-leaf call `reference_sweep` makes."""
+    leaves, n = [], len(order)
+
+    def leaf(assign, used, batch):
+        for x, mask, count in batch:
+            leaves.append(((*assign[: n - 2], x), used | 1 << x, mask, count))
+
+    return leaves, list(oraclemod._sweep(space, order, graphs, leaf, start))
+
+
+def _reference_leaves(space, order, graphs, start=0):
+    leaves, n = [], len(order)
+
+    def leaf(assign, used, mask, count):
+        leaves.append((tuple(assign[: n - 1]), used, mask, count))
+
+    return leaves, list(reference_sweep(space, order, graphs, leaf, start))
+
+
+@pytest.mark.parametrize("universe_max, cards", [(4, 1), (4, 2), (5, 2), (7, 2)])
+def test_batched_sweep_gives_the_leaves_of_the_per_leaf_reference_in_order(universe_max, cards):
+    # The same leaves in the same order keep every count and first witness.
+    space = oraclemod._Space(OracleConfig(universe_max=universe_max, min_card=cards, max_card=cards))
+    for g in connected_atlas(2, 5):
+        order = _order(g)
+        gbar = complement(g)
+        shapes = [(g,)] + [(g, gbar)] * all(gbar.neighbors(v) for v in gbar.vertices)
+        for graphs in shapes:
+            got = _batched_leaves(space, order, graphs)
+            assert got == _reference_leaves(space, order, graphs), (write_graph(g), len(graphs))
+
+
+def test_batched_sweep_resumed_past_a_partition_gives_the_reference_leaves():
+    g = BAD_NAMINGS["paw"]
+    space = oraclemod._Space(OracleConfig(universe_max=5))
+    got = _batched_leaves(space, _order(g), (g,), start=4)
+    assert got[0] and got[1][0] > 4
+    assert got == _reference_leaves(space, _order(g), (g,), start=4)
 
 
 def test_sweep_answers_do_not_depend_on_the_vertex_order():
@@ -310,15 +355,16 @@ def test_minchain_matches_the_naive_scan_on_bad_namings(name, universe_max, card
 
 
 def _leaf_calls(monkeypatch, search, *args):
-    """(leaf calls of the sweeps it makes, result) of `search(*args)`."""
+    """(leaves of the sweeps it makes, result) of `search(*args)`: each
+    item of a batch is one leaf."""
     calls = 0
     real = oraclemod._sweep
 
     def counting(space, verts, graphs, leaf, start=0):
-        def counted(*leaf_args):
+        def counted(assign, used, batch):
             nonlocal calls
-            calls += 1
-            leaf(*leaf_args)
+            calls += len(batch)
+            leaf(assign, used, batch)
 
         return real(space, verts, graphs, counted, start)
 
@@ -558,6 +604,16 @@ def test_checkpoint_of_a_prefix_of_the_sweep_resumes_to_the_same_result(tmp_path
     )
     path.write_text(json.dumps({**state, "digest": oraclemod._digest(state)}))
     assert _minchain(g, cfg) == clean
+
+
+def test_minchain_without_a_checkpoint_directory_builds_no_checkpoint_key(monkeypatch):
+    # The key hashes the graph's text, which only a checkpoint file uses.
+    def no_key(g):
+        raise AssertionError("min_max_chain wrote the graph for a checkpoint key")
+
+    monkeypatch.delenv("IASI_ORACLE_CHECKPOINT_DIR", raising=False)
+    monkeypatch.setattr(oraclemod, "write_graph", no_key)
+    assert min_max_chain(path_graph(3), OracleConfig(universe_max=4)).value == 2
 
 
 def test_checkpoint_of_another_version_exits_two_naming_the_file(tmp_path, monkeypatch, capsys):
