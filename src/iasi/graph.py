@@ -7,6 +7,8 @@ pairs by one private builder, `Graph._trusted`, which the constructor,
 edge once as (u, v) with u < v, is derived from the table on first use.
 The constructor and `read_graph` keep one string object per name, so the
 per-edge lookups of verification and clique search match by identity.
+`read_graph` reads what `write_graph` writes in one whole-text pass, which
+returns the line parser's graph or None; on None, the line parser reads it.
 Besides the five binary operations (union, intersection, join,
 Cartesian product, corona) and complement, the module houses the clique
 machinery: `clique_number`, Tomita & Seki's colour-sort branch-and-bound
@@ -402,25 +404,53 @@ def read_graph(text: str) -> Graph:
 
     Each later occurrence of a name is replaced by its first, so the graph
     holds one string object per name and lookups match it by identity.
+    A text of the shape `write_graph` writes is read in one pass by
+    `_read_canonical`, which returns a graph equal to the line parser's or
+    None; then `_read_lines` reads it, so every error is that parser's error.
     """
+    g = _read_canonical(text)
+    return _read_lines(text) if g is None else g
+
+
+def _read_canonical(text: str) -> Graph | None:
+    """`read_graph` of an optional `p N M` line, then `v name` lines, then
+    `u v` lines, each two tokens, one space and `\n`; None, never an error, on any other text."""
+    header, body = None, text
+    if text.startswith("p "):
+        head, _, body = text.partition("\n")
+        header = tuple(map(parse_natural, head.split(" ")[1:]))
+    us = body.split()
+    vs, us = us[1::2], us[0::2]  # the token list goes before the build
+    # Only lines of two tokens and one space rebuild the body; counts would pass "a b c\nd\n".
+    if "\n".join(map(" ".join, zip(us, vs))) + "\n" != body:
+        return None
+    k = us.count("v")  # the `v` lines; one after an edge leaves "v" among the names
+    names: dict[str, str] = {}  # one object per name, as in `_read_lines`
+    vs = list(map(names.setdefault, vs, vs))
+    us = list(map(names.setdefault, us[k:], us[k:]))
+    try:
+        for name in names:
+            _check_name(name)
+    except ValueError:
+        return None
+    g = Graph._trusted(names, zip(us, vs[k:]))
+    if any(v in ns for v, ns in g._adj.items()) or header not in (None, (len(names), g._edge_count())):
+        return None  # a self-loop, or a header that is malformed or miscounts
+    return g
+
+
+def _read_lines(text: str) -> Graph:
+    """`read_graph` of any text, line by line."""
     names: dict[str, str] = {}  # each name, as first read, in order of appearance
     pairs: list[tuple[str, str]] = []
-    own, add = names.setdefault, pairs.append
     header: tuple[int, int] | None = None
     header_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if len(tokens) == 2:
-            u, v = tokens
-            if u != v and u != "p" and u != "v" and u[0] != "#":  # an edge line
-                add((own(u, u), own(v, v)))
-                continue
         if not tokens or tokens[0][0] == "#":
             continue
         first = tokens[0]
-        if len(tokens) == 2 and first != "p" and first != "v":  # the fast path took all but u == v
-            raise ParseError(f"self-loop at {first!r}", line=lineno)
-        elif first == "p":
+        if first == "p":
             if header is not None:
                 raise ParseError("duplicate p header", line=lineno)
             counts = tuple(parse_natural(t) for t in tokens[1:])
@@ -431,8 +461,12 @@ def read_graph(text: str) -> Graph:
             if len(tokens) != 2:
                 raise ParseError("malformed vertex line, expected 'v <name>'", line=lineno)
             names.setdefault(tokens[1], tokens[1])
-        else:
+        elif len(tokens) != 2:
             raise ParseError(f"unrecognized line {raw.strip()!r}", line=lineno)
+        elif first == tokens[1]:
+            raise ParseError(f"self-loop at {first!r}", line=lineno)
+        else:
+            pairs.append((names.setdefault(first, first), names.setdefault(tokens[1], tokens[1])))
     # Names are checked only now, so that a malformed line anywhere is
     # reported before a name `Graph` would refuse; the first such name wins,
     # at the first edge or vertex line that names it.

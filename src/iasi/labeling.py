@@ -191,12 +191,13 @@ def _verify(g: Graph, f: Labeling) -> tuple[VerificationReport, list[int]]:
     # Only a shared minimum, and then a shared fingerprint, can hide a shared sumset.
     shared: list[tuple[list[Edge], IntSet]] = []
     if len(set(mins)) < len(mins):
-        seen: set[int] = set()
-        twice = {lo for lo in mins if lo in seen or seen.add(lo)}  # minima of two or more edges
+        first: dict[int, int] = {}  # each minimum to its first row
+        at = first.setdefault
+        rows = [i for i, lo in enumerate(mins) if at(lo, i) != i]  # the later rows of a shared minimum
+        rows += {first[mins[i]] for i in rows}  # and the first row of each
         by_key: dict[tuple[int, int, int, int], list[Edge]] = {}
-        for (e, strong), lo in zip(strong_edges, mins):
-            if lo not in twice:
-                continue
+        for i in sorted(rows):
+            (e, strong), lo = strong_edges[i], mins[i]
             if strong:
                 # Every a + b is distinct, so the fingerprint is exact.
                 a, b = f[e[0]].elements, f[e[1]].elements

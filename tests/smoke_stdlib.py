@@ -72,6 +72,14 @@ def checks(directory: Path) -> None:
         raise AssertionError("an unknown option did not exit")
     assert run(["oracle", "lemma", "--max", "3"])[0] == 0
 
+    # One graph through both paths of `read_graph`: its canonical text, read
+    # in one pass, and a commented, tabbed text, read line by line.
+    canonical = "p 4 4\nv a\nv b\nv c\nv d\na b\na d\nb c\nc d\n"
+    commented = "# C4\n\nv d\na\tb\r\nb c  \n\tc d\nd a\n"
+    cycle = Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    assert read_graph(canonical) == read_graph(commented) == cycle
+    assert write_graph(read_graph(commented)) == canonical
+
     # The JSON writer's bytes against the standard library's: a path a-é-c
     # whose edge é-c is weak, so the report holds both row flags and a
     # witness, and a name that is escaped as \u00e9.

@@ -5,11 +5,13 @@ from helpers import random_graph, reference_read_graph
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import iasi.graph as graphmod
 import iasi.labeling as labelingmod
 from iasi import (
     Graph,
     IntSet,
     Labeling,
+    petersen_graph,
     read_graph,
     read_labeling,
     write_graph,
@@ -198,6 +200,106 @@ def test_read_graph_agrees_with_the_reference_parser(text):
         assert (got.line, _message(got)) == (header, _message(want))
     else:
         assert (got.line, _message(got)) == (want.line, _message(want))
+
+
+# Canonical texts, the shape `write_graph` and the bench write (an optional
+# header, `v` lines, then edge lines, one space and one newline each), each
+# with at most one mutation that moves it off the whole-text path.
+MUTATIONS = [
+    None, "space", "line break", "blank", "comment", "late v", "self-loop", "reserved",
+    "header count", "second header", "no final newline", "split line",
+]
+
+
+@st.composite
+def canonical_graph_texts(draw):
+    edges = draw(st.lists(st.tuples(plain_names, plain_names).filter(lambda e: e[0] != e[1]), min_size=1))
+    loners = draw(st.lists(plain_names, max_size=3))
+    lines = [f"v {v}" for v in loners] + [" ".join(e) for e in edges]
+    names = {v for e in edges for v in e}.union(loners)
+    header = [len(names), len({frozenset(e) for e in edges})]
+    headed = draw(st.booleans())
+    mutation = draw(st.sampled_from(MUTATIONS))
+    at = draw(st.integers(0, len(lines)))  # where a mutation puts or changes a line
+    name = draw(plain_names)
+    if mutation == "space":
+        lines[at - 1] = lines[at - 1].replace(" ", draw(spaces.filter(lambda c: c != " ")), 1)
+    elif mutation == "blank":
+        lines.insert(at, "")
+    elif mutation == "comment":
+        lines.insert(at, draw(st.sampled_from(["#", "# note", "#ab bc"])))
+    elif mutation == "late v":
+        lines.insert(max(at, len(loners) + 1), f"v {name}")
+    elif mutation == "self-loop":
+        lines.insert(at, f"{name} {name}")
+    elif mutation == "reserved":
+        lines.insert(at, f"{name} {draw(st.sampled_from(['p', 'v', '#q']))}")
+    elif mutation == "header count":
+        header[draw(st.integers(0, 1))] += draw(st.sampled_from([-1, 1]))
+        headed = True
+    elif mutation == "second header":
+        lines.insert(at, f"p {header[0]} {header[1]}")
+    elif mutation == "split line":  # "a b" and "c d" as "a b c" and "d"
+        lines.append(f"{name} zz")
+        at = min(at, len(lines) - 2)
+        first, rest = lines[at + 1].split(" ", 1)
+        lines[at:at + 2] = [f"{lines[at]} {first}", rest]
+    if headed:
+        lines.insert(0, f"p {header[0]} {header[1]}")
+    ends = ["\n"] * len(lines)
+    if mutation == "line break":
+        ends[at - 1] = draw(line_breaks.filter(lambda b: b != "\n"))
+    elif mutation == "no final newline":
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends))
+
+
+@given(canonical_graph_texts())
+@example("p 3 2\nv cab\nab bc\nbc ab\nab cab\n")  # none: read whole
+@example("ab\tbc\n")  # space
+@example("ab\u3000bc\nbc cab\n")
+@example("ab bc\r\nbc cab\n")  # line break
+@example("ab bc\u2028bc cab\n")
+@example("ab bc\n\nbc cab\n")  # blank
+@example("# note\nab bc\n")  # comment
+@example("ab bc\nv cab\n")  # late v
+@example("p 2 1\nab bc\nbc bc\n")  # self-loop
+@example("ab p\n")  # reserved
+@example("v ab\nab v\n")
+@example("ab #q\n")
+@example("p 2 2\nab bc\n")  # header count
+@example("p 2 1\nab bc\np 2 1\n")  # second header
+@example("p 2 1\nab bc")  # no final newline
+@example("ab bc cab\nbc\n")  # split line
+def test_whole_text_graph_reader_agrees_with_the_line_reader(text):
+    want, got = _parse(graphmod._read_lines, text), _parse(read_graph, text)
+    if isinstance(want, ParseError):
+        assert isinstance(got, ParseError), got
+        assert (got.message, got.line) == (want.message, want.line)
+        return
+    assert got == want
+    own = {v: v for v in got.vertices}
+    assert all(own[x] is x for e in got.edges for x in e)
+    assert all(own[w] is w for v in got.vertices for w in got.neighbors(v))
+
+
+def _graph_line_reader_refused(text):
+    raise AssertionError(f"not read in one pass: {text!r}")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        write_graph(petersen_graph()),
+        # The bench's shape: sorted `v` lines, each edge's ends sorted, the edge lines not.
+        "p 5 4\nv ab\nv bc\nv cab\nv pv\nv vv\nbc pv\nab cab\ncab vv\nab bc\n",
+        "pv ab\nab cab\ncab pv\n",
+    ],
+)
+def test_canonical_graph_texts_are_read_in_one_pass(text, monkeypatch):
+    want = graphmod._read_lines(text)
+    monkeypatch.setattr(graphmod, "_read_lines", _graph_line_reader_refused)
+    assert read_graph(text) == want
 
 
 # ---------------------------------------------------------------------------
